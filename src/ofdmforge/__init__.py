@@ -20,6 +20,7 @@ from .evolve import (
     ConvergenceTrace,
     GAConfig,
     continuous_minimize,
+    decode_phase_block,
     decode_phases,
     encode_phases,
     sga_minimize,
@@ -37,6 +38,7 @@ from .illumination import (
 from .metrics import (
     CorrelationSeries,
     ObjectiveReport,
+    PhaseEvaluator,
     autocorrelation,
     evaluate_objectives,
     islr,

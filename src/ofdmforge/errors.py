@@ -37,5 +37,17 @@ class ContractViolationError(ForgeError, ValueError):
     """An input breaks a normalization precondition of the SNR metric."""
 
 
+class NonFiniteFitnessError(ForgeError, ValueError):
+    """An optimizer's fitness returned NaN or infinity for a genome."""
+
+    def __init__(self, generation: int, genome: int, value: object):
+        super().__init__(
+            f"generation {generation}: genome {genome} of the evaluated batch "
+            f"has non-finite fitness {value}"
+        )
+        self.generation = generation
+        self.genome = genome
+
+
 class ConfigError(ForgeError, ValueError):
     """Experiment configuration is malformed or incomplete."""

@@ -10,7 +10,11 @@ parent pairs.
 * ``continuous_minimize`` works on real vectors in box bounds (blend
   crossover, per-gene uniform-replacement mutation).
 
-Fitness is always minimized; negate the objective to maximize.
+Fitness is always minimized; negate the objective to maximize.  Each
+optimizer calls its fitness once per generation on the whole batch of
+genomes it needs scored (the initial population, then every generation's
+offspring), so an objective can score them together.  A NaN or infinite
+score raises ``NonFiniteFitnessError`` naming the generation and genome.
 """
 from __future__ import annotations
 
@@ -19,10 +23,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CodecError, InvalidSeedError
+from .errors import CodecError, InvalidSeedError, NonFiniteFitnessError
 from .waveform import TWO_PI, PhaseCodeMatrix
 
-Fitness = Callable[[np.ndarray], float]
+# (P, n) block of genomes -> (P,) fitness values (NSGA-II: (P, m) objectives)
+Fitness = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -117,21 +122,49 @@ class ConvergenceTrace:
         return len(self.generations)
 
 
+def decode_phase_block(bits: np.ndarray, bits_per_var: int, n: int, k: int) -> np.ndarray:
+    """Decode a (P, n*k*bits_per_var) block of bit strings into (P, n, k) phases.
+
+    Each row decodes as ``decode_phases`` decodes one genome.
+    """
+    b = bits_per_var
+    bits = np.asarray(bits, dtype=bool)
+    if bits.ndim != 2 or bits.shape[1] != n * k * b:
+        raise CodecError(
+            f"bit block shape {bits.shape} != (P, n*k*bits_per_var = {n * k * b})"
+        )
+    words = bits.reshape(len(bits), n * k, b)
+    weights = 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
+    values = words @ weights
+    phases = values.astype(float) * (TWO_PI / (1 << b))
+    return phases.reshape(len(bits), n, k)
+
+
 def decode_phases(genome: BinaryGenome, n: int, k: int) -> PhaseCodeMatrix:
     """Decode a bit string into an (n, k) phase matrix, row-major in (n, k).
 
     Word value v of b bits maps to phi = 2*pi*v / 2**b.
     """
-    b = genome.bits_per_var
-    if len(genome.bits) != n * k * b:
-        raise CodecError(
-            f"bit length {len(genome.bits)} != n*k*bits_per_var = {n * k * b}"
+    return PhaseCodeMatrix(decode_phase_block(genome.bits[None, :], genome.bits_per_var, n, k)[0])
+
+
+def score_batch(fitness: Fitness, genomes: np.ndarray, generation: int, ndim: int = 1) -> np.ndarray:
+    """Call ``fitness`` once on a block of genomes and check what it returns.
+
+    The result must hold one row per genome (``ndim`` 1: one value each, 2:
+    a row of objectives each) and be finite; the first genome with a NaN or
+    infinite value raises ``NonFiniteFitnessError``.
+    """
+    values = np.asarray(fitness(genomes), dtype=float)
+    if values.ndim != ndim or len(values) != len(genomes):
+        raise ValueError(
+            f"fitness returned shape {values.shape} for {len(genomes)} genomes"
         )
-    words = genome.bits.reshape(n * k, b)
-    weights = 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
-    values = words @ weights
-    phases = values.astype(float) * (TWO_PI / (1 << b))
-    return PhaseCodeMatrix(phases.reshape(n, k))
+    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise NonFiniteFitnessError(generation, row, values[row])
+    return values
 
 
 def encode_phases(codes: PhaseCodeMatrix, bits_per_var: int) -> BinaryGenome:
@@ -176,8 +209,8 @@ def sga_minimize(
 ) -> tuple[BinaryGenome, ConvergenceTrace]:
     """Binary-encoded elitist GA; returns the best genome found and its trace.
 
-    ``fitness`` receives the raw bit array (1-D bool of length
-    encoding.n_bits) and must return a finite float.
+    ``fitness`` receives a (P, encoding.n_bits) bool array of bit strings
+    and returns their P finite scores.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -186,7 +219,7 @@ def sga_minimize(
     n_keep = config.n_keep()
 
     genomes = rng.integers(0, 2, size=(pop, n_bits)).astype(bool)
-    fit = np.array([fitness(g) for g in genomes])
+    fit = score_batch(fitness, genomes, 0)
     best_hist = [float(fit.min())]
     mean_hist = [float(fit.mean())]
 
@@ -206,7 +239,7 @@ def sga_minimize(
             for child in kids:
                 if rng.random() < config.mutation_per_offspring:
                     child[rng.integers(n_bits)] ^= True
-        kid_fit = np.array([fitness(g) for g in kids])
+        kid_fit = score_batch(fitness, kids, gen + 1)
         genomes = np.concatenate([genomes[:n_keep], kids])
         fit = np.concatenate([fit[:n_keep], kid_fit])
         best_hist.append(float(fit.min()))
@@ -233,7 +266,8 @@ def continuous_minimize(
     uniform on [-0.1, 1.1], clamped to the box; each gene then mutates with
     probability ``mutation_rate`` into a fresh uniform draw.  The initial
     population is ``seeds`` (validated against the bounds) topped up with
-    uniform random vectors.
+    uniform random vectors.  ``fitness`` maps a (P, n_vars) array to P
+    finite scores.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -260,7 +294,7 @@ def continuous_minimize(
     while len(init) < pop:
         init.append(rng.uniform(lower, upper))
     genomes = np.array(init)
-    fit = np.array([fitness(g) for g in genomes])
+    fit = score_batch(fitness, genomes, 0)
     best_hist = [float(fit.min())]
     mean_hist = [float(fit.mean())]
 
@@ -270,7 +304,7 @@ def continuous_minimize(
         c2 = np.clip(beta[1] * p2 + (1 - beta[1]) * p1, lower, upper)
         return c1, c2
 
-    for _ in range(config.generations):
+    for gen in range(config.generations):
         order = np.argsort(fit, kind="stable")
         genomes, fit = genomes[order], fit[order]
         kids = np.array(
@@ -280,7 +314,7 @@ def continuous_minimize(
             flip = rng.random(kids.shape) < config.mutation_rate
             fresh = rng.uniform(lower, upper, size=kids.shape)
             kids = np.where(flip, fresh, kids)
-        kid_fit = np.array([fitness(g) for g in kids])
+        kid_fit = score_batch(fitness, kids, gen + 1)
         genomes = np.concatenate([genomes[:n_keep], kids])
         fit = np.concatenate([fit[:n_keep], kid_fit])
         best_hist.append(float(fit.min()))

@@ -21,9 +21,9 @@ import numpy as np
 from ..design import dimension_pulse
 from ..errors import ConfigError
 from ..evolve import (
-    BinaryGenome,
     BitEncoding,
     ConvergenceTrace,
+    decode_phase_block,
     decode_phases,
     sga_minimize,
 )
@@ -33,7 +33,7 @@ from ..illumination import (
     reflectivity_spectrum,
     two_step_pipeline,
 )
-from ..metrics import autocorrelation, evaluate_objectives, islr, pmepr, pslr
+from ..metrics import PhaseEvaluator, evaluate_objectives, pmepr
 from ..pareto import (
     ConstraintSpec,
     nsga2,
@@ -41,7 +41,6 @@ from ..pareto import (
 )
 from ..phasing import BaselineKind, baseline_phases, random_phases
 from ..waveform import (
-    PhaseCodeMatrix,
     SparsityMask,
     pulse_spectrum,
     random_mask,
@@ -171,25 +170,18 @@ def _run_baseline(config, run_id, run_dir, rng):
     return objectives, {"summary": str(path)}, {}
 
 
-def _sga_fitness(config: ExperimentConfig, mask: SparsityMask):
-    spec = config.pulse
-    n, k = spec.n_subcarriers, spec.n_symbols
-    weights = uniform_weights(mask)
-    b = config.bits_per_var
-
-    def fitness(bits: np.ndarray) -> float:
-        codes = decode_phases(BinaryGenome(bits, b), n, k)
-        return pmepr(synthesize(spec, codes, weights, mask))
-
-    return fitness
-
-
 def _run_optimize_pmepr(config, run_id, run_dir, rng):
     spec = config.pulse
+    n, k, b = spec.n_subcarriers, spec.n_symbols, config.bits_per_var
     mask = _run_mask(config, rng)
-    encoding = BitEncoding(config.bits_per_var, spec.n_subcarriers * spec.n_symbols)
-    best, trace = sga_minimize(_sga_fitness(config, mask), encoding, config.ga, rng=rng)
-    phases = decode_phases(best, spec.n_subcarriers, spec.n_symbols)
+    evaluator = PhaseEvaluator(spec, uniform_weights(mask), mask)
+    best, trace = sga_minimize(
+        lambda bits: evaluator.pmepr(decode_phase_block(bits, b, n, k)),
+        BitEncoding(b, n * k),
+        config.ga,
+        rng=rng,
+    )
+    phases = decode_phases(best, n, k)
 
     trace_path = run_dir / "trace.csv"
     _write_trace(trace_path, trace)
@@ -212,38 +204,28 @@ def _run_optimize_pmepr(config, run_id, run_dir, rng):
     return objectives, artifacts, {"trace": trace}
 
 
-def _moo_evaluators(config: ExperimentConfig):
-    """Cached (pslr, islr, pmepr) evaluation of a flat phase genome.
-
-    One synthesis serves both the objective vector and the PMEPR constraint;
-    the cache spans a generation's worth of lookups.
-    """
+def _full_band_scores(config: ExperimentConfig):
+    """(P, n*k) flat phase genomes -> (P, 3) rows (pmepr, pslr_db, islr_db)
+    of full-band, uniformly weighted pulses."""
     spec = config.pulse
-    n, k = spec.n_subcarriers, spec.n_symbols
-    mask = SparsityMask.full(n)
-    weights = uniform_weights(mask)
+    mask = SparsityMask.full(spec.n_subcarriers)
+    evaluator = PhaseEvaluator(spec, uniform_weights(mask), mask)
 
-    @functools.lru_cache(maxsize=4 * 4096)
-    def evaluate(key: bytes) -> tuple[float, float, float]:
-        phases = np.frombuffer(key).reshape(n, k)
-        pulse = synthesize(spec, PhaseCodeMatrix(phases), weights, mask)
-        acf = autocorrelation(pulse)
-        return pslr(acf, spec), islr(acf, spec), pmepr(pulse)
+    def scores(genomes: np.ndarray) -> np.ndarray:
+        return evaluator.objectives(
+            genomes.reshape(len(genomes), spec.n_subcarriers, spec.n_symbols)
+        )
 
-    return evaluate
+    return scores
 
 
 def _run_optimize_moo(config, run_id, run_dir, rng):
     spec = config.pulse
     n_vars = spec.n_subcarriers * spec.n_symbols
-    evaluate = _moo_evaluators(config)
-
-    def objective(genome: np.ndarray) -> np.ndarray:
-        ps, _, pm = evaluate(genome.tobytes())
-        return np.array([pm, ps])
+    scores = _full_band_scores(config)
 
     archive, snapshots = nsga2(
-        objective,
+        lambda genomes: scores(genomes)[:, :2],
         n_vars,
         config.ga,
         rng=rng,
@@ -253,12 +235,12 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
     front_rows = []
     genome_map = []
     for gen, snap in snapshots:
-        for rec in snap.records:
-            ps, il, pm = evaluate(rec.genome.tobytes())
+        genomes = snap.genomes_array()
+        for genome, (pm, ps, il) in zip(genomes, scores(genomes).tolist()):
             front_rows.append((pm, ps, il, run_id, gen))
             if gen == config.ga.generations:
                 genome_map.append(
-                    {"row": len(front_rows) - 1, "phases": rec.genome.tolist()}
+                    {"row": len(front_rows) - 1, "phases": genome.tolist()}
                 )
     front_path = run_dir / "front.csv"
     write_csv(front_path, ("pmepr", "pslr_db", "islr_db", "run_id", "generation"), front_rows)
@@ -266,24 +248,23 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
     _write_json(genome_path, {"rows": genome_map})
 
     n_random = config.n_random or config.ga.population_size
-    random_pts = []
-    for _ in range(n_random):
-        g = random_phases(spec.n_subcarriers, spec.n_symbols, rng).phases.reshape(-1)
-        ps, il, pm = evaluate(g.tobytes())
-        random_pts.append((pm, ps, il))
+    random_pts = scores(np.array([
+        random_phases(spec.n_subcarriers, spec.n_symbols, rng).phases.reshape(-1)
+        for _ in range(n_random)
+    ]))
 
     final_objs = archive.objectives_array()
     objectives = {
         "front_size": len(archive),
         "best_pmepr": float(final_objs[:, 0].min()),
         "best_pslr_db": float(final_objs[:, 1].min()),
-        "random_mean_pmepr": float(np.mean([p[0] for p in random_pts])),
-        "random_mean_pslr_db": float(np.mean([p[1] for p in random_pts])),
+        "random_mean_pmepr": float(np.mean(random_pts[:, 0])),
+        "random_mean_pslr_db": float(np.mean(random_pts[:, 1])),
     }
     _write_json(run_dir / "summary.json", objectives)
     payload = {
         "front": final_objs,
-        "random": np.array(random_pts),
+        "random": random_pts,
     }
     artifacts = {
         "front": str(front_path),
@@ -298,25 +279,17 @@ def _derived_pmepr_max(config: ExperimentConfig) -> float:
     spec = config.pulse
     rng = np.random.default_rng(mix64(config.seed, 0x7E5D))
     mask = SparsityMask.full(spec.n_subcarriers)
-    weights = uniform_weights(mask)
-    samples = []
-    for _ in range(config.threshold_samples):
-        codes = random_phases(spec.n_subcarriers, spec.n_symbols, rng)
-        samples.append(pmepr(synthesize(spec, codes, weights, mask)))
+    phases = np.empty((config.threshold_samples, spec.n_subcarriers, spec.n_symbols))
+    for codes in phases:
+        codes[:] = random_phases(spec.n_subcarriers, spec.n_symbols, rng).phases
+    samples = PhaseEvaluator(spec, uniform_weights(mask), mask).pmepr(phases)
     return pmepr_threshold_from_distribution(samples)
 
 
 def _run_optimize_constrained(config, run_id, run_dir, rng, pmepr_max):
     spec = config.pulse
     n_vars = spec.n_subcarriers * spec.n_symbols
-    evaluate = _moo_evaluators(config)
-
-    def objective(genome: np.ndarray) -> np.ndarray:
-        ps, il, _ = evaluate(genome.tobytes())
-        return np.array([ps, il])
-
-    def genome_pmepr(genome: np.ndarray) -> float:
-        return evaluate(genome.tobytes())[2]
+    scores = _full_band_scores(config)
 
     # compliance is judged on the whole final population, not just the front
     pop_pmeprs = {}
@@ -325,28 +298,25 @@ def _run_optimize_constrained(config, run_id, run_dir, rng, pmepr_max):
         pop_pmeprs[gen] = pmeprs.copy()
 
     archive, _ = nsga2(
-        objective,
+        # objectives (pslr_db, islr_db), then the constrained PMEPR
+        lambda genomes: scores(genomes)[:, [1, 2, 0]],
         n_vars,
         config.ga,
         rng=rng,
         constraint=ConstraintSpec(pmepr_max=pmepr_max),
-        pmepr_fn=genome_pmepr,
         snapshot_every=config.snapshot_every,
         generation_hook=observe,
     )
 
-    front_rows = []
-    front_pts = []
-    for rec in archive.records:
-        ps, il, pm = evaluate(rec.genome.tobytes())
-        front_rows.append((pm, ps, il, run_id, config.ga.generations))
-        front_pts.append((pm, ps, il))
+    front_arr = scores(archive.genomes_array())
+    front_rows = [
+        (pm, ps, il, run_id, config.ga.generations) for pm, ps, il in front_arr.tolist()
+    ]
     front_path = run_dir / "front.csv"
     write_csv(front_path, ("pmepr", "pslr_db", "islr_db", "run_id", "generation"), front_rows)
 
     final_pmeprs = pop_pmeprs[config.ga.generations]
     violators = int(np.sum(final_pmeprs > pmepr_max))
-    front_arr = np.array(front_pts) if front_pts else np.empty((0, 3))
     objectives = {
         "pmepr_max": float(pmepr_max),
         "front_size": len(archive),

@@ -15,16 +15,16 @@ import numpy as np
 from .design import SPEED_OF_LIGHT
 from .errors import ContractViolationError, DegenerateTargetError
 from .evolve import (
-    BinaryGenome,
     BitEncoding,
     ConvergenceTrace,
     GAConfig,
     continuous_minimize,
+    decode_phase_block,
     decode_phases,
     sga_minimize,
 )
-from .metrics import pmepr
-from .waveform import PhaseCodeMatrix, PulseSpec, SparsityMask, WeightVector, synthesize
+from .metrics import PhaseEvaluator
+from .waveform import PhaseCodeMatrix, PulseSpec, WeightVector
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,8 @@ def snr_gain_db(weights: WeightVector, spectrum: ReflectivitySpectrum) -> float:
 
 
 def _unit_energy(w: np.ndarray) -> np.ndarray:
-    return w / np.sqrt(np.sum(w**2))
+    """Scale each vector along the last axis to unit energy."""
+    return w / np.sqrt(np.sum(w**2, axis=-1, keepdims=True))
 
 
 def optimize_weights(
@@ -177,9 +178,9 @@ def optimize_weights(
     n = len(spectrum)
     gains = np.abs(spectrum.values) ** 2
 
-    def neg_gain(raw: np.ndarray) -> float:
+    def neg_gain(raw: np.ndarray) -> np.ndarray:
         w = _unit_energy(raw)
-        return -float(np.sum(w**2 * gains))
+        return -np.sum(w**2 * gains, axis=1)
 
     seed = np.clip(np.abs(spectrum.values), v_l, v_u)
     best, _ = continuous_minimize(
@@ -217,13 +218,12 @@ def two_step_pipeline(
     n = spec.n_subcarriers
     if spec.n_symbols != 1:
         raise ValueError("the illumination pipeline designs single-symbol pulses")
-    mask = SparsityMask.full(n)
-    encoding = BitEncoding(bits_per_var=bits_per_var, n_vars=n)
-
-    def phase_fitness(bits: np.ndarray) -> float:
-        codes = decode_phases(BinaryGenome(bits, bits_per_var), n, 1)
-        return pmepr(synthesize(spec, codes, w_opt, mask))
-
-    best_bits, trace = sga_minimize(phase_fitness, encoding, phase_config, rng=rng)
+    evaluator = PhaseEvaluator(spec, w_opt)
+    best_bits, trace = sga_minimize(
+        lambda bits: evaluator.pmepr(decode_phase_block(bits, bits_per_var, n, 1)),
+        BitEncoding(bits_per_var=bits_per_var, n_vars=n),
+        phase_config,
+        rng=rng,
+    )
     a_opt = decode_phases(best_bits, n, 1)
     return IlluminationResult(w_opt=w_opt, a_opt=a_opt, gain_db=gain, pmepr_trace=trace)

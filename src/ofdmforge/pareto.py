@@ -22,11 +22,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .evolve import GAConfig
+from .evolve import GAConfig, score_batch
 from .waveform import TWO_PI
 
+# (P, n_vars) phase block -> (P, m) objectives, plus a last PMEPR column
+# when a constraint is set
 ObjectiveFn = Callable[[np.ndarray], np.ndarray]
-ScalarFn = Callable[[np.ndarray], float]
 GenerationHook = Callable[[int, np.ndarray, np.ndarray, "np.ndarray | None"], None]
 
 SBX_ETA = 15.0
@@ -195,15 +196,16 @@ def nsga2(
     config: GAConfig,
     rng: np.random.Generator | None = None,
     constraint: ConstraintSpec | None = None,
-    pmepr_fn: ScalarFn | None = None,
     snapshot_every: int = 100,
     generation_hook: GenerationHook | None = None,
 ) -> tuple[ParetoArchive, list[tuple[int, ParetoArchive]]]:
     """Run NSGA-II and return (final archive, periodic archive snapshots).
 
-    ``objective_fn`` maps a phase vector in [0, 2*pi)^n_vars to a length-2
-    objective vector (minimized).  With a ``constraint``, ``pmepr_fn`` must
-    supply the PMEPR of a genome so violators can be suppressed.
+    ``objective_fn`` is called once per generation with the (P, n_vars)
+    block of phase vectors in [0, 2*pi)^n_vars to be scored and returns a
+    (P, m) matrix of objectives (minimized, m >= 2).  With a ``constraint``
+    it returns one more column, the last, holding each genome's PMEPR, which
+    is not an objective but marks violators for suppression.
 
     ``generation_hook(gen, genomes, objectives, pmeprs)`` observes the whole
     population after every environmental selection (gen 0 = initial
@@ -212,15 +214,18 @@ def nsga2(
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if constraint is not None and pmepr_fn is None:
-        raise ValueError("a PMEPR constraint needs pmepr_fn")
     pop = config.population_size
 
+    def evaluate(batch: np.ndarray, generation: int):
+        values = score_batch(objective_fn, batch, generation, ndim=2)
+        if constraint is None:
+            return values, None
+        if values.shape[1] < 3:
+            raise ValueError("a PMEPR constraint needs a last PMEPR column after the objectives")
+        return values[:, :-1], values[:, -1]
+
     genomes = rng.uniform(0.0, TWO_PI, size=(pop, n_vars))
-    objs = np.array([objective_fn(g) for g in genomes])
-    pmeprs = (
-        np.array([pmepr_fn(g) for g in genomes]) if constraint is not None else None
-    )
+    objs, pmeprs = evaluate(genomes, 0)
     rank, crowd, _ = _rank_and_crowd(objs)
     if constraint is not None:
         crowd = np.where(pmeprs > constraint.pmepr_max, 0.0, crowd)
@@ -245,13 +250,12 @@ def nsga2(
             if len(kids) < pop:
                 kids.append(_polynomial_mutation(c2, rng, mut_rate))
         kid_genomes = np.array(kids)
-        kid_objs = np.array([objective_fn(g) for g in kid_genomes])
+        kid_objs, kid_pmeprs = evaluate(kid_genomes, gen + 1)
 
         all_genomes = np.concatenate([genomes, kid_genomes])
         all_objs = np.concatenate([objs, kid_objs])
         all_rank, all_crowd, fronts = _rank_and_crowd(all_objs)
         if constraint is not None:
-            kid_pmeprs = np.array([pmepr_fn(g) for g in kid_genomes])
             all_pmeprs = np.concatenate([pmeprs, kid_pmeprs])
             all_crowd = np.where(all_pmeprs > constraint.pmepr_max, 0.0, all_crowd)
 

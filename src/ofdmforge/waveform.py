@@ -64,6 +64,13 @@ class PulseSpec:
         return self.symbol_duration_s / self.samples_per_symbol
 
 
+def wrap_phases(phases: np.ndarray) -> np.ndarray:
+    """Finite phase arguments wrapped into [0, 2*pi)."""
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("phases must be finite")
+    return np.mod(phases, TWO_PI)
+
+
 @dataclass(frozen=True)
 class PhaseCodeMatrix:
     """N x K matrix of phase arguments; code (n, k) is exp(1j * phases[n, k]).
@@ -77,9 +84,7 @@ class PhaseCodeMatrix:
         p = np.asarray(self.phases, dtype=float)
         if p.ndim != 2:
             raise ValueError("phases must be a 2-D (N, K) array")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("phases must be finite")
-        object.__setattr__(self, "phases", np.mod(p, TWO_PI))
+        object.__setattr__(self, "phases", wrap_phases(p))
 
     @property
     def n_subcarriers(self) -> int:
@@ -161,6 +166,59 @@ class SampledPulse:
         return np.arange(len(self.samples)) * self.sample_period_s
 
 
+def effective_weights(
+    spec: PulseSpec,
+    weights: WeightVector,
+    mask: SparsityMask | None = None,
+) -> np.ndarray:
+    """Per-subcarrier amplitudes with masked-off subcarriers forced to zero."""
+    n = spec.n_subcarriers
+    if len(weights) != n:
+        raise ValueError(f"weight vector length {len(weights)} != {n}")
+    w = weights.weights
+    if mask is not None:
+        if len(mask) != n:
+            raise ValueError(f"mask length {len(mask)} != {n}")
+        w = np.where(mask.active, w, 0.0)
+    if not np.any(w > 0):
+        raise DegeneratePulseError("all effective weights are zero")
+    return w
+
+
+def synthesize_rows(
+    spec: PulseSpec,
+    w: np.ndarray,
+    phases: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Unit-energy samples (P, M) of P pulses, one per row.
+
+    ``w`` holds the effective weights (see ``effective_weights``) and
+    ``phases`` the wrapped phase matrices, shape (P, N, K).  Each symbol is
+    a zero-padded length-N*L inverse DFT, symbols follow each other along a
+    row.  ``out`` is an optional zero-filled (>= P, K, N*L) complex buffer
+    for the spectra; only its first N bins per symbol are written, so it
+    can be reused across calls.
+    """
+    n, k = spec.n_subcarriers, spec.n_symbols
+    if phases.ndim != 3 or phases.shape[1:] != (n, k):
+        raise ValueError(f"phase block shape {phases.shape} != (P, {n}, {k})")
+    count = len(phases)
+    m = spec.samples_per_symbol
+    if out is None:
+        out = np.zeros((count, k, m), dtype=complex)
+    spectra = out[:count]
+    spectra[:, :, :n] = w * np.exp(1j * phases).transpose(0, 2, 1)
+    x = np.fft.ifft(spectra, axis=-1).reshape(count, -1)
+    # in place: blocks this large, allocated and freed on every call, come
+    # back from the allocator as fresh pages
+    x *= m
+    power = np.abs(x)
+    power **= 2
+    x /= np.sqrt(power.sum(axis=1) * spec.sample_period_s)[:, None]
+    return x
+
+
 def synthesize(
     spec: PulseSpec,
     codes: PhaseCodeMatrix,
@@ -180,25 +238,9 @@ def synthesize(
         raise ValueError(
             f"phase matrix shape {codes.phases.shape} != ({n}, {k})"
         )
-    if len(weights) != n:
-        raise ValueError(f"weight vector length {len(weights)} != {n}")
-    w = weights.weights
-    if mask is not None:
-        if len(mask) != n:
-            raise ValueError(f"mask length {len(mask)} != {n}")
-        w = np.where(mask.active, w, 0.0)
-    if not np.any(w > 0):
-        raise DegeneratePulseError("all effective weights are zero")
-
-    m = spec.samples_per_symbol
-    spectrum = w[:, None] * codes.codes()          # (N, K)
-    x = m * np.fft.ifft(spectrum, n=m, axis=0)     # (M, K), symbol per column
-    samples = x.ravel(order="F")
-
-    dt = spec.sample_period_s
-    energy = np.sum(np.abs(samples) ** 2) * dt
-    samples = samples / np.sqrt(energy)
-    return SampledPulse(samples=samples, sample_period_s=dt, spec=spec)
+    w = effective_weights(spec, weights, mask)
+    samples = synthesize_rows(spec, w, codes.phases[None])[0]
+    return SampledPulse(samples=samples, sample_period_s=spec.sample_period_s, spec=spec)
 
 
 def uniform_weights(mask: SparsityMask) -> WeightVector:

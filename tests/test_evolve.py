@@ -6,17 +6,17 @@ from ofdmforge import (
     BinaryGenome,
     BitEncoding,
     GAConfig,
+    PhaseEvaluator,
     PulseSpec,
     SparsityMask,
     continuous_minimize,
+    decode_phase_block,
     decode_phases,
     encode_phases,
-    pmepr,
     sga_minimize,
-    synthesize,
     uniform_weights,
 )
-from ofdmforge.errors import CodecError, InvalidSeedError
+from ofdmforge.errors import CodecError, InvalidSeedError, NonFiniteFitnessError
 
 TWO_PI = 2 * np.pi
 
@@ -78,14 +78,29 @@ class TestGAConfig:
         assert GAConfig(population_size=12, generations=1, elitism_fraction=0.25).n_keep() == 3
 
 
-def bit_count_fitness(bits: np.ndarray) -> float:
-    return float(np.sum(bits))
+def bit_count_fitness(bits: np.ndarray) -> np.ndarray:
+    return bits.sum(axis=1).astype(float)
+
+
+def poisoned(fitness, call: int, row: int, value: float = np.nan):
+    """Wrap a batch fitness so that its call number ``call`` (0 = initial
+    population) scores genome ``row`` as ``value``."""
+    calls = []
+
+    def wrapped(genomes):
+        values = np.asarray(fitness(genomes), dtype=float)
+        if len(calls) == call:
+            values[row] = value
+        calls.append(len(genomes))
+        return values
+
+    return wrapped
 
 
 class TestSGA:
     def test_constant_fitness(self):
         cfg = GAConfig(population_size=8, generations=20)
-        _, trace = sga_minimize(lambda b: 7.5, BitEncoding(4, 3), cfg)
+        _, trace = sga_minimize(lambda b: np.full(len(b), 7.5), BitEncoding(4, 3), cfg)
         assert np.all(trace.best == 7.5)
         assert np.all(trace.mean == 7.5)
 
@@ -99,14 +114,14 @@ class TestSGA:
         cfg = GAConfig(population_size=8, generations=30)
         best, trace = sga_minimize(bit_count_fitness, BitEncoding(3, 10), cfg,
                                    rng=np.random.default_rng(5))
-        assert bit_count_fitness(best.bits) <= trace.best[0]
-        assert bit_count_fitness(best.bits) == trace.best[-1]
+        assert best.bits.sum() <= trace.best[0]
+        assert best.bits.sum() == trace.best[-1]
 
     def test_solves_onemax(self):
         cfg = GAConfig(population_size=12, generations=300)
         best, _ = sga_minimize(bit_count_fitness, BitEncoding(4, 10), cfg,
                                rng=np.random.default_rng(2))
-        assert bit_count_fitness(best.bits) <= 2
+        assert best.bits.sum() <= 2
 
     def test_determinism(self):
         cfg = GAConfig(population_size=8, generations=40, seed=123)
@@ -121,14 +136,29 @@ class TestSGA:
         _, trace = sga_minimize(bit_count_fitness, BitEncoding(2, 4), cfg)
         assert len(trace) == 26  # initial population plus one entry per generation
 
-    def test_reduces_pmepr_on_small_pulse(self):
-        spec = PulseSpec(8, 1, 1e5, 8)
-        mask = SparsityMask.full(8)
-        w = uniform_weights(mask)
+    def test_one_fitness_call_per_generation(self):
+        cfg = GAConfig(population_size=8, generations=25)
+        calls = []
 
         def fitness(bits):
-            codes = decode_phases(BinaryGenome(bits, 4), 8, 1)
-            return pmepr(synthesize(spec, codes, w, mask))
+            calls.append(bits.shape)
+            return bit_count_fitness(bits)
+
+        sga_minimize(fitness, BitEncoding(2, 4), cfg)
+        assert calls == [(8, 8)] + [(4, 8)] * 25
+
+    def test_non_finite_fitness_names_generation_and_genome(self):
+        cfg = GAConfig(population_size=8, generations=10)
+        with pytest.raises(NonFiniteFitnessError, match="generation 3: genome 2 ") as info:
+            sga_minimize(poisoned(bit_count_fitness, 3, 2), BitEncoding(2, 4), cfg)
+        assert (info.value.generation, info.value.genome) == (3, 2)
+
+    def test_reduces_pmepr_on_small_pulse(self):
+        mask = SparsityMask.full(8)
+        evaluator = PhaseEvaluator(PulseSpec(8, 1, 1e5, 8), uniform_weights(mask), mask)
+
+        def fitness(bits):
+            return evaluator.pmepr(decode_phase_block(bits, 4, 8, 1))
 
         cfg = GAConfig(population_size=12, generations=150)
         _, trace = sga_minimize(fitness, BitEncoding(4, 8), cfg,
@@ -137,8 +167,9 @@ class TestSGA:
         assert trace.best[-1] < 2.5
 
 
-def sphere(v: np.ndarray) -> float:
-    return float(np.sum(v * v))
+def sphere(v: np.ndarray) -> np.ndarray:
+    """Squared norm of each row."""
+    return np.sum(v * v, axis=1)
 
 
 class TestContinuousGA:
@@ -149,7 +180,7 @@ class TestContinuousGA:
             rng=np.random.default_rng(0),
         )
         assert trace.best[-1] <= 1e-2
-        assert sphere(best) == trace.best[-1]
+        assert sphere(best[None])[0] == trace.best[-1]
 
     def test_seeding_with_optimum(self):
         cfg = GAConfig(population_size=10, generations=50)
@@ -158,7 +189,7 @@ class TestContinuousGA:
             sphere, np.full(5, -1.0), np.full(5, 1.0), cfg,
             rng=np.random.default_rng(1), seeds=[opt],
         )
-        assert trace.best[-1] <= sphere(opt) + 1e-15
+        assert trace.best[-1] <= sphere(opt[None])[0] + 1e-15
 
     def test_box_respected(self):
         lower, upper = np.full(4, 0.2), np.full(4, 0.9)
@@ -192,6 +223,14 @@ class TestContinuousGA:
         b2, t2 = continuous_minimize(sphere, np.full(4, -2.0), np.full(4, 2.0), cfg)
         assert np.array_equal(b1, b2)
         assert np.array_equal(t1.best, t2.best)
+
+    def test_non_finite_fitness_names_generation_and_genome(self):
+        cfg = GAConfig(population_size=10, generations=5)
+        lower, upper = np.full(3, -1.0), np.full(3, 1.0)
+        with pytest.raises(NonFiniteFitnessError, match="generation 0: genome 7 "):
+            continuous_minimize(poisoned(sphere, 0, 7), lower, upper, cfg)
+        with pytest.raises(NonFiniteFitnessError, match="generation 4: genome 0 "):
+            continuous_minimize(poisoned(sphere, 4, 0, np.inf), lower, upper, cfg)
 
     def test_monotone_best(self):
         cfg = GAConfig(population_size=10, generations=100)

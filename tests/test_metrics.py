@@ -6,6 +6,7 @@ from conftest import direct_acf, random_pulse
 from ofdmforge import (
     CorrelationSeries,
     PhaseCodeMatrix,
+    PhaseEvaluator,
     PulseSpec,
     SampledPulse,
     SparsityMask,
@@ -17,6 +18,7 @@ from ofdmforge import (
     noncoded_phases,
     pmepr,
     pslr,
+    random_mask,
     random_phases,
     synthesize,
     uniform_weights,
@@ -217,3 +219,89 @@ def test_evaluate_objectives_bundle():
     d = report.as_dict(20)
     assert d["oversampling"] == 20
     assert set(d) == {"pmepr", "pslr_db", "islr_db", "oversampling"}
+
+
+def direct_objectives(spec, phases, weights, mask):
+    """(pmepr, pslr_db, islr_db) of one pulse, sidelobes from the O(M^2) ACF."""
+    pulse = synthesize(spec, PhaseCodeMatrix(phases), weights, mask)
+    values = direct_acf(pulse.samples)
+    m = len(pulse.samples)
+    acf = CorrelationSeries(lags=np.arange(-(m - 1), m), values=values)
+    return pmepr(pulse), pslr(acf, spec), islr(acf, spec)
+
+
+def assert_same_sidelobes(got_db, want_db):
+    """Sidelobe-to-peak ratios agree to 1e-9 relative (dB values can sit at 0)."""
+    assert np.allclose(10 ** (got_db / 20), 10 ** (want_db / 20), rtol=1e-9, atol=0.0)
+
+
+class TestPhaseEvaluator:
+    """The batched evaluator against per-pulse synthesis and the direct ACF."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_pulse_oracles(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, 4))
+        spec = PulseSpec(n, k, 1e5, int(rng.integers(1, 5)))
+        mask = random_mask(n, int(rng.integers(2, n + 1)) / n, rng)
+        weights = WeightVector(rng.uniform(0.05, 2.0, n))
+        phases = rng.uniform(-TWO_PI, 2 * TWO_PI, (int(rng.integers(1, 20)), n, k))
+
+        evaluator = PhaseEvaluator(spec, weights, mask)
+        got = evaluator.objectives(phases)
+        want = np.array([direct_objectives(spec, p, weights, mask) for p in phases])
+        assert got.shape == (len(phases), 3)
+        # PMEPR is bit-identical to pmepr(synthesize(...)), on both paths
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert np.array_equal(evaluator.pmepr(phases), want[:, 0])
+        assert_same_sidelobes(got[:, 1:], want[:, 1:])
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (5, 1), (1, 2), (3, 3)])
+    def test_unit_oversampling_mainlobe_edge(self, n, k):
+        # L = 1: the mainlobe exclusion is just lag 0, and lag 1 is a sidelobe
+        rng = np.random.default_rng(n * 10 + k)
+        spec = PulseSpec(n, k, 1e5, 1)
+        weights = WeightVector(rng.uniform(0.1, 1.0, n))
+        phases = rng.uniform(0, TWO_PI, (9, n, k))
+        got = PhaseEvaluator(spec, weights).objectives(phases)
+        want = np.array([direct_objectives(spec, p, weights, None) for p in phases])
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert_same_sidelobes(got[:, 1:], want[:, 1:])
+
+    @pytest.mark.parametrize("oversampling", [1, 5])
+    def test_undefined_sidelobes_as_per_pulse(self, oversampling):
+        # one carrier, one symbol: every lag sits inside the mainlobe
+        spec = PulseSpec(1, 1, 1e5, oversampling)
+        weights = WeightVector(np.ones(1))
+        phases = np.zeros((3, 1, 1))
+        pulse = synthesize(spec, PhaseCodeMatrix(phases[0]), weights)
+        with pytest.raises(UndefinedSidelobesError):
+            pslr(autocorrelation(pulse), spec)
+        evaluator = PhaseEvaluator(spec, weights)
+        with pytest.raises(UndefinedSidelobesError):
+            evaluator.objectives(phases)
+        assert np.array_equal(evaluator.pmepr(phases), [pmepr(pulse)] * 3)
+
+    def test_degenerate_weights_as_per_pulse(self):
+        spec = PulseSpec(4, 1, 1e5, 2)
+        weights = WeightVector(np.array([0.0, 1.0, 1.0, 0.0]))
+        mask = SparsityMask(np.array([True, False, False, True]))
+        with pytest.raises(DegeneratePulseError):
+            synthesize(spec, PhaseCodeMatrix(np.zeros((4, 1))), weights, mask)
+        with pytest.raises(DegeneratePulseError):
+            PhaseEvaluator(spec, weights, mask)
+
+    def test_rejects_bad_blocks(self):
+        spec = PulseSpec(4, 2, 1e5, 2)
+        evaluator = PhaseEvaluator(spec, WeightVector(np.ones(4)))
+        with pytest.raises(ValueError):
+            evaluator.pmepr(np.zeros((3, 2, 4)))
+        with pytest.raises(ValueError):
+            evaluator.objectives(np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            evaluator.pmepr(np.full((1, 4, 2), np.nan))
+        with pytest.raises(ValueError):
+            PhaseEvaluator(spec, WeightVector(np.ones(3)))
+        assert evaluator.objectives(np.zeros((0, 4, 2))).shape == (0, 3)

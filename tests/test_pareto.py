@@ -6,21 +6,16 @@ from conftest import brute_force_fronts
 from ofdmforge import (
     ConstraintSpec,
     GAConfig,
-    PhaseCodeMatrix,
+    PhaseEvaluator,
     PulseSpec,
     SparsityMask,
-    autocorrelation,
     crowding_distance,
-    islr,
     nondominated_sort,
     nsga2,
-    pmepr,
     pmepr_threshold_from_distribution,
-    pslr,
-    synthesize,
     uniform_weights,
 )
-from ofdmforge.errors import InsufficientDataError
+from ofdmforge.errors import InsufficientDataError, NonFiniteFitnessError
 from ofdmforge.pareto import dominates
 
 TWO_PI = 2 * np.pi
@@ -95,26 +90,16 @@ class TestThreshold:
 
 
 def analytic_biobjective(g):
-    v = g[0]
-    return np.array([v * v, (v - 2.0) ** 2])
+    v = g[:, 0]
+    return np.column_stack([v * v, (v - 2.0) ** 2])
 
 
-def make_pulse_evaluator(n, oversampling=8):
-    """(pslr, islr, pmepr) of an n-carrier single-symbol pulse, cached."""
-    spec = PulseSpec(n, 1, 1e5, oversampling)
+def sidelobe_objectives(n, oversampling=8):
+    """(P, n) phase block -> (P, 3) columns (pslr, islr, pmepr) of n-carrier
+    single-symbol pulses: the sidelobe objectives, then the constrained PMEPR."""
     mask = SparsityMask.full(n)
-    w = uniform_weights(mask)
-    cache = {}
-
-    def evaluate(genome):
-        key = genome.tobytes()
-        if key not in cache:
-            pulse = synthesize(spec, PhaseCodeMatrix(genome.reshape(n, 1)), w, mask)
-            acf = autocorrelation(pulse)
-            cache[key] = (pslr(acf, spec), islr(acf, spec), pmepr(pulse))
-        return cache[key]
-
-    return evaluate
+    evaluator = PhaseEvaluator(PulseSpec(n, 1, 1e5, oversampling), uniform_weights(mask), mask)
+    return lambda g: evaluator.objectives(g.reshape(len(g), n, 1))[:, [1, 2, 0]]
 
 
 class TestNsga2:
@@ -129,19 +114,16 @@ class TestNsga2:
         assert np.sqrt(objs[:, 0]).max() > 1.8
 
     def test_archive_nondominated_every_generation(self):
-        ev = make_pulse_evaluator(6)
-
-        def objective(g):
-            ps, il, _ = ev(g)
-            return np.array([ps, il])
-
+        objectives = sidelobe_objectives(6)
         seen = []
 
         def hook(gen, genomes, objs, pmeprs):
             seen.append(objs.copy())
 
         cfg = GAConfig(population_size=8, generations=25, seed=7)
-        archive, snapshots = nsga2(objective, 6, cfg, generation_hook=hook)
+        archive, snapshots = nsga2(
+            lambda g: objectives(g)[:, :2], 6, cfg, generation_hook=hook
+        )
         assert len(seen) == 26
         for objs in seen:
             front = nondominated_sort(objs)[0]
@@ -164,14 +146,14 @@ class TestNsga2:
         # front extremes carry the infinite crowding sentinel, so elitist
         # truncation can never drop them: each objective's population
         # minimum is monotone non-increasing
-        ev = make_pulse_evaluator(8)
+        objectives = sidelobe_objectives(8)
         minima = []
 
         def hook(gen, genomes, objs, pmeprs):
             minima.append(objs.min(axis=0))
 
         cfg = GAConfig(population_size=8, generations=30, seed=5)
-        nsga2(lambda g: np.array(ev(g)[:2]), 8, cfg, generation_hook=hook)
+        nsga2(lambda g: objectives(g)[:, :2], 8, cfg, generation_hook=hook)
         minima = np.array(minima)
         assert np.all(np.diff(minima[:, 0]) <= 1e-12)
         assert np.all(np.diff(minima[:, 1]) <= 1e-12)
@@ -190,10 +172,37 @@ class TestNsga2:
         g = archive.genomes_array()
         assert np.all((g >= 0) & (g < TWO_PI))
 
-    def test_constraint_requires_pmepr_fn(self):
+    def test_constraint_requires_pmepr_column(self):
+        # with a constraint the last column is the PMEPR, leaving one objective
         cfg = GAConfig(population_size=8, generations=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="PMEPR column"):
             nsga2(analytic_biobjective, 1, cfg, constraint=ConstraintSpec(5.0))
+
+    def test_one_objective_call_per_generation(self):
+        cfg = GAConfig(population_size=8, generations=6, seed=4)
+        objectives = sidelobe_objectives(5)
+        calls = []
+
+        def objective(g):
+            calls.append(g.shape)
+            return objectives(g)
+
+        nsga2(objective, 5, cfg, constraint=ConstraintSpec(3.0))
+        assert calls == [(8, 5)] * 7
+
+    def test_non_finite_objective_names_generation_and_genome(self):
+        cfg = GAConfig(population_size=8, generations=10, seed=2)
+        calls = []
+
+        def objective(g):
+            values = analytic_biobjective(g)
+            if len(calls) == 6:
+                values[5, 1] = np.nan
+            calls.append(1)
+            return values
+
+        with pytest.raises(NonFiniteFitnessError, match="generation 6: genome 5 "):
+            nsga2(objective, 1, cfg)
 
     def test_constraint_spec_validation(self):
         with pytest.raises(ValueError):
@@ -208,9 +217,9 @@ class TestConstrainedVariant:
         # fraction over 10 seeded runs is no higher than the initial one
         n = 16
         threshold = 3.5
+        objectives = sidelobe_objectives(n)
         initials, finals = [], []
         for s in range(10):
-            ev = make_pulse_evaluator(n)
             fractions = {}
 
             def hook(gen, genomes, objs, pmeprs):
@@ -218,11 +227,10 @@ class TestConstrainedVariant:
 
             cfg = GAConfig(population_size=24, generations=400, seed=100 + s)
             nsga2(
-                lambda g: np.array(ev(g)[:2]),
+                objectives,
                 n,
                 cfg,
                 constraint=ConstraintSpec(threshold),
-                pmepr_fn=lambda g: ev(g)[2],
                 generation_hook=hook,
             )
             initials.append(fractions[0])
@@ -231,13 +239,11 @@ class TestConstrainedVariant:
 
     def test_suppressed_crowding_loses_truncation(self):
         # all-violating population still works (pure rank selection)
-        ev = make_pulse_evaluator(8)
         cfg = GAConfig(population_size=8, generations=10, seed=0)
         archive, _ = nsga2(
-            lambda g: np.array(ev(g)[:2]),
+            sidelobe_objectives(8),
             8,
             cfg,
             constraint=ConstraintSpec(1.01),  # everything violates
-            pmepr_fn=lambda g: ev(g)[2],
         )
         assert len(archive) >= 1
