@@ -47,7 +47,6 @@ from .metrics import (
 )
 from .pareto import (
     ConstraintSpec,
-    MultiObjectiveRecord,
     ParetoArchive,
     crowding_distance,
     nondominated_sort,

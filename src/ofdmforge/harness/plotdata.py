@@ -12,7 +12,9 @@ stays outside the package.  Schemas:
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 from pathlib import Path
 
 from ..errors import ConfigError
@@ -27,8 +29,23 @@ PLOT_KINDS = (
 )
 
 
+@contextlib.contextmanager
+def atomic_open(path: Path | str, newline: str | None = None):
+    """Open ``path`` for writing through a sibling temporary file that
+    replaces it on a clean exit, so a failed or killed writer never leaves a
+    partial file at ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_csv(path: Path | str, header: tuple, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

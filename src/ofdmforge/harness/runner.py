@@ -41,6 +41,7 @@ from ..pareto import (
 )
 from ..phasing import BaselineKind, baseline_phases, random_phases
 from ..waveform import (
+    TWO_PI,
     SparsityMask,
     pulse_spectrum,
     random_mask,
@@ -48,7 +49,7 @@ from ..waveform import (
     uniform_weights,
 )
 from .config import ExperimentConfig
-from .plotdata import emit_plot_data, write_csv
+from .plotdata import atomic_open, emit_plot_data, write_csv
 
 _MASK64 = (1 << 64) - 1
 
@@ -87,7 +88,7 @@ def aggregate(traces: list[ConvergenceTrace]) -> ConvergenceTrace:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -235,7 +236,7 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
     front_rows = []
     genome_map = []
     for gen, snap in snapshots:
-        genomes = snap.genomes_array()
+        genomes = snap.genomes
         for genome, (pm, ps, il) in zip(genomes, scores(genomes).tolist()):
             front_rows.append((pm, ps, il, run_id, gen))
             if gen == config.ga.generations:
@@ -253,7 +254,7 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
         for _ in range(n_random)
     ]))
 
-    final_objs = archive.objectives_array()
+    final_objs = archive.objectives
     objectives = {
         "front_size": len(archive),
         "best_pmepr": float(final_objs[:, 0].min()),
@@ -279,9 +280,10 @@ def _derived_pmepr_max(config: ExperimentConfig) -> float:
     spec = config.pulse
     rng = np.random.default_rng(mix64(config.seed, 0x7E5D))
     mask = SparsityMask.full(spec.n_subcarriers)
-    phases = np.empty((config.threshold_samples, spec.n_subcarriers, spec.n_symbols))
-    for codes in phases:
-        codes[:] = random_phases(spec.n_subcarriers, spec.n_symbols, rng).phases
+    # one draw: the same stream as threshold_samples calls of random_phases
+    phases = rng.uniform(
+        0.0, TWO_PI, size=(config.threshold_samples, spec.n_subcarriers, spec.n_symbols)
+    )
     samples = PhaseEvaluator(spec, uniform_weights(mask), mask).pmepr(phases)
     return pmepr_threshold_from_distribution(samples)
 
@@ -308,7 +310,7 @@ def _run_optimize_constrained(config, run_id, run_dir, rng, pmepr_max):
         generation_hook=observe,
     )
 
-    front_arr = scores(archive.genomes_array())
+    front_arr = np.column_stack([archive.pmeprs, archive.objectives])
     front_rows = [
         (pm, ps, il, run_id, config.ga.generations) for pm, ps, il in front_arr.tolist()
     ]

@@ -77,6 +77,23 @@ def _twiddle(m: int) -> np.ndarray:
     return np.exp(-1j * np.pi * np.arange(m) / m)
 
 
+def _real_idft(y: np.ndarray) -> np.ndarray:
+    """sum_k y[k] exp(2j*pi*k*m/M) along the last axis of real y, i.e.
+    M * IFFT_M(y), from the half spectrum rfft(y).
+
+    numpy takes a slow path for a real array passed to ``ifft``.  For real y,
+    M * IFFT_M(y)[m] = conj(FFT_M(y)[m]), and FFT_M(y)[m] = conj(FFT_M(y)[M-m]),
+    so the bins above M/2 mirror the half spectrum.
+    """
+    m = y.shape[-1]
+    half = np.fft.rfft(y, axis=-1)
+    h = half.shape[-1]
+    out = np.empty(y.shape, dtype=complex)
+    np.conjugate(half, out=out[..., :h])
+    out[..., h:] = half[..., m - h:0:-1]
+    return out
+
+
 def _acf_half(x: np.ndarray, twiddle: np.ndarray, even: np.ndarray | None = None) -> np.ndarray:
     """Lags 0..M-1 of the aperiodic autocorrelation of every row of x (B, M).
 
@@ -84,15 +101,15 @@ def _acf_half(x: np.ndarray, twiddle: np.ndarray, even: np.ndarray | None = None
     zero-padded to 2M.  Its even bins are E = FFT_M(x) and its odd bins
     O = FFT_M(x * twiddle), so
     r[m] = (IFFT_M(|E|^2)[m] + conj(twiddle[m]) * IFFT_M(|O|^2)[m]) / 2.
-    ``even`` is IFFT_M(|E|^2) when the caller knows it without x; negative
-    lags follow from r[-m] = conj(r[m]).
+    ``even`` is M * IFFT_M(|E|^2) when the caller knows it without x;
+    negative lags follow from r[-m] = conj(r[m]).
     """
-    r = np.fft.ifft(_power(np.fft.fft(x * twiddle, axis=-1)), axis=-1)
+    r = _real_idft(_power(np.fft.fft(x * twiddle, axis=-1)))
     if even is None:
-        even = np.fft.ifft(_power(np.fft.fft(x, axis=-1)), axis=-1)
+        even = _real_idft(_power(np.fft.fft(x, axis=-1)))
     r *= twiddle.conj()
     r += even
-    r *= 0.5
+    r *= 0.5 / x.shape[-1]
     return r
 
 
@@ -193,7 +210,7 @@ class PhaseEvaluator:
 
     With one symbol the even half of the ACF spectrum does not depend on
     the phases: E = FFT_M(x) is M * w * c / sqrt(energy), so |E|^2 is
-    M * w^2 / (sum(w^2) * dt) and IFFT_M(|E|^2) is computed once here.
+    M * w^2 / (sum(w^2) * dt) and M * IFFT_M(|E|^2) is computed once here.
     """
 
     def __init__(
@@ -212,7 +229,7 @@ class PhaseEvaluator:
             w2 = w**2
             spectrum = np.zeros(m)
             spectrum[:len(w)] = m * w2 / (np.sum(w2) * spec.sample_period_s)
-            self._even = np.fft.ifft(spectrum)
+            self._even = _real_idft(spectrum)
         self._min_lag = _mainlobe_lags(spec)
         # zero-padded spectra, reused by every block
         self._spectra = np.zeros((_BLOCK, spec.n_symbols, spec.samples_per_symbol), dtype=complex)

@@ -16,7 +16,7 @@ feasible individuals of equal rank.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,29 +47,20 @@ class ConstraintSpec:
 
 
 @dataclass(frozen=True)
-class MultiObjectiveRecord:
-    """One evaluated genome with its NSGA-II bookkeeping."""
-
-    genome: np.ndarray
-    objectives: np.ndarray
-    rank: int
-    crowding: float
-
-
-@dataclass
 class ParetoArchive:
-    """Mutually non-dominated records (the rank-0 front of a population)."""
+    """The rank-0 front of a population, one row per member.
 
-    records: list[MultiObjectiveRecord] = field(default_factory=list)
+    ``crowding`` is after suppression of violators; ``pmeprs`` holds each
+    member's constrained PMEPR, or is None when the run has no constraint.
+    """
 
-    def objectives_array(self) -> np.ndarray:
-        return np.array([r.objectives for r in self.records])
-
-    def genomes_array(self) -> np.ndarray:
-        return np.array([r.genome for r in self.records])
+    genomes: np.ndarray
+    objectives: np.ndarray
+    crowding: np.ndarray
+    pmeprs: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.genomes)
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
@@ -138,56 +129,60 @@ def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray, lis
     return rank, crowd, fronts
 
 
-def _sbx_pair(
-    p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    c1, c2 = p1.copy(), p2.copy()
-    if rng.random() < CROSSOVER_PROB:
-        n = len(p1)
-        do = rng.random(n) < 0.5
-        u = rng.random(n)
-        beta = np.where(
-            u <= 0.5,
-            (2.0 * u) ** (1.0 / (SBX_ETA + 1.0)),
-            (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (SBX_ETA + 1.0)),
-        )
-        a = 0.5 * ((1 + beta) * p1 + (1 - beta) * p2)
-        b = 0.5 * ((1 - beta) * p1 + (1 + beta) * p2)
-        c1[do], c2[do] = a[do], b[do]
-    return np.mod(c1, TWO_PI), np.mod(c2, TWO_PI)
-
-
-def _polynomial_mutation(
-    genome: np.ndarray, rng: np.random.Generator, rate: float
+def _offspring(
+    genomes: np.ndarray,
+    rank: np.ndarray,
+    crowd: np.ndarray,
+    rng: np.random.Generator,
+    rate: float,
 ) -> np.ndarray:
-    n = len(genome)
-    do = rng.random(n) < rate
-    if not do.any():
-        return genome
-    u = rng.random(n)
-    delta = np.where(
-        u < 0.5,
-        (2.0 * u) ** (1.0 / (MUTATION_ETA + 1.0)) - 1.0,
-        1.0 - (2.0 * (1.0 - u)) ** (1.0 / (MUTATION_ETA + 1.0)),
-    )
-    out = genome.copy()
-    out[do] = np.mod(out[do] + delta[do] * TWO_PI, TWO_PI)
-    return out
+    """P children of a (P, n) population, bred a whole population at once.
+
+    Each pair of parents comes from two binary tournaments: the lower rank
+    wins, and at equal rank the larger or equal crowding distance, so the
+    first candidate wins a full tie.  A pair crosses with probability
+    CROSSOVER_PROB, each variable then with probability 1/2 (SBX); every
+    child variable mutates with probability ``rate`` (polynomial mutation).
+    Children are wrapped into [0, 2*pi).
+    """
+    pop, n = genomes.shape
+    pairs = (pop + 1) // 2
+    cand = rng.integers(pop, size=(pairs, 4))
+    a, b = cand[:, 0::2], cand[:, 1::2]
+    a_wins = (rank[a] < rank[b]) | ((rank[a] == rank[b]) & (crowd[a] >= crowd[b]))
+    parents = np.where(a_wins, a, b)
+    p1, p2 = genomes[parents[:, 0]], genomes[parents[:, 1]]
+
+    cross = (rng.random(pairs) < CROSSOVER_PROB)[:, None] & (rng.random((pairs, n)) < 0.5)
+    u = rng.random((pairs, n))
+    beta = np.where(u <= 0.5, 2.0 * u, 0.5 / (1.0 - u)) ** (1.0 / (SBX_ETA + 1.0))
+    c1 = np.where(cross, 0.5 * ((1 + beta) * p1 + (1 - beta) * p2), p1)
+    c2 = np.where(cross, 0.5 * ((1 - beta) * p1 + (1 + beta) * p2), p2)
+    # siblings next to each other, the second of an odd population's last pair dropped
+    kids = np.stack([c1, c2], axis=1).reshape(-1, n)[:pop]
+
+    mutate = rng.random((pop, n)) < rate
+    u = rng.random((pop, n))[mutate]
+    low = u < 0.5
+    power = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) ** (1.0 / (MUTATION_ETA + 1.0))
+    kids[mutate] += np.where(low, power - 1.0, 1.0 - power) * TWO_PI
+    return np.mod(kids, TWO_PI)
 
 
 def _archive_from(
-    genomes: np.ndarray, objectives: np.ndarray, rank: np.ndarray, crowd: np.ndarray
+    genomes: np.ndarray,
+    objectives: np.ndarray,
+    rank: np.ndarray,
+    crowd: np.ndarray,
+    pmeprs: np.ndarray | None,
 ) -> ParetoArchive:
-    records = [
-        MultiObjectiveRecord(
-            genome=genomes[i].copy(),
-            objectives=objectives[i].copy(),
-            rank=0,
-            crowding=float(crowd[i]),
-        )
-        for i in np.where(rank == 0)[0]
-    ]
-    return ParetoArchive(records=records)
+    front = rank == 0
+    return ParetoArchive(
+        genomes=genomes[front],
+        objectives=objectives[front],
+        crowding=crowd[front],
+        pmeprs=None if pmeprs is None else pmeprs[front],
+    )
 
 
 def nsga2(
@@ -232,24 +227,10 @@ def nsga2(
     if generation_hook is not None:
         generation_hook(0, genomes, objs, pmeprs)
 
-    def tournament_winner(a: int, b: int) -> int:
-        if rank[a] != rank[b]:
-            return a if rank[a] < rank[b] else b
-        return a if crowd[a] >= crowd[b] else b
-
     snapshots: list[tuple[int, ParetoArchive]] = []
     mut_rate = 1.0 / n_vars
     for gen in range(config.generations):
-        kids: list[np.ndarray] = []
-        while len(kids) < pop:
-            cand = rng.integers(pop, size=4)
-            pa = tournament_winner(int(cand[0]), int(cand[1]))
-            pb = tournament_winner(int(cand[2]), int(cand[3]))
-            c1, c2 = _sbx_pair(genomes[pa], genomes[pb], rng)
-            kids.append(_polynomial_mutation(c1, rng, mut_rate))
-            if len(kids) < pop:
-                kids.append(_polynomial_mutation(c2, rng, mut_rate))
-        kid_genomes = np.array(kids)
+        kid_genomes = _offspring(genomes, rank, crowd, rng, mut_rate)
         kid_objs, kid_pmeprs = evaluate(kid_genomes, gen + 1)
 
         all_genomes = np.concatenate([genomes, kid_genomes])
@@ -278,9 +259,9 @@ def nsga2(
             generation_hook(gen + 1, genomes, objs, pmeprs)
 
         if (gen + 1) % snapshot_every == 0 and gen + 1 < config.generations:
-            snapshots.append((gen + 1, _archive_from(genomes, objs, rank, crowd)))
+            snapshots.append((gen + 1, _archive_from(genomes, objs, rank, crowd, pmeprs)))
 
-    final = _archive_from(genomes, objs, rank, crowd)
+    final = _archive_from(genomes, objs, rank, crowd, pmeprs)
     snapshots.append((config.generations, final))
     return final, snapshots
 

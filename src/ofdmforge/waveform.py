@@ -215,7 +215,9 @@ def synthesize_rows(
     x *= m
     power = np.abs(x)
     power **= 2
-    x /= np.sqrt(power.sum(axis=1) * spec.sample_period_s)[:, None]
+    # times the reciprocal on the float view: the same bits as x /= root,
+    # which numpy runs as a complex division
+    x.view(float)[...] *= (1.0 / np.sqrt(power.sum(axis=1) * spec.sample_period_s))[:, None]
     return x
 
 

@@ -147,7 +147,7 @@ def test_criterion_06_nsga2_improvement():
         GAConfig(population_size=40, generations=2000, seed=0),
         rng=np.random.default_rng(21),
     )
-    front = archive.objectives_array()
+    front = archive.objectives
     pslr_gain = mean_pslr - front[:, 1].min()
     pmepr_gain = 10.0 * np.log10(mean_pmepr / front[:, 0].min())
     ok = pslr_gain >= 5.0 and pmepr_gain >= 2.5
@@ -179,13 +179,13 @@ def test_criterion_07_constrained_nsga2():
         )
         if bool(np.all(final_pm["pm"] <= cap)):
             compliant += 1
-            compliant_islr.extend(archive.objectives_array()[:, 1].tolist())
+            compliant_islr.extend(archive.objectives[:, 1].tolist())
     for run in range(4):
         archive, _ = nsga2(
             lambda g: constrained(g)[:, :2], n, config,
             rng=np.random.default_rng(900 + run),
         )
-        unconstrained_islr.extend(archive.objectives_array()[:, 1].tolist())
+        unconstrained_islr.extend(archive.objectives[:, 1].tolist())
 
     overlap = (
         bool(compliant_islr)

@@ -5,6 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ofdmforge import (
+    PulseSpec,
+    SparsityMask,
+    pmepr,
+    pmepr_threshold_from_distribution,
+    random_phases,
+    synthesize,
+    uniform_weights,
+)
 from ofdmforge.errors import ConfigError
 from ofdmforge.evolve import ConvergenceTrace
 from ofdmforge.harness import (
@@ -16,6 +25,8 @@ from ofdmforge.harness import (
     run_experiment,
 )
 from ofdmforge.harness.cli import main
+from ofdmforge.harness.plotdata import write_csv
+from ofdmforge.harness.runner import _derived_pmepr_max, _write_json
 
 MINI_PULSE = {
     "n_subcarriers": 8,
@@ -246,6 +257,20 @@ class TestCliRuns:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pmepr_max"] > 1.0
 
+    def test_derived_threshold_matches_per_sample_draws(self, tmp_path):
+        cfg = parse_config({
+            "kind": "optimize-constrained", "pulse": MINI_PULSE, "ga": MINI_GA,
+            "threshold_samples": 300, "seed": 9, "out_dir": str(tmp_path),
+        })
+        spec = PulseSpec(**MINI_PULSE)
+        mask = SparsityMask.full(spec.n_subcarriers)
+        rng = np.random.default_rng(mix64(9, 0x7E5D))
+        samples = [
+            pmepr(synthesize(spec, random_phases(8, 1, rng), uniform_weights(mask), mask))
+            for _ in range(300)
+        ]
+        assert _derived_pmepr_max(cfg) == pmepr_threshold_from_distribution(samples)
+
     def test_illuminate(self, tmp_path):
         out = self.run_cli(tmp_path, "illuminate", {
             "pulse": {"n_subcarriers": 12, "n_symbols": 1,
@@ -342,6 +367,28 @@ class TestRunResults:
             assert res.seed == mix64(0, res.run_id)
             for path in res.artifacts.values():
                 assert Path(path).is_file()
+
+
+def raising_rows():
+    yield (1, 2)
+    raise RuntimeError("replica failed")
+
+
+class TestAtomicArtifacts:
+    def test_failed_csv_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "front.csv"
+        write_csv(path, ("a", "b"), [(5, 6)])
+        with pytest.raises(RuntimeError):
+            write_csv(path, ("a", "b"), raising_rows())
+        assert read_rows(path) == [["a", "b"], ["5", "6"]]
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_writes_leave_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            write_csv(tmp_path / "front.csv", ("a", "b"), raising_rows())
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "summary.json", {"a": 1, "b": object()})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPlotData:

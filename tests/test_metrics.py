@@ -24,6 +24,7 @@ from ofdmforge import (
     uniform_weights,
 )
 from ofdmforge.errors import DegeneratePulseError, UndefinedSidelobesError
+from ofdmforge.metrics import _real_idft
 
 TWO_PI = 2 * np.pi
 
@@ -270,6 +271,18 @@ class TestPhaseEvaluator:
         assert np.array_equal(got[:, 0], want[:, 0])
         assert_same_sidelobes(got[:, 1:], want[:, 1:])
 
+    def test_multisymbol_odd_symbol_length(self):
+        # K > 1 takes the even-bin transform per block; N*L = 15 is odd
+        rng = np.random.default_rng(15)
+        spec = PulseSpec(5, 2, 1e5, 3)
+        mask = SparsityMask(np.array([True, True, False, True, True]))
+        weights = WeightVector(rng.uniform(0.1, 1.0, 5))
+        phases = rng.uniform(0, TWO_PI, (11, 5, 2))
+        got = PhaseEvaluator(spec, weights, mask).objectives(phases)
+        want = np.array([direct_objectives(spec, p, weights, mask) for p in phases])
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert_same_sidelobes(got[:, 1:], want[:, 1:])
+
     @pytest.mark.parametrize("oversampling", [1, 5])
     def test_undefined_sidelobes_as_per_pulse(self, oversampling):
         # one carrier, one symbol: every lag sits inside the mainlobe
@@ -305,3 +318,10 @@ class TestPhaseEvaluator:
         with pytest.raises(ValueError):
             PhaseEvaluator(spec, WeightVector(np.ones(3)))
         assert evaluator.objectives(np.zeros((0, 4, 2))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 2000, 2001])
+def test_real_idft_matches_complex_ifft(m):
+    y = np.random.default_rng(m).uniform(0.0, 3.0, (4, m))
+    want = np.fft.ifft(y.astype(complex), axis=-1)
+    assert np.allclose(_real_idft(y) / m, want, rtol=0.0, atol=1e-12 * np.abs(want).max())

@@ -16,7 +16,7 @@ from ofdmforge import (
     uniform_weights,
 )
 from ofdmforge.errors import InsufficientDataError, NonFiniteFitnessError
-from ofdmforge.pareto import dominates
+from ofdmforge.pareto import _offspring, dominates
 
 TWO_PI = 2 * np.pi
 
@@ -102,11 +102,56 @@ def sidelobe_objectives(n, oversampling=8):
     return lambda g: evaluator.objectives(g.reshape(len(g), n, 1))[:, [1, 2, 0]]
 
 
+class FixedContests:
+    """Generator stand-in: fixed tournament candidates, real draws otherwise."""
+
+    def __init__(self, candidates):
+        self.candidates = np.array(candidates)
+        self._rng = np.random.default_rng(0)
+
+    def integers(self, high, size):
+        assert size == self.candidates.shape and self.candidates.max() < high
+        return self.candidates
+
+    def random(self, size=None):
+        return self._rng.random(size)
+
+
+class TestOffspring:
+    @pytest.mark.parametrize("rank, crowd, contest, winner", [
+        ([1, 0], [5.0, 1.0], (0, 1), 1),  # lower rank wins over crowding
+        ([0, 1], [1.0, 5.0], (1, 0), 0),
+        ([0, 0], [1.0, 2.0], (0, 1), 1),  # equal rank: larger crowding
+        ([0, 0], [3.0, 3.0], (0, 1), 0),  # full tie: the first candidate
+        ([0, 0], [3.0, 3.0], (1, 0), 1),
+        # a boundary violator (crowding inf, suppressed to 0) loses at equal rank
+        ([0, 0], np.where([True, False], 0.0, [np.inf, 0.5]), (0, 1), 1),
+        ([0, 0], np.where([True, False], 0.0, [np.inf, 0.5]), (1, 0), 1),
+    ])
+    def test_tournament(self, rank, crowd, contest, winner):
+        # both tournaments of the pair pick the same parent, so SBX returns
+        # it to rounding and, without mutation, so do both children
+        genomes = np.array([[1.0] * 6, [2.0] * 6])
+        rng = FixedContests([contest * 2])
+        kids = _offspring(genomes, np.array(rank), np.array(crowd, dtype=float), rng, 0.0)
+        assert np.allclose(kids, genomes[winner], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("pop, rate", [(7, 0.2), (8, 1.0)])
+    def test_shape_and_range(self, pop, rate):
+        rng = np.random.default_rng(pop)
+        genomes = np.concatenate([np.full((2, 5), 1e-9), rng.uniform(0, TWO_PI, (pop - 2, 5))])
+        genomes[-1] = np.nextafter(TWO_PI, 0)
+        for _ in range(50):
+            kids = _offspring(genomes, np.zeros(pop, dtype=int), np.ones(pop), rng, rate)
+            assert kids.shape == (pop, 5)
+            assert np.all((kids >= 0) & (kids < TWO_PI))
+
+
 class TestNsga2:
     def test_recovers_analytic_convex_front(self):
         cfg = GAConfig(population_size=40, generations=150, seed=3)
         archive, _ = nsga2(analytic_biobjective, 1, cfg)
-        objs = archive.objectives_array()
+        objs = archive.objectives
         # points on the front satisfy sqrt(f1) + sqrt(f2) = 2 with v in [0, 2]
         dev = np.abs(np.sqrt(objs[:, 0]) + np.sqrt(objs[:, 1]) - 2.0)
         assert np.all(dev <= 1e-2)
@@ -130,7 +175,7 @@ class TestNsga2:
             for i in front:
                 for j in front:
                     assert not dominates(objs[i], objs[j])
-        final = archive.objectives_array()
+        final = archive.objectives
         for i in range(len(final)):
             for j in range(len(final)):
                 assert not dominates(final[i], final[j])
@@ -162,14 +207,14 @@ class TestNsga2:
         cfg = GAConfig(population_size=8, generations=15, seed=11)
         a1, s1 = nsga2(analytic_biobjective, 2, cfg)
         a2, s2 = nsga2(analytic_biobjective, 2, cfg)
-        assert np.array_equal(a1.objectives_array(), a2.objectives_array())
-        assert np.array_equal(a1.genomes_array(), a2.genomes_array())
+        assert np.array_equal(a1.objectives, a2.objectives)
+        assert np.array_equal(a1.genomes, a2.genomes)
         assert [g for g, _ in s1] == [g for g, _ in s2]
 
     def test_genomes_stay_wrapped(self):
         cfg = GAConfig(population_size=8, generations=20, seed=2)
         archive, _ = nsga2(analytic_biobjective, 3, cfg)
-        g = archive.genomes_array()
+        g = archive.genomes
         assert np.all((g >= 0) & (g < TWO_PI))
 
     def test_constraint_requires_pmepr_column(self):
