@@ -104,22 +104,21 @@ class GAConfig:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-generation best and mean fitness (generation 0 = initial pop)."""
+    """Per-generation best and mean fitness; entry g is generation g
+    (generation 0 = initial pop)."""
 
-    generations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     best: np.ndarray = field(default_factory=lambda: np.empty(0))
     mean: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @classmethod
     def from_lists(cls, best: Sequence[float], mean: Sequence[float]) -> "ConvergenceTrace":
         return cls(
-            generations=np.arange(len(best), dtype=int),
             best=np.asarray(best, dtype=float),
             mean=np.asarray(mean, dtype=float),
         )
 
     def __len__(self) -> int:
-        return len(self.generations)
+        return len(self.best)
 
 
 def decode_phase_block(bits: np.ndarray, bits_per_var: int, n: int, k: int) -> np.ndarray:

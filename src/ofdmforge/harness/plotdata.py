@@ -64,7 +64,7 @@ def emit_plot_data(payloads: list[dict], kind: str, out_dir: Path | str) -> list
         write_csv(
             path,
             ("generation", "best", "mean"),
-            zip(agg.generations.tolist(), agg.best.tolist(), agg.mean.tolist()),
+            zip(range(len(agg)), agg.best.tolist(), agg.mean.tolist()),
         )
         return [path]
 

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from ..design import dimension_pulse
-from ..errors import ConfigError
 from ..evolve import (
     BitEncoding,
     ConvergenceTrace,
@@ -39,7 +38,7 @@ from ..pareto import (
     nsga2,
     pmepr_threshold_from_distribution,
 )
-from ..phasing import BaselineKind, baseline_phases, random_phases
+from ..phasing import BaselineKind, baseline_phases
 from ..waveform import (
     TWO_PI,
     SparsityMask,
@@ -81,7 +80,6 @@ def aggregate(traces: list[ConvergenceTrace]) -> ConvergenceTrace:
     if len(lengths) != 1:
         raise ValueError(f"ragged traces: lengths {sorted(lengths)}")
     return ConvergenceTrace(
-        generations=traces[0].generations.copy(),
         best=np.mean([t.best for t in traces], axis=0),
         mean=np.mean([t.mean for t in traces], axis=0),
     )
@@ -97,7 +95,7 @@ def _write_trace(path: Path, trace: ConvergenceTrace) -> None:
     write_csv(
         path,
         ("generation", "best", "mean"),
-        zip(trace.generations.tolist(), trace.best.tolist(), trace.mean.tolist()),
+        zip(range(len(trace)), trace.best.tolist(), trace.mean.tolist()),
     )
 
 
@@ -249,10 +247,7 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
     _write_json(genome_path, {"rows": genome_map})
 
     n_random = config.n_random or config.ga.population_size
-    random_pts = scores(np.array([
-        random_phases(spec.n_subcarriers, spec.n_symbols, rng).phases.reshape(-1)
-        for _ in range(n_random)
-    ]))
+    random_pts = scores(_random_phase_block(config, n_random, rng).reshape(n_random, -1))
 
     final_objs = archive.objectives
     objectives = {
@@ -275,20 +270,24 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
     return objectives, artifacts, payload
 
 
+def _random_phase_block(config: ExperimentConfig, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, N, K) uniform phases in one draw: the same values, and the same
+    generator state after, as ``count`` calls of ``random_phases``."""
+    spec = config.pulse
+    return rng.uniform(0.0, TWO_PI, size=(count, spec.n_subcarriers, spec.n_symbols))
+
+
 def _derived_pmepr_max(config: ExperimentConfig) -> float:
     """Threshold from the random-code PMEPR distribution (master-seeded)."""
     spec = config.pulse
     rng = np.random.default_rng(mix64(config.seed, 0x7E5D))
     mask = SparsityMask.full(spec.n_subcarriers)
-    # one draw: the same stream as threshold_samples calls of random_phases
-    phases = rng.uniform(
-        0.0, TWO_PI, size=(config.threshold_samples, spec.n_subcarriers, spec.n_symbols)
-    )
+    phases = _random_phase_block(config, config.threshold_samples, rng)
     samples = PhaseEvaluator(spec, uniform_weights(mask), mask).pmepr(phases)
     return pmepr_threshold_from_distribution(samples)
 
 
-def _run_optimize_constrained(config, run_id, run_dir, rng, pmepr_max):
+def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
     spec = config.pulse
     n_vars = spec.n_subcarriers * spec.n_symbols
     scores = _full_band_scores(config)
@@ -401,32 +400,26 @@ def _run_illuminate(config, run_id, run_dir, rng):
 # --- orchestration ----------------------------------------------------------
 
 
-def _execute_run(config: ExperimentConfig, run_id: int, extra) -> tuple[RunResult, dict]:
+_RUNNERS = {
+    "dimension": _run_dimension,
+    "synthesize": _run_synthesize,
+    "evaluate": _run_evaluate,
+    "baseline": _run_baseline,
+    "optimize-pmepr": _run_optimize_pmepr,
+    "optimize-moo": _run_optimize_moo,
+    "optimize-constrained": _run_optimize_constrained,
+    "illuminate": _run_illuminate,
+}
+
+
+def _execute_run(config: ExperimentConfig, run_id: int, extra: dict) -> tuple[RunResult, dict]:
+    """One replica; ``extra`` holds the kind's experiment-wide keyword arguments."""
     run_dir = config.out_path() / str(run_id)
     run_dir.mkdir(parents=True, exist_ok=True)
     seed = mix64(config.seed, run_id)
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    if config.kind == "dimension":
-        objectives, artifacts, payload = _run_dimension(config, run_id, run_dir, rng)
-    elif config.kind == "synthesize":
-        objectives, artifacts, payload = _run_synthesize(config, run_id, run_dir, rng)
-    elif config.kind == "evaluate":
-        objectives, artifacts, payload = _run_evaluate(config, run_id, run_dir, rng)
-    elif config.kind == "baseline":
-        objectives, artifacts, payload = _run_baseline(config, run_id, run_dir, rng)
-    elif config.kind == "optimize-pmepr":
-        objectives, artifacts, payload = _run_optimize_pmepr(config, run_id, run_dir, rng)
-    elif config.kind == "optimize-moo":
-        objectives, artifacts, payload = _run_optimize_moo(config, run_id, run_dir, rng)
-    elif config.kind == "optimize-constrained":
-        objectives, artifacts, payload = _run_optimize_constrained(
-            config, run_id, run_dir, rng, pmepr_max=extra
-        )
-    elif config.kind == "illuminate":
-        objectives, artifacts, payload = _run_illuminate(config, run_id, run_dir, rng)
-    else:  # pragma: no cover - parse_config rejects unknown kinds
-        raise ConfigError(f"unknown kind '{config.kind}'")
+    objectives, artifacts, payload = _RUNNERS[config.kind](config, run_id, run_dir, rng, **extra)
     wall = time.perf_counter() - started
     return RunResult(run_id, seed, objectives, wall, artifacts), payload
 
@@ -436,9 +429,11 @@ def run_experiment(config: ExperimentConfig) -> list[RunResult]:
     out = config.out_path()
     out.mkdir(parents=True, exist_ok=True)
 
-    extra = None
+    extra = {}
     if config.kind == "optimize-constrained":
-        extra = config.pmepr_max if config.pmepr_max is not None else _derived_pmepr_max(config)
+        extra["pmepr_max"] = (
+            config.pmepr_max if config.pmepr_max is not None else _derived_pmepr_max(config)
+        )
 
     if config.workers > 1 and config.runs > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:

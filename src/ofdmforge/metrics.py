@@ -5,6 +5,16 @@ samples (reported linear).  PSLR and ISLR are sidelobe measures of the
 autocorrelation magnitude, reported as 20*log10 ratios against the zero-lag
 peak.  Lags closer to zero than the Rayleigh resolution 1/B on either side
 belong to the mainlobe and are excluded from both sidelobe metrics.
+
+A single-symbol pulse x[p] = sum_n c_n omega^(n*p), omega = exp(2j*pi/M),
+has the aperiodic autocorrelation (a double sum over carrier pairs, cf.
+Levanon & Mozeson, *Radar Signals*, 2004, multicarrier phase-coded signals)
+
+    r[m] = (M - m) * sum_n |c_n|^2 omega^(n*m) + 1j * sum_n y_n omega^(n*m),
+    y_n = 2 * Im(c_n * sum_{k != n} conj(c_k) / (1 - omega^(n-k))),
+
+for lags m = 0..M-1, so ``PhaseEvaluator`` scores single-symbol sidelobes
+from the codes c_n without an ACF of the samples.
 """
 from __future__ import annotations
 
@@ -94,21 +104,18 @@ def _real_idft(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _acf_half(x: np.ndarray, twiddle: np.ndarray, even: np.ndarray | None = None) -> np.ndarray:
+def _acf_half(x: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
     """Lags 0..M-1 of the aperiodic autocorrelation of every row of x (B, M).
 
     The ACF is the inverse 2M-point DFT of |X|^2, X the spectrum of x
     zero-padded to 2M.  Its even bins are E = FFT_M(x) and its odd bins
     O = FFT_M(x * twiddle), so
     r[m] = (IFFT_M(|E|^2)[m] + conj(twiddle[m]) * IFFT_M(|O|^2)[m]) / 2.
-    ``even`` is M * IFFT_M(|E|^2) when the caller knows it without x;
-    negative lags follow from r[-m] = conj(r[m]).
+    Negative lags follow from r[-m] = conj(r[m]).
     """
     r = _real_idft(_power(np.fft.fft(x * twiddle, axis=-1)))
-    if even is None:
-        even = _real_idft(_power(np.fft.fft(x, axis=-1)))
     r *= twiddle.conj()
-    r += even
+    r += _real_idft(_power(np.fft.fft(x, axis=-1)))
     r *= 0.5 / x.shape[-1]
     return r
 
@@ -203,14 +210,25 @@ class PhaseEvaluator:
 
     Phases come as a (P, N, K) array, genome p holding the phase matrix of
     ``PhaseCodeMatrix`` (wrapped into [0, 2*pi) the same way).  Each block
-    of ``_BLOCK`` genomes takes one batched synthesis IFFT, and for the
-    sidelobe metrics one batched ACF.  ``pmepr`` returns exactly the values
-    of ``pmepr(synthesize(...))``; ``objectives`` adds PSLR and ISLR, which
-    agree with ``pslr``/``islr`` of ``autocorrelation`` to rounding.
+    of ``_BLOCK`` genomes takes one batched synthesis IFFT.  ``pmepr``
+    returns exactly the values of ``pmepr(synthesize(...))``; ``objectives``
+    adds PSLR and ISLR, which agree with ``pslr``/``islr`` of
+    ``autocorrelation`` to rounding.
 
-    With one symbol the even half of the ACF spectrum does not depend on
-    the phases: E = FFT_M(x) is M * w * c / sqrt(energy), so |E|^2 is
-    M * w^2 / (sum(w^2) * dt) and M * IFFT_M(|E|^2) is computed once here.
+    With K > 1 symbols the sidelobes come from the batched sample-domain ACF
+    (``_acf_half``).  With one symbol they come from the codes
+    c_n = w_n * exp(1j*phi_n) alone.  With omega = exp(2j*pi/M),
+    g_d = 1/(1 - omega^d) for 0 < |d| < N and u_n = sum_{k != n} conj(c_k) g_{n-k},
+    the unnormalized ACF at lags m = 0..M-1 is
+
+        r[m] = (M - m) * sum_n w_n^2 omega^(n*m) + 1j * sum_n y_n omega^(n*m),
+        y_n = 2 * Im(c_n * u_n),
+
+    the diagonal (n = k) and cross terms of the double sum over carrier pairs
+    (y is real because the two cross sums are conjugates of each other).  The
+    first term and the peak r[0] = M * sum(w^2) depend on the weights only.
+    Per genome this costs a 2N-point FFT convolution for u and one real
+    ``rfft`` of y: no M-point complex transform beyond synthesis.
     """
 
     def __init__(
@@ -222,17 +240,36 @@ class PhaseEvaluator:
         w = effective_weights(spec, weights, mask)
         self.spec = spec
         self._w = w
-        m = spec.n_samples
-        self._twiddle = _twiddle(m)
-        self._even = None
-        if spec.n_symbols == 1:
-            w2 = w**2
-            spectrum = np.zeros(m)
-            spectrum[:len(w)] = m * w2 / (np.sum(w2) * spec.sample_period_s)
-            self._even = _real_idft(spectrum)
         self._min_lag = _mainlobe_lags(spec)
         # zero-padded spectra, reused by every block
         self._spectra = np.zeros((_BLOCK, spec.n_symbols, spec.samples_per_symbol), dtype=complex)
+        m = spec.n_samples
+        if spec.n_symbols > 1:
+            self._twiddle = _twiddle(m)
+            return
+        n = spec.n_subcarriers
+        half = m // 2 + 1
+        # 2 * g_d at index d mod 2N, so a 2N-point circular convolution with
+        # conj(c) is the linear one over 0 < |n - k| < N
+        d = np.arange(1, n)
+        g = np.zeros(2 * n, dtype=complex)
+        g[d] = 2.0 / (1.0 - np.exp(2j * np.pi * d / m))
+        g[-d] = g[d].conj()
+        self._g_spectrum = np.fft.fft(g)
+        # weights-only term D[m] = (M - m) * sum_n w_n^2 omega^(n*m); with
+        # R = rfft(y, M), |r[m]| = |R[m] + 1j*conj(D[m])| for m < half and
+        # |r[m]| = |R[M-m] - 1j*D[m]| above
+        diagonal = (m - np.arange(m)) * np.fft.ifft(w**2, n=m) * m
+        self._lower = -1j * diagonal[:half].conj()
+        self._upper = 1j * diagonal[half:]
+        # block buffers the transforms write into (numpy >= 2.0 ``out=``):
+        # fresh temporaries of this size come back as new pages every block
+        self._conj_codes = np.zeros((_BLOCK, 2 * n), dtype=complex)
+        self._conv = np.empty((_BLOCK, 2 * n), dtype=complex)
+        self._y = np.zeros((_BLOCK, m))
+        self._half = np.empty((_BLOCK, half), dtype=complex)
+        self._diff = np.empty((_BLOCK, half), dtype=complex)
+        self._mag = np.empty((_BLOCK, m))
 
     def _blocks(self, phases: np.ndarray):
         """Unit-energy samples (B, M) of each block of at most _BLOCK genomes."""
@@ -240,6 +277,30 @@ class PhaseEvaluator:
         for start in range(0, len(phases), _BLOCK):
             block = wrap_phases(phases[start:start + _BLOCK])
             yield synthesize_rows(self.spec, self._w, block, self._spectra)
+
+    def _code_acf_magnitudes(self, count: int) -> np.ndarray:
+        """|r[m]|, m = 0..M-1, of the first ``count`` single-symbol pulses whose
+        codes synthesis left in ``_spectra``; unnormalized (peak M * sum(w^2))."""
+        n, m = self.spec.n_subcarriers, self.spec.n_samples
+        half = self._lower.shape[-1]
+        codes = self._spectra[:count, 0, :n]
+        padded = self._conj_codes[:count]
+        np.conjugate(codes, out=padded[:, :n])
+        spectrum = np.fft.fft(padded, axis=-1, out=self._conv[:count])
+        spectrum *= self._g_spectrum
+        u = np.fft.ifft(spectrum, axis=-1, out=spectrum)[:, :n]
+        u *= codes
+        y = self._y[:count]
+        y[:, :n] = u.imag
+        r = np.fft.rfft(y, axis=-1, out=self._half[:count])
+        diff = self._diff[:count]
+        mag = self._mag[:count]
+        np.subtract(r, self._lower, out=diff)
+        np.abs(diff, out=mag[:, :half])
+        diff = diff[:, :m - half]
+        np.subtract(r[:, m - half:0:-1], self._upper, out=diff)
+        np.abs(diff, out=mag[:, half:])
+        return mag
 
     def pmepr(self, phases: np.ndarray) -> np.ndarray:
         """PMEPR of every genome, shape (P,)."""
@@ -249,7 +310,10 @@ class PhaseEvaluator:
         """Columns (PMEPR, PSLR dB, ISLR dB) of every genome, shape (P, 3)."""
         rows = [np.empty((0, 3))]
         for x in self._blocks(phases):
-            mag = np.abs(_acf_half(x, self._twiddle, self._even))
+            if self.spec.n_symbols == 1:
+                mag = self._code_acf_magnitudes(len(x))
+            else:
+                mag = np.abs(_acf_half(x, self._twiddle))
             side, peak = _split_sidelobes(mag, self._min_lag)
             rows.append(np.column_stack([
                 _pmepr_rows(x), _pslr_db(side, peak), _islr_db(side, peak, wings=2),

@@ -20,12 +20,9 @@ def direct_acf(x: np.ndarray) -> np.ndarray:
     m = len(x)
     out = np.zeros(2 * m - 1, dtype=complex)
     for lag in range(-(m - 1), m):
-        acc = 0.0 + 0.0j
-        for p in range(m):
-            q = p - lag
-            if 0 <= q < m:
-                acc += x[p] * np.conj(x[q])
-        out[lag + m - 1] = acc
+        # sum over p of x[p] * conj(x[p - lag]) for 0 <= p, p - lag < m
+        lo, hi = max(lag, 0), min(m, m + lag)
+        out[lag + m - 1] = np.dot(x[lo:hi], np.conj(x[lo - lag:hi - lag]))
     return out
 
 

@@ -25,8 +25,14 @@ from ofdmforge.harness import (
     run_experiment,
 )
 from ofdmforge.harness.cli import main
+from ofdmforge.harness.config import KINDS
 from ofdmforge.harness.plotdata import write_csv
-from ofdmforge.harness.runner import _derived_pmepr_max, _write_json
+from ofdmforge.harness.runner import (
+    _RUNNERS,
+    _derived_pmepr_max,
+    _random_phase_block,
+    _write_json,
+)
 
 MINI_PULSE = {
     "n_subcarriers": 8,
@@ -270,6 +276,20 @@ class TestCliRuns:
             for _ in range(300)
         ]
         assert _derived_pmepr_max(cfg) == pmepr_threshold_from_distribution(samples)
+
+    def test_random_cloud_matches_per_genome_draws(self):
+        cfg = parse_config({
+            "kind": "optimize-moo", "pulse": {**MINI_PULSE, "n_symbols": 3}, "ga": MINI_GA,
+        })
+        one, loop = np.random.default_rng(5), np.random.default_rng(5)
+        block = _random_phase_block(cfg, 7, one)
+        want = np.array([random_phases(8, 3, loop).phases for _ in range(7)])
+        assert np.array_equal(block, want)
+        # the generator is left where the per-genome loop leaves it
+        assert one.random() == loop.random()
+
+    def test_every_kind_has_a_runner(self):
+        assert set(_RUNNERS) == set(KINDS)
 
     def test_illuminate(self, tmp_path):
         out = self.run_cli(tmp_path, "illuminate", {

@@ -283,6 +283,42 @@ class TestPhaseEvaluator:
         assert np.array_equal(got[:, 0], want[:, 0])
         assert_same_sidelobes(got[:, 1:], want[:, 1:])
 
+    @pytest.mark.parametrize("n, oversampling, count, sparse", [
+        (2, 5, 3, False),  # one carrier pair
+        (9, 1, 8, False),  # L = 1, so M = N
+        (7, 3, 9, False),  # odd N*L
+        (24, 4, 10, True),  # sparse mask, non-uniform weights
+        (100, 20, 11, False),
+        (500, 20, 9, False),
+    ])
+    def test_single_symbol_closed_form(self, n, oversampling, count, sparse):
+        # K = 1 scores the sidelobes from the codes; batch sizes cross _BLOCK
+        rng = np.random.default_rng(n * oversampling)
+        spec = PulseSpec(n, 1, 1e5, oversampling)
+        mask = random_mask(n, 0.5, rng) if sparse else None
+        weights = WeightVector(rng.uniform(0.05, 2.0, n) if sparse else np.ones(n))
+        phases = rng.uniform(0, TWO_PI, (count, n, 1))
+        got = PhaseEvaluator(spec, weights, mask).objectives(phases)
+        want = np.array([direct_objectives(spec, p, weights, mask) for p in phases])
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert_same_sidelobes(got[:, 1:], want[:, 1:])
+
+    def test_single_symbol_runs_no_m_point_fft_beyond_synthesis(self, monkeypatch):
+        spec = PulseSpec(16, 1, 1e5, 4)
+        m = spec.n_samples
+        evaluator = PhaseEvaluator(spec, WeightVector(np.ones(16)))
+        lengths = {"fft": [], "ifft": []}
+        for name in lengths:
+            def counted(a, *args, _fn=getattr(np.fft, name), _seen=lengths[name], **kwargs):
+                out = _fn(a, *args, **kwargs)
+                _seen.append(out.shape[-1])
+                return out
+            monkeypatch.setattr(np.fft, name, counted)
+        evaluator.objectives(np.zeros((11, 16, 1)))
+        # synthesis is the only M-point complex transform: one IFFT per block
+        assert lengths["ifft"].count(m) == 2
+        assert m not in lengths["fft"]
+
     @pytest.mark.parametrize("oversampling", [1, 5])
     def test_undefined_sidelobes_as_per_pulse(self, oversampling):
         # one carrier, one symbol: every lag sits inside the mainlobe
@@ -292,6 +328,7 @@ class TestPhaseEvaluator:
         pulse = synthesize(spec, PhaseCodeMatrix(phases[0]), weights)
         with pytest.raises(UndefinedSidelobesError):
             pslr(autocorrelation(pulse), spec)
+        # the constructor accepts the spec; only the sidelobe metrics fail
         evaluator = PhaseEvaluator(spec, weights)
         with pytest.raises(UndefinedSidelobesError):
             evaluator.objectives(phases)
