@@ -1,8 +1,12 @@
 """Single-objective genetic algorithms.
 
-Two minimizers share one loop structure: rank the population, keep the top
-``elitism_fraction`` as-is, and refill the rest with offspring of rank-ordered
-parent pairs.
+One elitist loop (``_elitist_minimize``) drives both minimizers: rank the
+population, keep the top ``elitism_fraction`` as-is, and refill the rest
+with offspring of rank-ordered parent pairs (pair j mates kept parents 2j
+and 2j + 1, cycling, and has children 2j and 2j + 1).  Each minimizer
+supplies only its variation operator, ``vary(lead, tail, generation) ->
+kids``, which breeds the whole offspring block at once: child i mixes row i
+of ``lead`` (its own-index parent) with row i of ``tail`` (the pair's other).
 
 * ``sga_minimize`` works on bit strings (single-point crossover at a random
   bit boundary, single-bit flip mutation).  Bit genomes decode to phase codes
@@ -133,9 +137,10 @@ def decode_phase_block(bits: np.ndarray, bits_per_var: int, n: int, k: int) -> n
             f"bit block shape {bits.shape} != (P, n*k*bits_per_var = {n * k * b})"
         )
     words = bits.reshape(len(bits), n * k, b)
-    weights = 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
-    values = words @ weights
-    phases = values.astype(float) * (TWO_PI / (1 << b))
+    # float place values: every partial sum is an integer below 2**53, so
+    # exact, and the float matmul is faster than the int64 one
+    values = words @ 2.0 ** np.arange(b - 1, -1, -1)
+    phases = values * (TWO_PI / (1 << b))
     return phases.reshape(len(bits), n, k)
 
 
@@ -159,9 +164,9 @@ def score_batch(fitness: Fitness, genomes: np.ndarray, generation: int, ndim: in
         raise ValueError(
             f"fitness returned shape {values.shape} for {len(genomes)} genomes"
         )
-    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
         raise NonFiniteFitnessError(generation, row, values[row])
     return values
 
@@ -180,24 +185,40 @@ def encode_phases(codes: PhaseCodeMatrix, bits_per_var: int) -> BinaryGenome:
     return BinaryGenome(bits=bits.reshape(-1).astype(bool), bits_per_var=b)
 
 
-def _rank_pairs_refill(
-    parents: np.ndarray,
-    n_offspring: int,
-    crossover_pair: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> list[np.ndarray]:
-    """Pair kept parents by rank order, cycling, until n_offspring children exist."""
-    n_keep = len(parents)
-    kids: list[np.ndarray] = []
-    j = 0
-    while len(kids) < n_offspring:
-        p1 = parents[(2 * j) % n_keep]
-        p2 = parents[(2 * j + 1) % n_keep]
-        c1, c2 = crossover_pair(p1, p2)
-        kids.append(c1)
-        if len(kids) < n_offspring:
-            kids.append(c2)
-        j += 1
-    return kids
+# (lead parents, tail parents, generation) -> kids, all (n_offspring, n)
+Variation = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+
+
+def _elitist_minimize(
+    fitness: Fitness,
+    genomes: np.ndarray,
+    config: GAConfig,
+    vary: Variation,
+) -> tuple[np.ndarray, ConvergenceTrace]:
+    """The generation loop both GAs share.
+
+    Each generation ranks the population by fitness (stable, so ties keep
+    their order), keeps the best ``n_keep`` and refills the other
+    ``population_size - n_keep`` slots with ``vary``'s offspring of
+    rank-ordered pairs, scored in one batch.  Returns a copy of the best
+    final genome and the per-generation trace.
+    """
+    pop = config.population_size
+    n_keep = config.n_keep()
+    # rank of each child's parents: child i has parent i and its pair's
+    # other parent i ^ 1, both counted mod n_keep
+    child = np.arange(pop - n_keep)
+    lead, tail = child % n_keep, (child ^ 1) % n_keep
+    fits = np.empty((config.generations + 1, pop))
+    fit = fits[0] = score_batch(fitness, genomes, 0)
+    for gen in range(config.generations):
+        keep = np.argsort(fit, kind="stable")[:n_keep]
+        kids = vary(genomes[keep[lead]], genomes[keep[tail]], gen)
+        kid_fit = score_batch(fitness, kids, gen + 1)
+        genomes = np.concatenate([genomes[keep], kids])
+        fit = fits[gen + 1] = np.concatenate([fit[keep], kid_fit])
+    best = genomes[int(np.argmin(fit))].copy()
+    return best, ConvergenceTrace(best=fits.min(axis=1), mean=fits.mean(axis=1))
 
 
 def sga_minimize(
@@ -214,41 +235,26 @@ def sga_minimize(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n_bits = encoding.n_bits
-    pop = config.population_size
-    n_keep = config.n_keep()
 
-    genomes = rng.integers(0, 2, size=(pop, n_bits)).astype(bool)
-    fit = score_batch(fitness, genomes, 0)
-    best_hist = [float(fit.min())]
-    mean_hist = [float(fit.mean())]
-
-    def crossover_pair(p1, p2):
-        cut = int(rng.integers(1, n_bits)) if n_bits > 1 else 0
-        return (
-            np.concatenate([p1[:cut], p2[cut:]]),
-            np.concatenate([p2[:cut], p1[cut:]]),
-        )
-
-    for gen in range(config.generations):
-        order = np.argsort(fit, kind="stable")
-        genomes, fit = genomes[order], fit[order]
-        kids = _rank_pairs_refill(genomes[:n_keep], pop - n_keep, crossover_pair)
-        kids = np.array(kids)
+    def vary(lead, tail, gen):
+        # one cut per pair, drawn even when the pair's second child is dropped
+        n_pairs = (len(lead) + 1) // 2
+        cuts = rng.integers(1, n_bits, size=n_pairs).tolist() if n_bits > 1 else [0] * n_pairs
+        kids = tail.copy()
+        for i in range(len(kids)):
+            cut = cuts[i // 2]
+            kids[i, :cut] = lead[i, :cut]
+        # per child: its coin draw and bit index interleave in the stream,
+        # which one population-wide draw of each would reorder
         if gen % config.mutation_every == 0 and config.mutation_per_offspring > 0:
             for child in kids:
                 if rng.random() < config.mutation_per_offspring:
                     child[rng.integers(n_bits)] ^= True
-        kid_fit = score_batch(fitness, kids, gen + 1)
-        genomes = np.concatenate([genomes[:n_keep], kids])
-        fit = np.concatenate([fit[:n_keep], kid_fit])
-        best_hist.append(float(fit.min()))
-        mean_hist.append(float(fit.mean()))
+        return kids
 
-    best = genomes[int(np.argmin(fit))]
-    return (
-        BinaryGenome(bits=best.copy(), bits_per_var=encoding.bits_per_var),
-        ConvergenceTrace.from_lists(best_hist, mean_hist),
-    )
+    genomes = rng.integers(0, 2, size=(config.population_size, n_bits)).astype(bool)
+    best, trace = _elitist_minimize(fitness, genomes, config, vary)
+    return BinaryGenome(bits=best, bits_per_var=encoding.bits_per_var), trace
 
 
 def continuous_minimize(
@@ -277,8 +283,8 @@ def continuous_minimize(
     if not np.all(lower < upper):
         raise ValueError("need lower < upper in every coordinate")
     n_vars = len(lower)
+    span = upper - lower
     pop = config.population_size
-    n_keep = config.n_keep()
 
     init = []
     for s in seeds or []:
@@ -290,34 +296,22 @@ def continuous_minimize(
         init.append(s)
     if len(init) > pop:
         raise InvalidSeedError(f"more seeds ({len(init)}) than population slots ({pop})")
-    while len(init) < pop:
-        init.append(rng.uniform(lower, upper))
-    genomes = np.array(init)
-    fit = score_batch(fitness, genomes, 0)
-    best_hist = [float(fit.min())]
-    mean_hist = [float(fit.mean())]
+    # lower + span * U[0, 1) is what rng.uniform(lower, upper) computes, draw for draw
+    fill = lower + span * rng.random((pop - len(init), n_vars))
+    genomes = np.concatenate([np.reshape(init, (len(init), n_vars)), fill])
 
-    def crossover_pair(p1, p2):
-        beta = rng.uniform(-0.1, 1.1, size=2)
-        c1 = np.clip(beta[0] * p1 + (1 - beta[0]) * p2, lower, upper)
-        c2 = np.clip(beta[1] * p2 + (1 - beta[1]) * p1, lower, upper)
-        return c1, c2
-
-    for gen in range(config.generations):
-        order = np.argsort(fit, kind="stable")
-        genomes, fit = genomes[order], fit[order]
-        kids = np.array(
-            _rank_pairs_refill(genomes[:n_keep], pop - n_keep, crossover_pair)
-        )
+    def vary(lead, tail, gen):
+        # one beta per child, drawn pair by pair; a dropped second child's
+        # beta is drawn all the same
+        beta = rng.uniform(-0.1, 1.1, size=((len(lead) + 1) // 2, 2))
+        beta = beta.reshape(-1, 1)[:len(lead)]
+        kids = beta * lead + (1 - beta) * tail
+        # same bits as np.clip(kids, lower, upper), at a fraction of its cost
+        kids = np.minimum(np.maximum(kids, lower), upper)
         if config.mutation_rate > 0:
-            flip = rng.random(kids.shape) < config.mutation_rate
-            fresh = rng.uniform(lower, upper, size=kids.shape)
-            kids = np.where(flip, fresh, kids)
-        kid_fit = score_batch(fitness, kids, gen + 1)
-        genomes = np.concatenate([genomes[:n_keep], kids])
-        fit = np.concatenate([fit[:n_keep], kid_fit])
-        best_hist.append(float(fit.min()))
-        mean_hist.append(float(fit.mean()))
+            # the flip draws for every gene, then the replacement draws
+            u = rng.random((2, *kids.shape))
+            kids = np.where(u[0] < config.mutation_rate, lower + span * u[1], kids)
+        return kids
 
-    best = genomes[int(np.argmin(fit))]
-    return best.copy(), ConvergenceTrace.from_lists(best_hist, mean_hist)
+    return _elitist_minimize(fitness, genomes, config, vary)

@@ -6,6 +6,7 @@ than the reference values, since exact RNG trajectories are not reproducible
 across implementations.
 """
 import numpy as np
+import pytest
 
 from conftest import brute_force_fronts, direct_acf
 from ofdmforge import (
@@ -129,6 +130,7 @@ def test_criterion_05_sga_beats_newman_under_sparsity():
            f"50% sparsity: GA median {ga_median:.2f} < Newman mean {newman_mean:.2f} on the same masks")
 
 
+@pytest.mark.slow
 def test_criterion_06_nsga2_improvement():
     # documented reduced budget: 2000 generations instead of the reference
     # 10000; the stated floors (5 dB PSLR, 2.5 dB PMEPR) already hold there
@@ -154,6 +156,7 @@ def test_criterion_06_nsga2_improvement():
     report(6, ok, f"NSGA-II vs random mean: PSLR {pslr_gain:.2f} dB >= 5, PMEPR {pmepr_gain:.2f} dB >= 2.5 (2000 generations)")
 
 
+@pytest.mark.slow
 def test_criterion_07_constrained_nsga2():
     # desk-scale fallback protocol: 20 runs, at least 3 fully compliant
     n, cap, runs = 100, 5.0, 20
