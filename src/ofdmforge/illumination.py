@@ -179,8 +179,9 @@ def optimize_weights(
     gains = np.abs(spectrum.values) ** 2
 
     def neg_gain(raw: np.ndarray) -> np.ndarray:
-        w = _unit_energy(raw)
-        return -np.sum(w**2 * gains, axis=1)
+        # sum w^2 * g with w = raw / |raw|, without forming w
+        sq = raw * raw
+        return -np.sum(sq * gains, axis=1) / np.sum(sq, axis=1)
 
     seed = np.clip(np.abs(spectrum.values), v_l, v_u)
     best, _ = continuous_minimize(

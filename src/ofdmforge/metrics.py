@@ -15,6 +15,20 @@ Levanon & Mozeson, *Radar Signals*, 2004, multicarrier phase-coded signals)
 
 for lags m = 0..M-1, so ``PhaseEvaluator`` scores single-symbol sidelobes
 from the codes c_n without an ACF of the samples.
+
+PMEPR needs no synthesis either.  With S = N*L samples per symbol, sample
+t = p*L + q (p < N, q < L) of a symbol is
+
+    x[t] = sum_n c_n exp(2j*pi*n*q/S) exp(2j*pi*n*p/N),
+
+bin p of an N-point DFT of the twiddled codes c_n exp(2j*pi*n*q/S): the
+polyphase (Cooley-Tukey) split of the zero-padded S-point DFT.
+``PhaseEvaluator`` runs it with the conjugate twiddle and a forward FFT,
+which visits the same samples in the order t -> -t mod S; a maximum does not
+depend on the order.  By Parseval every symbol has mean power
+sum_n |c_n|^2 = sum_n w_n^2, known before any genome is scored, and PMEPR
+does not depend on scale, so PMEPR = max |FFT|^2 / sum(w^2), with no
+unit-energy pass.
 """
 from __future__ import annotations
 
@@ -29,6 +43,7 @@ from .waveform import (
     SparsityMask,
     WeightVector,
     effective_weights,
+    subcarrier_codes,
     synthesize_rows,
     wrap_phases,
 )
@@ -63,10 +78,17 @@ class CorrelationSeries:
         return float(np.abs(self.values[len(self.values) // 2]))
 
 
+def _power(z: np.ndarray) -> np.ndarray:
+    """|z|^2 as re^2 + im^2, accumulated in place: one temporary fewer, which
+    matters for blocks large enough to come back as fresh pages."""
+    power = z.real**2
+    power += z.imag**2
+    return power
+
+
 def _pmepr_rows(x: np.ndarray) -> np.ndarray:
     """max |x|^2 / mean |x|^2 along each row of x (B, M)."""
-    power = np.abs(x)
-    power **= 2
+    power = _power(x)
     mean = power.mean(axis=1)
     if not np.all(mean > 0):
         raise DegeneratePulseError("zero-energy pulse has no PMEPR")
@@ -76,10 +98,6 @@ def _pmepr_rows(x: np.ndarray) -> np.ndarray:
 def pmepr(pulse: SampledPulse) -> float:
     """max |x|^2 / mean |x|^2 over all samples of the pulse."""
     return float(_pmepr_rows(pulse.samples[None, :])[0])
-
-
-def _power(z: np.ndarray) -> np.ndarray:
-    return z.real**2 + z.imag**2
 
 
 def _twiddle(m: int) -> np.ndarray:
@@ -209,17 +227,25 @@ class PhaseEvaluator:
     """Scores blocks of phase genomes on one pulse spec, weights and mask.
 
     Phases come as a (P, N, K) array, genome p holding the phase matrix of
-    ``PhaseCodeMatrix`` (wrapped into [0, 2*pi) the same way).  Each block
-    of ``_BLOCK`` genomes takes one batched synthesis IFFT.  ``pmepr``
-    returns exactly the values of ``pmepr(synthesize(...))``; ``objectives``
-    adds PSLR and ISLR, which agree with ``pslr``/``islr`` of
+    ``PhaseCodeMatrix`` (wrapped into [0, 2*pi) the same way).  Genomes are
+    scored in blocks of ``_BLOCK``.
+
+    PMEPR comes from the codes c = w * exp(1j*phi) by the polyphase identity
+    of the module docstring: per block one multiply by a precomputed (L, N)
+    twiddle table, one batched N-point FFT over (B, K, L, N), re^2 + im^2,
+    a row maximum and a division by the precomputed sum(w^2).  No pulse is
+    synthesized and none is scaled to unit energy.  ``pmepr`` agrees with
+    ``pmepr(synthesize(...))`` and with the direct subcarrier sum to 1e-12
+    relative (a different summation order, so not bit for bit).
+    ``objectives`` adds PSLR and ISLR, which agree with ``pslr``/``islr`` of
     ``autocorrelation`` to rounding.
 
-    With K > 1 symbols the sidelobes come from the batched sample-domain ACF
-    (``_acf_half``).  With one symbol they come from the codes
-    c_n = w_n * exp(1j*phi_n) alone.  With omega = exp(2j*pi/M),
-    g_d = 1/(1 - omega^d) for 0 < |d| < N and u_n = sum_{k != n} conj(c_k) g_{n-k},
-    the unnormalized ACF at lags m = 0..M-1 is
+    With K > 1 symbols ``objectives`` synthesizes the samples (one batched
+    IFFT per block) and takes PMEPR and the batched sample-domain ACF
+    (``_acf_half``) from them.  With one symbol the sidelobes come from the
+    codes alone.  With omega = exp(2j*pi/M), g_d = 1/(1 - omega^d) for
+    0 < |d| < N and u_n = sum_{k != n} conj(c_k) g_{n-k}, the unnormalized ACF
+    at lags m = 0..M-1 is
 
         r[m] = (M - m) * sum_n w_n^2 omega^(n*m) + 1j * sum_n y_n omega^(n*m),
         y_n = 2 * Im(c_n * u_n),
@@ -228,7 +254,8 @@ class PhaseEvaluator:
     (y is real because the two cross sums are conjugates of each other).  The
     first term and the peak r[0] = M * sum(w^2) depend on the weights only.
     Per genome this costs a 2N-point FFT convolution for u and one real
-    ``rfft`` of y: no M-point complex transform beyond synthesis.
+    ``rfft`` of y, so a single-symbol genome runs no complex transform of
+    length M at all.
     """
 
     def __init__(
@@ -238,16 +265,31 @@ class PhaseEvaluator:
         mask: SparsityMask | None = None,
     ) -> None:
         w = effective_weights(spec, weights, mask)
+        # mean power of every pulse (Parseval); w^2 can underflow to 0 or
+        # overflow to inf, and either is rejected below
+        with np.errstate(over="ignore"):
+            energy = float(np.sum(w * w))
+        if not 0 < energy < np.inf:
+            raise DegeneratePulseError(f"effective weights have energy {energy}")
         self.spec = spec
         self._w = w
+        self._energy = energy
         self._min_lag = _mainlobe_lags(spec)
-        # zero-padded spectra, reused by every block
-        self._spectra = np.zeros((_BLOCK, spec.n_symbols, spec.samples_per_symbol), dtype=complex)
+        n, k, ell = spec.n_subcarriers, spec.n_symbols, spec.oversampling
+        s = spec.samples_per_symbol
+        # exp(-2j*pi*n*q/S), the exponent reduced mod S in integers
+        self._polyphase = np.exp(-2j * np.pi * (np.outer(np.arange(ell), np.arange(n)) % s) / s)
+        # block buffers the kernels write into (numpy >= 2.0 ``out=``):
+        # fresh temporaries of this size come back as new pages every block
+        self._bins = np.empty((_BLOCK, k, ell, n), dtype=complex)
+        self._envelope = np.empty((_BLOCK, k * s))
+        self._envelope_imag = np.empty((_BLOCK, k * s))
         m = spec.n_samples
-        if spec.n_symbols > 1:
+        if k > 1:
+            # zero-padded spectra, reused by every block
+            self._spectra = np.zeros((_BLOCK, k, s), dtype=complex)
             self._twiddle = _twiddle(m)
             return
-        n = spec.n_subcarriers
         half = m // 2 + 1
         # 2 * g_d at index d mod 2N, so a 2N-point circular convolution with
         # conj(c) is the linear one over 0 < |n - k| < N
@@ -262,8 +304,6 @@ class PhaseEvaluator:
         diagonal = (m - np.arange(m)) * np.fft.ifft(w**2, n=m) * m
         self._lower = -1j * diagonal[:half].conj()
         self._upper = 1j * diagonal[half:]
-        # block buffers the transforms write into (numpy >= 2.0 ``out=``):
-        # fresh temporaries of this size come back as new pages every block
         self._conj_codes = np.zeros((_BLOCK, 2 * n), dtype=complex)
         self._conv = np.empty((_BLOCK, 2 * n), dtype=complex)
         self._y = np.zeros((_BLOCK, m))
@@ -272,18 +312,30 @@ class PhaseEvaluator:
         self._mag = np.empty((_BLOCK, m))
 
     def _blocks(self, phases: np.ndarray):
-        """Unit-energy samples (B, M) of each block of at most _BLOCK genomes."""
+        """Wrapped phases (B, N, K) of each block of at most _BLOCK genomes."""
         phases = np.asarray(phases, dtype=float)
         for start in range(0, len(phases), _BLOCK):
-            block = wrap_phases(phases[start:start + _BLOCK])
-            yield synthesize_rows(self.spec, self._w, block, self._spectra)
+            yield wrap_phases(phases[start:start + _BLOCK])
 
-    def _code_acf_magnitudes(self, count: int) -> np.ndarray:
-        """|r[m]|, m = 0..M-1, of the first ``count`` single-symbol pulses whose
-        codes synthesis left in ``_spectra``; unnormalized (peak M * sum(w^2))."""
+    def _pmepr_codes(self, codes: np.ndarray) -> np.ndarray:
+        """PMEPR of the pulses with codes (B, K, N), by the polyphase split."""
+        count = len(codes)
+        bins = self._bins[:count]
+        np.multiply(codes[:, :, None, :], self._polyphase, out=bins)
+        np.fft.fft(bins, axis=-1, out=bins)
+        power = self._envelope[:count]
+        imag = self._envelope_imag[:count]
+        np.multiply(bins.real, bins.real, out=power.reshape(bins.shape))
+        np.multiply(bins.imag, bins.imag, out=imag.reshape(bins.shape))
+        power += imag
+        return power.max(axis=1) / self._energy
+
+    def _code_acf_magnitudes(self, codes: np.ndarray) -> np.ndarray:
+        """|r[m]|, m = 0..M-1, of the single-symbol pulses with codes (B, N);
+        unnormalized (peak M * sum(w^2))."""
+        count = len(codes)
         n, m = self.spec.n_subcarriers, self.spec.n_samples
         half = self._lower.shape[-1]
-        codes = self._spectra[:count, 0, :n]
         padded = self._conj_codes[:count]
         np.conjugate(codes, out=padded[:, :n])
         spectrum = np.fft.fft(padded, axis=-1, out=self._conv[:count])
@@ -304,18 +356,25 @@ class PhaseEvaluator:
 
     def pmepr(self, phases: np.ndarray) -> np.ndarray:
         """PMEPR of every genome, shape (P,)."""
-        return np.concatenate([np.empty(0)] + [_pmepr_rows(x) for x in self._blocks(phases)])
+        return np.concatenate([np.empty(0)] + [
+            self._pmepr_codes(subcarrier_codes(self.spec, self._w, block))
+            for block in self._blocks(phases)
+        ])
 
     def objectives(self, phases: np.ndarray) -> np.ndarray:
         """Columns (PMEPR, PSLR dB, ISLR dB) of every genome, shape (P, 3)."""
         rows = [np.empty((0, 3))]
-        for x in self._blocks(phases):
+        for block in self._blocks(phases):
             if self.spec.n_symbols == 1:
-                mag = self._code_acf_magnitudes(len(x))
+                codes = subcarrier_codes(self.spec, self._w, block)
+                pmeprs = self._pmepr_codes(codes)
+                mag = self._code_acf_magnitudes(codes[:, 0])
             else:
+                x = synthesize_rows(self.spec, self._w, block, self._spectra)
+                pmeprs = _pmepr_rows(x)
                 mag = np.abs(_acf_half(x, self._twiddle))
             side, peak = _split_sidelobes(mag, self._min_lag)
             rows.append(np.column_stack([
-                _pmepr_rows(x), _pslr_db(side, peak), _islr_db(side, peak, wings=2),
+                pmeprs, _pslr_db(side, peak), _islr_db(side, peak, wings=2),
             ]))
         return np.concatenate(rows)

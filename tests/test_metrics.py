@@ -222,18 +222,57 @@ def test_evaluate_objectives_bundle():
     assert set(d) == {"pmepr", "pslr_db", "islr_db", "oversampling"}
 
 
+def direct_pmepr(spec, phases, weights, mask):
+    """PMEPR of one pulse from the direct O(N*M) subcarrier sum
+    x[t] = sum_n c_n exp(2j*pi*n*t/S) over every sample t of every symbol."""
+    n, s = spec.n_subcarriers, spec.samples_per_symbol
+    w = weights.weights if mask is None else np.where(mask.active, weights.weights, 0.0)
+    codes = w[:, None] * np.exp(1j * np.asarray(phases))  # (N, K)
+    # the exponent n*t reduced mod S in integers, so every term is accurate
+    kernel = np.exp(2j * np.pi * (np.outer(np.arange(s), np.arange(n)) % s) / s)
+    power = np.abs(kernel @ codes) ** 2  # (S, K)
+    return power.max() / power.mean()
+
+
 def direct_objectives(spec, phases, weights, mask):
-    """(pmepr, pslr_db, islr_db) of one pulse, sidelobes from the O(M^2) ACF."""
+    """(pmepr, pslr_db, islr_db) of one pulse: PMEPR from the direct
+    subcarrier sum, sidelobes from the O(M^2) ACF of the synthesized samples."""
     pulse = synthesize(spec, PhaseCodeMatrix(phases), weights, mask)
     values = direct_acf(pulse.samples)
     m = len(pulse.samples)
     acf = CorrelationSeries(lags=np.arange(-(m - 1), m), values=values)
-    return pmepr(pulse), pslr(acf, spec), islr(acf, spec)
+    return direct_pmepr(spec, phases, weights, mask), pslr(acf, spec), islr(acf, spec)
+
+
+def assert_same_pmepr(got, want):
+    """PMEPRs agree with the direct-sum oracle to 1e-12 relative."""
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def assert_same_sidelobes(got_db, want_db):
     """Sidelobe-to-peak ratios agree to 1e-9 relative (dB values can sit at 0)."""
     assert np.allclose(10 ** (got_db / 20), 10 ** (want_db / 20), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("oversampling", [1, 4, 20])
+def test_pmepr_matches_direct_sum(n, k, oversampling):
+    # the evaluator's polyphase kernel (pmepr, and the objectives column) and
+    # the per-pulse pmepr(synthesize(...)) against the direct sum; 10 genomes
+    # cross _BLOCK, and from N = 7 on the mask is sparse
+    rng = np.random.default_rng(100 * n + 10 * k + oversampling)
+    spec = PulseSpec(n, k, 1e5, oversampling)
+    mask = random_mask(n, 0.5, rng) if n >= 7 else None
+    weights = WeightVector(rng.uniform(0.05, 2.0, n))
+    phases = rng.uniform(-TWO_PI, 2 * TWO_PI, (10, n, k))
+    want = [direct_pmepr(spec, np.mod(p, TWO_PI), weights, mask) for p in phases]
+    evaluator = PhaseEvaluator(spec, weights, mask)
+    assert_same_pmepr(evaluator.pmepr(phases), want)
+    if n > 1 or k > 1:  # one tone in one symbol has no sidelobes
+        assert_same_pmepr(evaluator.objectives(phases)[:, 0], want)
+    per_pulse = [pmepr(synthesize(spec, PhaseCodeMatrix(p), weights, mask)) for p in phases]
+    assert_same_pmepr(per_pulse, want)
 
 
 class TestPhaseEvaluator:
@@ -254,9 +293,9 @@ class TestPhaseEvaluator:
         got = evaluator.objectives(phases)
         want = np.array([direct_objectives(spec, p, weights, mask) for p in phases])
         assert got.shape == (len(phases), 3)
-        # PMEPR is bit-identical to pmepr(synthesize(...)), on both paths
-        assert np.array_equal(got[:, 0], want[:, 0])
-        assert np.array_equal(evaluator.pmepr(phases), want[:, 0])
+        # PMEPR agrees with the direct sum, on both paths
+        assert_same_pmepr(got[:, 0], want[:, 0])
+        assert_same_pmepr(evaluator.pmepr(phases), want[:, 0])
         assert_same_sidelobes(got[:, 1:], want[:, 1:])
 
     @pytest.mark.parametrize("n, k", [(2, 1), (5, 1), (1, 2), (3, 3)])
@@ -268,7 +307,7 @@ class TestPhaseEvaluator:
         phases = rng.uniform(0, TWO_PI, (9, n, k))
         got = PhaseEvaluator(spec, weights).objectives(phases)
         want = np.array([direct_objectives(spec, p, weights, None) for p in phases])
-        assert np.array_equal(got[:, 0], want[:, 0])
+        assert_same_pmepr(got[:, 0], want[:, 0])
         assert_same_sidelobes(got[:, 1:], want[:, 1:])
 
     def test_multisymbol_odd_symbol_length(self):
@@ -280,7 +319,7 @@ class TestPhaseEvaluator:
         phases = rng.uniform(0, TWO_PI, (11, 5, 2))
         got = PhaseEvaluator(spec, weights, mask).objectives(phases)
         want = np.array([direct_objectives(spec, p, weights, mask) for p in phases])
-        assert np.array_equal(got[:, 0], want[:, 0])
+        assert_same_pmepr(got[:, 0], want[:, 0])
         assert_same_sidelobes(got[:, 1:], want[:, 1:])
 
     @pytest.mark.parametrize("n, oversampling, count, sparse", [
@@ -300,24 +339,26 @@ class TestPhaseEvaluator:
         phases = rng.uniform(0, TWO_PI, (count, n, 1))
         got = PhaseEvaluator(spec, weights, mask).objectives(phases)
         want = np.array([direct_objectives(spec, p, weights, mask) for p in phases])
-        assert np.array_equal(got[:, 0], want[:, 0])
+        assert_same_pmepr(got[:, 0], want[:, 0])
         assert_same_sidelobes(got[:, 1:], want[:, 1:])
 
-    def test_single_symbol_runs_no_m_point_fft_beyond_synthesis(self, monkeypatch):
+    def test_single_symbol_runs_no_m_point_complex_transform(self, monkeypatch):
+        # the polyphase kernel runs N-point FFTs and the sidelobe closed form
+        # 2N-point ones plus one real rfft of length M; nothing synthesizes
         spec = PulseSpec(16, 1, 1e5, 4)
         m = spec.n_samples
         evaluator = PhaseEvaluator(spec, WeightVector(np.ones(16)))
-        lengths = {"fft": [], "ifft": []}
+        lengths = {"fft": [], "ifft": [], "rfft": []}
         for name in lengths:
             def counted(a, *args, _fn=getattr(np.fft, name), _seen=lengths[name], **kwargs):
-                out = _fn(a, *args, **kwargs)
-                _seen.append(out.shape[-1])
-                return out
+                _seen.append(a.shape[-1])
+                return _fn(a, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
+        evaluator.pmepr(np.zeros((11, 16, 1)))
+        assert lengths == {"fft": [16, 16], "ifft": [], "rfft": []}
         evaluator.objectives(np.zeros((11, 16, 1)))
-        # synthesis is the only M-point complex transform: one IFFT per block
-        assert lengths["ifft"].count(m) == 2
-        assert m not in lengths["fft"]
+        assert m not in lengths["fft"] + lengths["ifft"]
+        assert lengths["rfft"] == [m, m]
 
     @pytest.mark.parametrize("oversampling", [1, 5])
     def test_undefined_sidelobes_as_per_pulse(self, oversampling):
@@ -332,7 +373,7 @@ class TestPhaseEvaluator:
         evaluator = PhaseEvaluator(spec, weights)
         with pytest.raises(UndefinedSidelobesError):
             evaluator.objectives(phases)
-        assert np.array_equal(evaluator.pmepr(phases), [pmepr(pulse)] * 3)
+        assert_same_pmepr(evaluator.pmepr(phases), [pmepr(pulse)] * 3)
 
     def test_degenerate_weights_as_per_pulse(self):
         spec = PulseSpec(4, 1, 1e5, 2)
@@ -342,6 +383,13 @@ class TestPhaseEvaluator:
             synthesize(spec, PhaseCodeMatrix(np.zeros((4, 1))), weights, mask)
         with pytest.raises(DegeneratePulseError):
             PhaseEvaluator(spec, weights, mask)
+
+    @pytest.mark.parametrize("level", [1e-200, 1e200])
+    def test_weights_without_finite_energy_rejected(self, level):
+        # sum(w^2) underflows to 0 or overflows to inf: no PMEPR to divide by
+        spec = PulseSpec(4, 1, 1e5, 2)
+        with pytest.raises(DegeneratePulseError):
+            PhaseEvaluator(spec, WeightVector(np.full(4, level)))
 
     def test_rejects_bad_blocks(self):
         spec = PulseSpec(4, 2, 1e5, 2)
