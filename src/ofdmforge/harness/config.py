@@ -12,6 +12,7 @@ from pathlib import Path
 from ..design import ScenarioSpec
 from ..errors import ConfigError
 from ..evolve import GAConfig
+from ..pareto import ConstraintSpec
 from ..waveform import PulseSpec
 
 KINDS = (
@@ -146,8 +147,11 @@ def _parse_target(data: object) -> TargetSection:
     seed = s.take("seed", None)
     if seed is not None:
         seed = _as_int(seed, "target.seed")
+    n_scatterers = _as_int(s.take("n_scatterers", 50), "target.n_scatterers")
+    if n_scatterers < 1:
+        raise ConfigError("target.n_scatterers must be >= 1")
     section = TargetSection(
-        n_scatterers=_as_int(s.take("n_scatterers", 50), "target.n_scatterers"),
+        n_scatterers=n_scatterers,
         center_range_m=_as_number(s.take("center_range_m", 1.0e4), "target.center_range_m"),
         extent_m=_as_number(s.take("extent_m", 10.0), "target.extent_m"),
         reflectivity=_as_number(s.take("reflectivity", 1.0), "target.reflectivity"),
@@ -237,6 +241,10 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
     pmepr_max = s.take("pmepr_max", None)
     if pmepr_max is not None:
         pmepr_max = _as_number(pmepr_max, "pmepr_max")
+        try:
+            ConstraintSpec(pmepr_max)
+        except ValueError as exc:
+            raise ConfigError(f"invalid pmepr_max: {exc}") from exc
 
     bounds = s.take("weight_bounds", [0.01, 10.0])
     if (
@@ -250,6 +258,18 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
     n_random = s.take("n_random", None)
     if n_random is not None:
         n_random = _as_int(n_random, "n_random")
+        if n_random < 1:
+            raise ConfigError("n_random must be >= 1")
+
+    threshold_samples = _as_int(s.take("threshold_samples", 1000), "threshold_samples")
+    if threshold_samples < 0:
+        raise ConfigError("threshold_samples must be >= 0")
+    snapshot_every = _as_int(s.take("snapshot_every", 100), "snapshot_every")
+    if snapshot_every < 1:
+        raise ConfigError("snapshot_every must be >= 1")
+    carrier_hz = _as_number(s.take("carrier_hz", 0.0), "carrier_hz")
+    if carrier_hz < 0:
+        raise ConfigError("carrier_hz must be >= 0")
 
     pulse = s.take("pulse", None)
     scenario = s.take("scenario", None)
@@ -275,10 +295,10 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
         bits_per_var=_as_int(s.take("bits_per_var", 18), "bits_per_var"),
         sparsity=sparsity,
         pmepr_max=pmepr_max,
-        threshold_samples=_as_int(s.take("threshold_samples", 1000), "threshold_samples"),
-        snapshot_every=_as_int(s.take("snapshot_every", 100), "snapshot_every"),
+        threshold_samples=threshold_samples,
+        snapshot_every=snapshot_every,
         n_random=n_random,
-        carrier_hz=_as_number(s.take("carrier_hz", 0.0), "carrier_hz"),
+        carrier_hz=carrier_hz,
         weight_bounds=(float(bounds[0]), float(bounds[1])),
     )
     s.finish()
@@ -286,8 +306,11 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
     for section in _REQUIRED_SECTIONS[kind]:
         if getattr(cfg, section) is None:
             raise ConfigError(f"kind '{kind}' requires a '{section}' section")
-    if cfg.kind == "illuminate" and cfg.target is None:
-        raise ConfigError("kind 'illuminate' requires a 'target' section")
+    if cfg.kind == "illuminate":
+        if cfg.target is None:
+            raise ConfigError("kind 'illuminate' requires a 'target' section")
+        if cfg.pulse.n_symbols != 1:
+            raise ConfigError("kind 'illuminate' designs single-symbol pulses (n_symbols 1)")
     if cfg.bits_per_var < 1 or cfg.bits_per_var > 30:
         raise ConfigError("bits_per_var must be in 1..30")
     return cfg

@@ -223,19 +223,16 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
     n_vars = spec.n_subcarriers * spec.n_symbols
     scores = _full_band_scores(config)
 
+    # objectives (pmepr, pslr_db), then islr_db carried into the fronts
     archive, snapshots = nsga2(
-        lambda genomes: scores(genomes)[:, :2],
-        n_vars,
-        config.ga,
-        rng=rng,
-        snapshot_every=config.snapshot_every,
+        scores, n_vars, config.ga, rng=rng, snapshot_every=config.snapshot_every
     )
 
     front_rows = []
     genome_map = []
     for gen, snap in snapshots:
-        genomes = snap.genomes
-        for genome, (pm, ps, il) in zip(genomes, scores(genomes).tolist()):
+        rows = np.column_stack([snap.objectives, snap.carried]).tolist()
+        for genome, (pm, ps, il) in zip(snap.genomes, rows):
             front_rows.append((pm, ps, il, run_id, gen))
             if gen == config.ga.generations:
                 genome_map.append(
@@ -246,7 +243,7 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
     genome_path = run_dir / "genome.json"
     _write_json(genome_path, {"rows": genome_map})
 
-    n_random = config.n_random or config.ga.population_size
+    n_random = config.ga.population_size if config.n_random is None else config.n_random
     random_pts = scores(_random_phase_block(config, n_random, rng).reshape(n_random, -1))
 
     final_objs = archive.objectives
@@ -292,11 +289,12 @@ def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
     n_vars = spec.n_subcarriers * spec.n_symbols
     scores = _full_band_scores(config)
 
-    # compliance is judged on the whole final population, not just the front
+    # compliance is judged on the whole final population, not just the front;
+    # later generations overwrite "final"
     pop_pmeprs = {}
 
-    def observe(gen, genomes, objs, pmeprs):
-        pop_pmeprs[gen] = pmeprs.copy()
+    def observe(gen, genomes, objs, carried):
+        pop_pmeprs["final" if gen else "initial"] = carried[:, 0]
 
     archive, _ = nsga2(
         # objectives (pslr_db, islr_db), then the constrained PMEPR
@@ -309,21 +307,21 @@ def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
         generation_hook=observe,
     )
 
-    front_arr = np.column_stack([archive.pmeprs, archive.objectives])
+    front_arr = np.column_stack([archive.carried[:, 0], archive.objectives])
     front_rows = [
         (pm, ps, il, run_id, config.ga.generations) for pm, ps, il in front_arr.tolist()
     ]
     front_path = run_dir / "front.csv"
     write_csv(front_path, ("pmepr", "pslr_db", "islr_db", "run_id", "generation"), front_rows)
 
-    final_pmeprs = pop_pmeprs[config.ga.generations]
+    final_pmeprs = pop_pmeprs["final"]
     violators = int(np.sum(final_pmeprs > pmepr_max))
     objectives = {
         "pmepr_max": float(pmepr_max),
         "front_size": len(archive),
         "population_violators": violators,
         "compliant": bool(violators == 0),
-        "initial_violator_fraction": float(np.mean(pop_pmeprs[0] > pmepr_max)),
+        "initial_violator_fraction": float(np.mean(pop_pmeprs["initial"] > pmepr_max)),
         "final_violator_fraction": float(np.mean(final_pmeprs > pmepr_max)),
         "islr_min_db": float(front_arr[:, 2].min()) if len(front_arr) else float("nan"),
         "islr_max_db": float(front_arr[:, 2].max()) if len(front_arr) else float("nan"),

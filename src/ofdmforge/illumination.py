@@ -212,13 +212,13 @@ def two_step_pipeline(
     codes are unit modulus.  The optimal pulse spectrum is the elementwise
     product of the returned weights and codes.
     """
+    if spec.n_symbols != 1:
+        raise ValueError("the illumination pipeline designs single-symbol pulses")
     norm = normalize_reflectivity(reflectivity_spectrum(target, spec, carrier_hz))
     w_opt = optimize_weights(norm, v_l, v_u, weight_config, rng=rng)
     gain = snr_gain_db(w_opt, norm)
 
     n = spec.n_subcarriers
-    if spec.n_symbols != 1:
-        raise ValueError("the illumination pipeline designs single-symbol pulses")
     evaluator = PhaseEvaluator(spec, w_opt)
     best_bits, trace = sga_minimize(
         lambda bits: evaluator.pmepr(decode_phase_block(bits, bits_per_var, n, 1)),

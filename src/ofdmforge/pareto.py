@@ -4,15 +4,14 @@ The optimizer is the standard elitist loop: binary tournament on
 (rank, crowding distance), simulated binary crossover and polynomial
 mutation, then environmental selection of the combined parent+offspring
 population front by front, truncating the last front by crowding distance.
+Phases are circular, so both variation operators wrap results mod 2*pi.
 
-Phases are circular, so both variation operators wrap results mod 2*pi
-instead of clamping to box edges.
-
-The constrained variant implements the envelope-power cap by forcing the
-crowding distance of every individual whose PMEPR exceeds the threshold to
-exactly zero - strictly below any feasible interior value - right after
-crowding assignment, so violators lose tournaments and truncations against
-feasible individuals of equal rank.
+Each genome is scored once, into two ranked objectives followed by carried
+columns that travel with it, unranked, into the hook and the archive.  The
+constrained variant caps column 2, the first carried one, which holds the
+PMEPR: every individual over the cap gets a crowding distance of exactly
+zero - strictly below any feasible interior value - so violators lose
+tournaments and truncations against feasible individuals of equal rank.
 """
 from __future__ import annotations
 
@@ -25,10 +24,11 @@ from .errors import InsufficientDataError
 from .evolve import GAConfig, score_batch
 from .waveform import TWO_PI
 
-# (P, n_vars) phase block -> (P, m) objectives, plus a last PMEPR column
-# when a constraint is set
+# (P, n_vars) phase block -> (P, 2 + c) rows: two objectives, then c carried
+# columns, the first of which is the PMEPR under a constraint
 ObjectiveFn = Callable[[np.ndarray], np.ndarray]
-GenerationHook = Callable[[int, np.ndarray, np.ndarray, "np.ndarray | None"], None]
+# (generation, genomes, (P, 2) objectives, (P, c) carried columns)
+GenerationHook = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 
 SBX_ETA = 15.0
 MUTATION_ETA = 20.0
@@ -37,7 +37,7 @@ CROSSOVER_PROB = 0.9
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Upper bound on PMEPR enforced through crowding suppression."""
+    """Upper bound on the PMEPR column enforced through crowding suppression."""
 
     pmepr_max: float
 
@@ -50,14 +50,15 @@ class ConstraintSpec:
 class ParetoArchive:
     """The rank-0 front of a population, one row per member.
 
-    ``crowding`` is after suppression of violators; ``pmeprs`` holds each
-    member's constrained PMEPR, or is None when the run has no constraint.
+    ``objectives`` holds the two ranked columns and ``carried`` the (n, c)
+    columns scored with them (c may be 0); ``crowding`` is after suppression
+    of violators.
     """
 
     genomes: np.ndarray
     objectives: np.ndarray
     crowding: np.ndarray
-    pmeprs: np.ndarray | None = None
+    carried: np.ndarray
 
     def __len__(self) -> int:
         return len(self.genomes)
@@ -118,15 +119,20 @@ def crowding_distance(front_objectives: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    fronts = nondominated_sort(objectives)
-    rank = np.empty(len(objectives), dtype=int)
-    crowd = np.empty(len(objectives))
-    for r, front in enumerate(fronts):
+def _rank_and_crowd(
+    values: np.ndarray, constraint: ConstraintSpec | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Front index and crowding distance of each row, ranked on columns 0-1."""
+    objectives = values[:, :2]
+    rank = np.empty(len(values), dtype=int)
+    crowd = np.empty(len(values))
+    for r, front in enumerate(nondominated_sort(objectives)):
         idx = np.array(front)
         rank[idx] = r
         crowd[idx] = crowding_distance(objectives[idx])
-    return rank, crowd, fronts
+    if constraint is not None:
+        crowd[values[:, 2] > constraint.pmepr_max] = 0.0
+    return rank, crowd
 
 
 def _offspring(
@@ -169,22 +175,6 @@ def _offspring(
     return np.mod(kids, TWO_PI)
 
 
-def _archive_from(
-    genomes: np.ndarray,
-    objectives: np.ndarray,
-    rank: np.ndarray,
-    crowd: np.ndarray,
-    pmeprs: np.ndarray | None,
-) -> ParetoArchive:
-    front = rank == 0
-    return ParetoArchive(
-        genomes=genomes[front],
-        objectives=objectives[front],
-        crowding=crowd[front],
-        pmeprs=None if pmeprs is None else pmeprs[front],
-    )
-
-
 def nsga2(
     objective_fn: ObjectiveFn,
     n_vars: int,
@@ -198,70 +188,57 @@ def nsga2(
 
     ``objective_fn`` is called once per generation with the (P, n_vars)
     block of phase vectors in [0, 2*pi)^n_vars to be scored and returns a
-    (P, m) matrix of objectives (minimized, m >= 2).  With a ``constraint``
-    it returns one more column, the last, holding each genome's PMEPR, which
-    is not an objective but marks violators for suppression.
+    (P, 2 + c) matrix: columns 0-1 are the two minimized objectives, and
+    columns 2... are carried with each genome, unranked.  A ``constraint``
+    caps column 2, which must then hold each genome's PMEPR.
 
-    ``generation_hook(gen, genomes, objectives, pmeprs)`` observes the whole
+    ``generation_hook(gen, genomes, objectives, carried)`` observes the whole
     population after every environmental selection (gen 0 = initial
-    population; pmeprs is None without a constraint), e.g. for compliance
+    population; carried is the (P, c) block), e.g. for compliance
     accounting.
     """
+    if snapshot_every < 1:
+        raise ValueError("snapshot_every must be >= 1")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     pop = config.population_size
 
-    def evaluate(batch: np.ndarray, generation: int):
-        values = score_batch(objective_fn, batch, generation, ndim=2)
-        if constraint is None:
-            return values, None
-        if values.shape[1] < 3:
-            raise ValueError("a PMEPR constraint needs a last PMEPR column after the objectives")
-        return values[:, :-1], values[:, -1]
-
     genomes = rng.uniform(0.0, TWO_PI, size=(pop, n_vars))
-    objs, pmeprs = evaluate(genomes, 0)
-    rank, crowd, _ = _rank_and_crowd(objs)
-    if constraint is not None:
-        crowd = np.where(pmeprs > constraint.pmepr_max, 0.0, crowd)
+    values = score_batch(objective_fn, genomes, 0, ndim=2)
+    if values.shape[1] < (2 if constraint is None else 3):
+        raise ValueError(
+            "objective_fn must return two objective columns, then under a"
+            " constraint the PMEPR column"
+        )
+    rank, crowd = _rank_and_crowd(values, constraint)
     if generation_hook is not None:
-        generation_hook(0, genomes, objs, pmeprs)
+        generation_hook(0, genomes, values[:, :2], values[:, 2:])
+
+    def archive() -> ParetoArchive:
+        front = rank == 0
+        return ParetoArchive(genomes[front], values[front, :2], crowd[front], values[front, 2:])
 
     snapshots: list[tuple[int, ParetoArchive]] = []
     mut_rate = 1.0 / n_vars
     for gen in range(config.generations):
-        kid_genomes = _offspring(genomes, rank, crowd, rng, mut_rate)
-        kid_objs, kid_pmeprs = evaluate(kid_genomes, gen + 1)
+        kids = _offspring(genomes, rank, crowd, rng, mut_rate)
+        all_genomes = np.concatenate([genomes, kids])
+        all_values = np.concatenate([values, score_batch(objective_fn, kids, gen + 1, ndim=2)])
+        all_rank, all_crowd = _rank_and_crowd(all_values, constraint)
 
-        all_genomes = np.concatenate([genomes, kid_genomes])
-        all_objs = np.concatenate([objs, kid_objs])
-        all_rank, all_crowd, fronts = _rank_and_crowd(all_objs)
-        if constraint is not None:
-            all_pmeprs = np.concatenate([pmeprs, kid_pmeprs])
-            all_crowd = np.where(all_pmeprs > constraint.pmepr_max, 0.0, all_crowd)
-
-        chosen: list[int] = []
-        for front in fronts:
-            if len(chosen) + len(front) <= pop:
-                chosen.extend(front)
-            else:
-                need = pop - len(chosen)
-                idx = np.array(front)
-                order = np.argsort(-all_crowd[idx], kind="stable")
-                chosen.extend(idx[order[:need]].tolist())
-                break
-        sel = np.array(chosen)
-        genomes, objs = all_genomes[sel], all_objs[sel]
+        # whole fronts in index order, then the front the budget cuts by
+        # descending crowding distance (stable on ties)
+        cut = np.sort(all_rank)[pop]
+        sel = np.lexsort((np.where(all_rank == cut, -all_crowd, 0.0), all_rank))[:pop]
+        genomes, values = all_genomes[sel], all_values[sel]
         rank, crowd = all_rank[sel], all_crowd[sel]
-        if constraint is not None:
-            pmeprs = all_pmeprs[sel]
         if generation_hook is not None:
-            generation_hook(gen + 1, genomes, objs, pmeprs)
+            generation_hook(gen + 1, genomes, values[:, :2], values[:, 2:])
 
         if (gen + 1) % snapshot_every == 0 and gen + 1 < config.generations:
-            snapshots.append((gen + 1, _archive_from(genomes, objs, rank, crowd, pmeprs)))
+            snapshots.append((gen + 1, archive()))
 
-    final = _archive_from(genomes, objs, rank, crowd, pmeprs)
+    final = archive()
     snapshots.append((config.generations, final))
     return final, snapshots
 

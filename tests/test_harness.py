@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ofdmforge import (
+    PhaseEvaluator,
     PulseSpec,
     SparsityMask,
     pmepr,
@@ -230,14 +231,32 @@ class TestCliRuns:
         genome = json.loads((out / "0" / "genome.json").read_text())
         assert sum(genome["mask"]) == 6
 
-    def test_optimize_moo(self, tmp_path):
+    def test_optimize_moo(self, tmp_path, monkeypatch):
+        rows = []
+        scored = PhaseEvaluator.objectives
+
+        def counted(self, phases):
+            rows.append(len(phases))
+            return scored(self, phases)
+
+        monkeypatch.setattr(PhaseEvaluator, "objectives", counted)
         out = self.run_cli(tmp_path, "optimize-moo", {
             "pulse": MINI_PULSE, "ga": MINI_GA, "snapshot_every": 10, "seed": 7,
         })
+        # P(1 + G) genomes and the P-point random cloud; fronts are not re-scored
+        assert sum(rows) == 8 * (1 + 20) + 8
         front = read_rows(out / "0" / "front.csv")
         assert front[0] == ["pmepr", "pslr_db", "islr_db", "run_id", "generation"]
         gens = {row[4] for row in front[1:]}
         assert gens == {"10", "20"}
+        # every column, the carried ISLR too, is the one the genome was scored with
+        genome = json.loads((out / "0" / "genome.json").read_text())["rows"]
+        phases = np.array([g["phases"] for g in genome]).reshape(len(genome), 8, 1)
+        want = scored(PhaseEvaluator(PulseSpec(**MINI_PULSE), uniform_weights(
+            SparsityMask.full(8)), SparsityMask.full(8)), phases)
+        final = np.array([front[1 + g["row"]][:3] for g in genome], dtype=float)
+        assert all(front[1 + g["row"]][4] == "20" for g in genome)
+        assert np.array_equal(final, want)
         pareto = read_rows(out / "pareto.csv")
         assert pareto[0] == ["pmepr", "pslr_db", "source"]
         sources = {row[2] for row in pareto[1:]}
@@ -331,6 +350,31 @@ class TestCliErrors:
         path = write_config(tmp_path, {"kind": "baseline", "pulse": MINI_PULSE})
         assert main(["baseline", "--config", path, "--runs", "0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("optimize-moo", {"snapshot_every": 0}),
+        ("optimize-moo", {"n_random": 0}),
+        ("optimize-moo", {"n_random": -4}),
+        ("optimize-constrained", {"snapshot_every": -1}),
+        ("optimize-constrained", {"threshold_samples": -1}),
+        ("optimize-constrained", {"pmepr_max": 0.5}),
+        ("illuminate", {"pulse": {**MINI_PULSE, "n_symbols": 2}}),
+        ("illuminate", {"carrier_hz": -1.0}),
+        ("illuminate", {"target": {"n_scatterers": 0}}),
+    ], ids=lambda v: v if isinstance(v, str) else next(iter(v)) + "=" + json.dumps(
+        next(iter(v.values())))[:14])
+    def test_nonsense_values_exit_2(self, tmp_path, capsys, kind, fields):
+        if kind == "illuminate":
+            config = {
+                "pulse": MINI_PULSE, "carrier_hz": 9e9, "target": {"seed": 4},
+                "weight_ga": MINI_GA, "phase_ga": MINI_GA, "bits_per_var": 4,
+            }
+        else:
+            config = {"pulse": MINI_PULSE, "ga": MINI_GA}
+        path = write_config(tmp_path, {**config, **fields})
+        assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any compute
 
 
 class TestDeterminism:

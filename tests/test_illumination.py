@@ -249,6 +249,8 @@ class TestTwoStepPipeline:
         target = TargetModel(np.array([1.0]), np.array([9_000.0]))
         spec = PulseSpec(8, 2, 2e7, 4)
         cfg = GAConfig(population_size=8, generations=5)
-        with pytest.raises(ValueError):
-            two_step_pipeline(target, spec, CASE_CARRIER, cfg, cfg,
-                              np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="single-symbol"):
+            two_step_pipeline(target, spec, CASE_CARRIER, cfg, cfg, rng)
+        assert rng.bit_generator.state == state  # rejected before the weight GA draws

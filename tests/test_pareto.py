@@ -16,6 +16,7 @@ from ofdmforge import (
     uniform_weights,
 )
 from ofdmforge.errors import InsufficientDataError, NonFiniteFitnessError
+from ofdmforge.evolve import score_batch
 from ofdmforge.pareto import _offspring, dominates
 
 TWO_PI = 2 * np.pi
@@ -162,7 +163,7 @@ class TestNsga2:
         objectives = sidelobe_objectives(6)
         seen = []
 
-        def hook(gen, genomes, objs, pmeprs):
+        def hook(gen, genomes, objs, carried):
             seen.append(objs.copy())
 
         cfg = GAConfig(population_size=8, generations=25, seed=7)
@@ -194,7 +195,7 @@ class TestNsga2:
         objectives = sidelobe_objectives(8)
         minima = []
 
-        def hook(gen, genomes, objs, pmeprs):
+        def hook(gen, genomes, objs, carried):
             minima.append(objs.min(axis=0))
 
         cfg = GAConfig(population_size=8, generations=30, seed=5)
@@ -218,10 +219,52 @@ class TestNsga2:
         assert np.all((g >= 0) & (g < TWO_PI))
 
     def test_constraint_requires_pmepr_column(self):
-        # with a constraint the last column is the PMEPR, leaving one objective
+        # with a constraint column 2 is the PMEPR, and two objectives leave none
         cfg = GAConfig(population_size=8, generations=5)
         with pytest.raises(ValueError, match="PMEPR column"):
             nsga2(analytic_biobjective, 1, cfg, constraint=ConstraintSpec(5.0))
+
+    def test_needs_two_objective_columns(self):
+        cfg = GAConfig(population_size=8, generations=5)
+        with pytest.raises(ValueError, match="two objective columns"):
+            nsga2(lambda g: analytic_biobjective(g)[:, :1], 1, cfg)
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_rejects_snapshot_every_below_one(self, every):
+        calls = []
+        cfg = GAConfig(population_size=8, generations=5)
+        with pytest.raises(ValueError, match="snapshot_every"):
+            nsga2(lambda g: calls.append(1) or analytic_biobjective(g), 1, cfg,
+                  snapshot_every=every)
+        assert calls == []  # rejected before any scoring
+
+    def test_carried_columns_travel_with_their_genomes(self):
+        # two carried columns, neither ranked: the archive, every snapshot
+        # and every hook call hold the objective's own columns 2...
+        def objective(g):
+            return np.column_stack([analytic_biobjective(g), g[:, 1], g.sum(axis=1)])
+
+        hooked = []
+
+        def hook(gen, genomes, objs, carried):
+            hooked.append((genomes, objs, carried))
+
+        cfg = GAConfig(population_size=10, generations=12, seed=8)
+        archive, snapshots = nsga2(objective, 3, cfg, snapshot_every=5, generation_hook=hook)
+        assert archive.carried.shape == (len(archive), 2)
+        assert np.array_equal(archive.carried, objective(archive.genomes)[:, 2:])
+        assert [g for g, _ in snapshots] == [5, 10, 12]
+        for _, snap in snapshots:
+            assert np.array_equal(snap.objectives, objective(snap.genomes)[:, :2])
+            assert np.array_equal(snap.carried, objective(snap.genomes)[:, 2:])
+        assert len(hooked) == 13
+        for genomes, objs, carried in hooked:
+            assert np.array_equal(np.column_stack([objs, carried]), objective(genomes))
+
+    def test_no_carried_columns_is_an_empty_block(self):
+        cfg = GAConfig(population_size=8, generations=3, seed=1)
+        archive, _ = nsga2(analytic_biobjective, 1, cfg)
+        assert archive.carried.shape == (len(archive), 0)
 
     def test_one_objective_call_per_generation(self):
         cfg = GAConfig(population_size=8, generations=6, seed=4)
@@ -267,8 +310,8 @@ class TestConstrainedVariant:
         for s in range(10):
             fractions = {}
 
-            def hook(gen, genomes, objs, pmeprs):
-                fractions[gen] = float(np.mean(pmeprs > threshold))
+            def hook(gen, genomes, objs, carried):
+                fractions[gen] = float(np.mean(carried[:, 0] > threshold))
 
             cfg = GAConfig(population_size=24, generations=400, seed=100 + s)
             nsga2(
@@ -292,3 +335,164 @@ class TestConstrainedVariant:
             constraint=ConstraintSpec(1.01),  # everything violates
         )
         assert len(archive) >= 1
+
+
+def _reference_rank_and_crowd(objectives):
+    fronts = nondominated_sort(objectives)
+    rank = np.empty(len(objectives), dtype=int)
+    crowd = np.empty(len(objectives))
+    for r, front in enumerate(fronts):
+        idx = np.array(front)
+        rank[idx] = r
+        crowd[idx] = crowding_distance(objectives[idx])
+    return rank, crowd, fronts
+
+
+def _reference_archive(genomes, objectives, rank, crowd, pmeprs):
+    front = rank == 0
+    return (genomes[front], objectives[front], crowd[front],
+            None if pmeprs is None else pmeprs[front])
+
+
+def _reference_nsga2(objective_fn, n_vars, config, rng, constraint=None,
+                     snapshot_every=100, generation_hook=None, events=None):
+    """NSGA-II as it selected survivors with a front-by-front refill loop.
+
+    Archives are (genomes, objectives, crowding, pmeprs) tuples.  ``events``
+    collects "exact" when whole fronts fill the budget exactly and "tie"
+    when the cut front's truncation meets equal crowding distances.
+    """
+    pop = config.population_size
+
+    def evaluate(batch, generation):
+        values = score_batch(objective_fn, batch, generation, ndim=2)
+        if constraint is None:
+            return values, None
+        return values[:, :-1], values[:, -1]
+
+    genomes = rng.uniform(0.0, TWO_PI, size=(pop, n_vars))
+    objs, pmeprs = evaluate(genomes, 0)
+    rank, crowd, _ = _reference_rank_and_crowd(objs)
+    if constraint is not None:
+        crowd = np.where(pmeprs > constraint.pmepr_max, 0.0, crowd)
+    if generation_hook is not None:
+        generation_hook(0, genomes, objs, pmeprs)
+
+    snapshots = []
+    mut_rate = 1.0 / n_vars
+    for gen in range(config.generations):
+        kid_genomes = _offspring(genomes, rank, crowd, rng, mut_rate)
+        kid_objs, kid_pmeprs = evaluate(kid_genomes, gen + 1)
+
+        all_genomes = np.concatenate([genomes, kid_genomes])
+        all_objs = np.concatenate([objs, kid_objs])
+        all_rank, all_crowd, fronts = _reference_rank_and_crowd(all_objs)
+        if constraint is not None:
+            all_pmeprs = np.concatenate([pmeprs, kid_pmeprs])
+            all_crowd = np.where(all_pmeprs > constraint.pmepr_max, 0.0, all_crowd)
+
+        chosen = []
+        for front in fronts:
+            if len(chosen) + len(front) <= pop:
+                chosen.extend(front)
+            else:
+                need = pop - len(chosen)
+                idx = np.array(front)
+                order = np.argsort(-all_crowd[idx], kind="stable")
+                chosen.extend(idx[order[:need]].tolist())
+                if events is not None:
+                    if need == 0:
+                        events.add("exact")
+                    elif len(np.unique(all_crowd[idx])) < len(idx):
+                        events.add("tie")
+                break
+        sel = np.array(chosen)
+        genomes, objs = all_genomes[sel], all_objs[sel]
+        rank, crowd = all_rank[sel], all_crowd[sel]
+        if constraint is not None:
+            pmeprs = all_pmeprs[sel]
+        if generation_hook is not None:
+            generation_hook(gen + 1, genomes, objs, pmeprs)
+
+        if (gen + 1) % snapshot_every == 0 and gen + 1 < config.generations:
+            snapshots.append(
+                (gen + 1, _reference_archive(genomes, objs, rank, crowd, pmeprs))
+            )
+
+    final = _reference_archive(genomes, objs, rank, crowd, pmeprs)
+    snapshots.append((config.generations, final))
+    return final, snapshots
+
+
+def coarse_objectives(g):
+    """Integer-valued (f1, f2, pmepr-like) rows: many exact ties and
+    duplicate points, so fronts often fill the budget exactly."""
+    return np.column_stack([
+        np.floor(2.0 * np.cos(g).sum(axis=1)),
+        np.floor(2.0 * np.sin(g).sum(axis=1)),
+        np.floor(g[:, 0]) + 1.0,
+    ])
+
+
+ORACLE_POPS = [4, 8, 10, 24]
+
+
+def _oracle_pair(pop, constrained, seed, events=None):
+    cfg = GAConfig(population_size=pop, generations=30)
+    constraint = ConstraintSpec(4.0) if constrained else None
+    runs = []
+    for run in (nsga2, _reference_nsga2):
+        rng = np.random.default_rng(seed)
+        hooked = []
+
+        def hook(gen, genomes, objs, extra, _hooked=hooked):
+            _hooked.append((gen, genomes.copy(), objs.copy(),
+                            None if extra is None else np.array(extra).reshape(-1)))
+
+        # the reference splits off a last PMEPR column, the new contract
+        # carries every column after the two objectives
+        objective = coarse_objectives if constrained else (lambda g: coarse_objectives(g)[:, :2])
+        kwargs = {"events": events} if run is _reference_nsga2 else {}
+        final, snaps = run(objective, 3, cfg, rng, constraint=constraint,
+                           snapshot_every=7, generation_hook=hook, **kwargs)
+        runs.append((final, snaps, hooked, rng.bit_generator.state))
+    return runs
+
+
+class TestSelectionOracle:
+    @pytest.mark.parametrize("constrained", [False, True], ids=["free", "capped"])
+    @pytest.mark.parametrize("pop", ORACLE_POPS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_front_by_front_refill(self, pop, constrained, seed):
+        (final, snaps, hooked, state), (ref_final, ref_snaps, ref_hooked, ref_state) = (
+            _oracle_pair(pop, constrained, seed)
+        )
+        assert len(hooked) == len(ref_hooked) == 31
+        for (gen, genomes, objs, carried), (ref_gen, ref_genomes, ref_objs, ref_pm) in zip(
+            hooked, ref_hooked
+        ):
+            assert gen == ref_gen
+            assert np.array_equal(genomes, ref_genomes)
+            assert np.array_equal(objs, ref_objs)
+            if constrained:
+                assert np.array_equal(carried, ref_pm)
+            else:
+                assert carried.size == 0 and ref_pm is None
+        assert [g for g, _ in snaps] == [g for g, _ in ref_snaps] == [7, 14, 21, 28, 30]
+        for (_, snap), (_, (ref_genomes, ref_objs, ref_crowd, ref_pm)) in zip(snaps, ref_snaps):
+            assert np.array_equal(snap.genomes, ref_genomes)
+            assert np.array_equal(snap.objectives, ref_objs)
+            assert np.array_equal(snap.crowding, ref_crowd)
+            if constrained:
+                assert np.array_equal(snap.carried[:, 0], ref_pm)
+        assert np.array_equal(final.genomes, ref_final[0])
+        assert np.array_equal(final.crowding, ref_final[2])
+        assert state == ref_state
+
+    def test_oracle_cases_meet_ties_and_exact_fills(self):
+        # the coarse objectives exercise both orderings the lexsort must keep
+        events = set()
+        for pop in ORACLE_POPS:
+            for constrained in (False, True):
+                _oracle_pair(pop, constrained, 0, events)
+        assert events == {"exact", "tie"}
