@@ -37,10 +37,8 @@ from .illumination import (
 )
 from .metrics import (
     CorrelationSeries,
-    ObjectiveReport,
     PhaseEvaluator,
     autocorrelation,
-    evaluate_objectives,
     islr,
     pmepr,
     pslr,

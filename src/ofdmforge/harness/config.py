@@ -6,13 +6,14 @@ its required sections are present before any compute starts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..design import ScenarioSpec
 from ..errors import ConfigError
 from ..evolve import GAConfig
-from ..pareto import ConstraintSpec
+from ..pareto import MIN_THRESHOLD_SAMPLES, ConstraintSpec
 from ..waveform import PulseSpec
 
 KINDS = (
@@ -61,9 +62,16 @@ def _as_int(value: object, name: str) -> int:
 
 
 def _as_number(value: object, name: str) -> float:
+    """A finite number; JSON also admits NaN, Infinity and overflowing 1e400."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{name}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"'{name}' must be finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -140,13 +148,17 @@ def _parse_target(data: object) -> TargetSection:
             scatterers = tuple(
                 (float(sig), float(rng_m)) for sig, rng_m in scatterers
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 "target.scatterers must be [[reflectivity, range_m], ...]"
             ) from exc
+        if not all(math.isfinite(v) for pair in scatterers for v in pair):
+            raise ConfigError("target.scatterers must be finite numbers")
     seed = s.take("seed", None)
     if seed is not None:
         seed = _as_int(seed, "target.seed")
+        if seed < 0:
+            raise ConfigError("target.seed must be >= 0")
     n_scatterers = _as_int(s.take("n_scatterers", 50), "target.n_scatterers")
     if n_scatterers < 1:
         raise ConfigError("target.n_scatterers must be >= 1")
@@ -247,12 +259,10 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
             raise ConfigError(f"invalid pmepr_max: {exc}") from exc
 
     bounds = s.take("weight_bounds", [0.01, 10.0])
-    if (
-        not isinstance(bounds, (list, tuple))
-        or len(bounds) != 2
-        or not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in bounds)
-        or not 0 < bounds[0] < bounds[1]
-    ):
+    if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+        raise ConfigError("weight_bounds must be [v_l, v_u] with 0 < v_l < v_u")
+    bounds = tuple(_as_number(b, "weight_bounds") for b in bounds)
+    if not 0 < bounds[0] < bounds[1]:
         raise ConfigError("weight_bounds must be [v_l, v_u] with 0 < v_l < v_u")
 
     n_random = s.take("n_random", None)
@@ -299,7 +309,7 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
         snapshot_every=snapshot_every,
         n_random=n_random,
         carrier_hz=carrier_hz,
-        weight_bounds=(float(bounds[0]), float(bounds[1])),
+        weight_bounds=bounds,
     )
     s.finish()
 
@@ -311,6 +321,15 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
             raise ConfigError("kind 'illuminate' requires a 'target' section")
         if cfg.pulse.n_symbols != 1:
             raise ConfigError("kind 'illuminate' designs single-symbol pulses (n_symbols 1)")
+    if (
+        cfg.kind == "optimize-constrained"
+        and cfg.pmepr_max is None
+        and cfg.threshold_samples < MIN_THRESHOLD_SAMPLES
+    ):
+        raise ConfigError(
+            f"threshold_samples must be >= {MIN_THRESHOLD_SAMPLES} to derive "
+            "pmepr_max from the random-code PMEPR distribution"
+        )
     if cfg.bits_per_var < 1 or cfg.bits_per_var > 30:
         raise ConfigError("bits_per_var must be in 1..30")
     return cfg

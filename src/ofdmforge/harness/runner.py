@@ -32,7 +32,7 @@ from ..illumination import (
     reflectivity_spectrum,
     two_step_pipeline,
 )
-from ..metrics import PhaseEvaluator, evaluate_objectives, pmepr
+from ..metrics import PhaseEvaluator
 from ..pareto import (
     ConstraintSpec,
     nsga2,
@@ -106,7 +106,9 @@ def _run_mask(config: ExperimentConfig, rng: np.random.Generator) -> SparsityMas
     return random_mask(n, config.sparsity, rng)
 
 
-def _build_baseline_pulse(config: ExperimentConfig, rng: np.random.Generator):
+def _baseline_design(config: ExperimentConfig, rng: np.random.Generator):
+    """(codes, mask, evaluator) of one replica's baseline pulse: the mask is
+    drawn first, then the codes."""
     spec = config.pulse
     mask = _run_mask(config, rng)
     codes = baseline_phases(
@@ -116,8 +118,7 @@ def _build_baseline_pulse(config: ExperimentConfig, rng: np.random.Generator):
         rng=rng,
         alphabet=config.alphabet,
     )
-    pulse = synthesize(spec, codes, uniform_weights(mask), mask)
-    return pulse, codes, mask
+    return codes, mask, PhaseEvaluator(spec, uniform_weights(mask), mask)
 
 
 # --- per-kind replicas ----------------------------------------------------
@@ -131,7 +132,8 @@ def _run_dimension(config, run_id, run_dir, rng):
 
 
 def _run_synthesize(config, run_id, run_dir, rng):
-    pulse, codes, mask = _build_baseline_pulse(config, rng)
+    codes, mask, evaluator = _baseline_design(config, rng)
+    pulse = synthesize(config.pulse, codes, uniform_weights(mask), mask)
     t = pulse.times_s
     pulse_path = run_dir / "pulse.csv"
     write_csv(
@@ -142,7 +144,7 @@ def _run_synthesize(config, run_id, run_dir, rng):
     freqs, mag = pulse_spectrum(pulse)
     spec_path = run_dir / "spectrum.csv"
     write_csv(spec_path, ("f_hz", "magnitude"), zip(freqs.tolist(), mag.tolist()))
-    objectives = {"pmepr": pmepr(pulse)}
+    objectives = {"pmepr": float(evaluator.pmepr(codes.phases[None])[0])}
     payload = {
         "envelope": np.abs(pulse.samples),
         "times_s": t,
@@ -153,17 +155,25 @@ def _run_synthesize(config, run_id, run_dir, rng):
 
 
 def _run_evaluate(config, run_id, run_dir, rng):
-    pulse, _, _ = _build_baseline_pulse(config, rng)
-    report = evaluate_objectives(pulse)
-    payload = report.as_dict(config.pulse.oversampling)
+    codes, _, evaluator = _baseline_design(config, rng)
+    pm, ps, il = evaluator.objectives(codes.phases[None])[0].tolist()
+    payload = {
+        "pmepr": pm,
+        "pslr_db": ps,
+        "islr_db": il,
+        "oversampling": config.pulse.oversampling,
+    }
     path = run_dir / "report.json"
     _write_json(path, payload)
     return payload, {"report": str(path)}, {}
 
 
 def _run_baseline(config, run_id, run_dir, rng):
-    pulse, _, mask = _build_baseline_pulse(config, rng)
-    objectives = {"pmepr": pmepr(pulse), "n_active": mask.n_active}
+    codes, mask, evaluator = _baseline_design(config, rng)
+    objectives = {
+        "pmepr": float(evaluator.pmepr(codes.phases[None])[0]),
+        "n_active": mask.n_active,
+    }
     path = run_dir / "summary.json"
     _write_json(path, objectives)
     return objectives, {"summary": str(path)}, {}

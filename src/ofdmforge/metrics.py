@@ -29,6 +29,11 @@ depend on the order.  By Parseval every symbol has mean power
 sum_n |c_n|^2 = sum_n w_n^2, known before any genome is scored, and PMEPR
 does not depend on scale, so PMEPR = max |FFT|^2 / sum(w^2), with no
 unit-energy pass.
+
+``PhaseEvaluator`` is the one path from phases to objectives: the
+optimizers and every CLI kind score through it.  ``pmepr``,
+``autocorrelation``, ``pslr`` and ``islr`` score a sampled pulse directly
+and serve as the sample-domain oracle for it.
 """
 from __future__ import annotations
 
@@ -44,26 +49,7 @@ from .waveform import (
     WeightVector,
     effective_weights,
     subcarrier_codes,
-    synthesize_rows,
-    wrap_phases,
 )
-
-
-@dataclass(frozen=True)
-class ObjectiveReport:
-    """The three pulse objectives; PMEPR linear, sidelobe ratios in dB."""
-
-    pmepr_linear: float
-    pslr_db: float
-    islr_db: float
-
-    def as_dict(self, oversampling: int) -> dict:
-        return {
-            "pmepr": self.pmepr_linear,
-            "pslr_db": self.pslr_db,
-            "islr_db": self.islr_db,
-            "oversampling": oversampling,
-        }
 
 
 @dataclass(frozen=True)
@@ -86,18 +72,13 @@ def _power(z: np.ndarray) -> np.ndarray:
     return power
 
 
-def _pmepr_rows(x: np.ndarray) -> np.ndarray:
-    """max |x|^2 / mean |x|^2 along each row of x (B, M)."""
-    power = _power(x)
-    mean = power.mean(axis=1)
-    if not np.all(mean > 0):
-        raise DegeneratePulseError("zero-energy pulse has no PMEPR")
-    return power.max(axis=1) / mean
-
-
 def pmepr(pulse: SampledPulse) -> float:
     """max |x|^2 / mean |x|^2 over all samples of the pulse."""
-    return float(_pmepr_rows(pulse.samples[None, :])[0])
+    power = _power(pulse.samples)
+    mean = power.mean()
+    if not mean > 0:
+        raise DegeneratePulseError("zero-energy pulse has no PMEPR")
+    return float(power.max() / mean)
 
 
 def _twiddle(m: int) -> np.ndarray:
@@ -208,16 +189,6 @@ def islr(acf: CorrelationSeries, spec: PulseSpec) -> float:
     return float(_islr_db(*_sidelobe_magnitudes(acf, spec)))
 
 
-def evaluate_objectives(pulse: SampledPulse) -> ObjectiveReport:
-    """PMEPR, PSLR and ISLR of one pulse (single ACF pass)."""
-    acf = autocorrelation(pulse)
-    return ObjectiveReport(
-        pmepr_linear=pmepr(pulse),
-        pslr_db=pslr(acf, pulse.spec),
-        islr_db=islr(acf, pulse.spec),
-    )
-
-
 # Genomes per batched transform.  A block of a few pulses already amortizes
 # numpy's per-call overhead; larger blocks only grow peak memory.
 _BLOCK = 8
@@ -227,8 +198,9 @@ class PhaseEvaluator:
     """Scores blocks of phase genomes on one pulse spec, weights and mask.
 
     Phases come as a (P, N, K) array, genome p holding the phase matrix of
-    ``PhaseCodeMatrix`` (wrapped into [0, 2*pi) the same way).  Genomes are
-    scored in blocks of ``_BLOCK``.
+    ``PhaseCodeMatrix``.  They may be any finite values: exp(1j*phi) is
+    2*pi-periodic, so no block is wrapped.  Genomes are scored in blocks of
+    ``_BLOCK``, and each block's codes are formed once.
 
     PMEPR comes from the codes c = w * exp(1j*phi) by the polyphase identity
     of the module docstring: per block one multiply by a precomputed (L, N)
@@ -240,12 +212,15 @@ class PhaseEvaluator:
     ``objectives`` adds PSLR and ISLR, which agree with ``pslr``/``islr`` of
     ``autocorrelation`` to rounding.
 
-    With K > 1 symbols ``objectives`` synthesizes the samples (one batched
-    IFFT per block) and takes PMEPR and the batched sample-domain ACF
-    (``_acf_half``) from them.  With one symbol the sidelobes come from the
-    codes alone.  With omega = exp(2j*pi/M), g_d = 1/(1 - omega^d) for
-    0 < |d| < N and u_n = sum_{k != n} conj(c_k) g_{n-k}, the unnormalized ACF
-    at lags m = 0..M-1 is
+    With K > 1 symbols ``objectives`` forms the unscaled samples (one
+    batched S-point IFFT per block, norm="forward") and takes PMEPR and the
+    batched sample-domain ACF (``_acf_half``) from them.  Their mean power is
+    sum(w^2) by Parseval, so PMEPR is their peak power divided by sum(w^2),
+    and the sidelobe ratios do not depend on scale either: no unit-energy pass
+    runs.  With one symbol the sidelobes come from the codes alone.  With
+    omega = exp(2j*pi/M), g_d = 1/(1 - omega^d) for 0 < |d| < N and
+    u_n = sum_{k != n} conj(c_k) g_{n-k}, the unnormalized ACF at lags
+    m = 0..M-1 is
 
         r[m] = (M - m) * sum_n w_n^2 omega^(n*m) + 1j * sum_n y_n omega^(n*m),
         y_n = 2 * Im(c_n * u_n),
@@ -312,23 +287,30 @@ class PhaseEvaluator:
         self._mag = np.empty((_BLOCK, m))
 
     def _blocks(self, phases: np.ndarray):
-        """Wrapped phases (B, N, K) of each block of at most _BLOCK genomes."""
+        """Codes (B, K, N) of each block of at most _BLOCK genomes."""
         phases = np.asarray(phases, dtype=float)
+        if not np.all(np.isfinite(phases)):
+            raise ValueError("phases must be finite")
         for start in range(0, len(phases), _BLOCK):
-            yield wrap_phases(phases[start:start + _BLOCK])
+            yield subcarrier_codes(self.spec, self._w, phases[start:start + _BLOCK])
+
+    def _peak_ratio(self, z: np.ndarray) -> np.ndarray:
+        """max |z|^2 over each row of the block z (B, ...) divided by sum(w^2),
+        the mean power of every pulse's unscaled samples (Parseval)."""
+        count = len(z)
+        power = self._envelope[:count]
+        imag = self._envelope_imag[:count]
+        np.multiply(z.real, z.real, out=power.reshape(z.shape))
+        np.multiply(z.imag, z.imag, out=imag.reshape(z.shape))
+        power += imag
+        return power.max(axis=1) / self._energy
 
     def _pmepr_codes(self, codes: np.ndarray) -> np.ndarray:
         """PMEPR of the pulses with codes (B, K, N), by the polyphase split."""
-        count = len(codes)
-        bins = self._bins[:count]
+        bins = self._bins[:len(codes)]
         np.multiply(codes[:, :, None, :], self._polyphase, out=bins)
         np.fft.fft(bins, axis=-1, out=bins)
-        power = self._envelope[:count]
-        imag = self._envelope_imag[:count]
-        np.multiply(bins.real, bins.real, out=power.reshape(bins.shape))
-        np.multiply(bins.imag, bins.imag, out=imag.reshape(bins.shape))
-        power += imag
-        return power.max(axis=1) / self._energy
+        return self._peak_ratio(bins)
 
     def _code_acf_magnitudes(self, codes: np.ndarray) -> np.ndarray:
         """|r[m]|, m = 0..M-1, of the single-symbol pulses with codes (B, N);
@@ -356,22 +338,23 @@ class PhaseEvaluator:
 
     def pmepr(self, phases: np.ndarray) -> np.ndarray:
         """PMEPR of every genome, shape (P,)."""
-        return np.concatenate([np.empty(0)] + [
-            self._pmepr_codes(subcarrier_codes(self.spec, self._w, block))
-            for block in self._blocks(phases)
-        ])
+        return np.concatenate(
+            [np.empty(0)] + [self._pmepr_codes(codes) for codes in self._blocks(phases)]
+        )
 
     def objectives(self, phases: np.ndarray) -> np.ndarray:
         """Columns (PMEPR, PSLR dB, ISLR dB) of every genome, shape (P, 3)."""
         rows = [np.empty((0, 3))]
-        for block in self._blocks(phases):
+        for codes in self._blocks(phases):
             if self.spec.n_symbols == 1:
-                codes = subcarrier_codes(self.spec, self._w, block)
                 pmeprs = self._pmepr_codes(codes)
                 mag = self._code_acf_magnitudes(codes[:, 0])
             else:
-                x = synthesize_rows(self.spec, self._w, block, self._spectra)
-                pmeprs = _pmepr_rows(x)
+                count, _, n = codes.shape
+                spectra = self._spectra[:count]
+                spectra[:, :, :n] = codes
+                x = np.fft.ifft(spectra, axis=-1, norm="forward").reshape(count, -1)
+                pmeprs = self._peak_ratio(x)
                 mag = np.abs(_acf_half(x, self._twiddle))
             side, peak = _split_sidelobes(mag, self._min_lag)
             rows.append(np.column_stack([

@@ -243,6 +243,10 @@ def nsga2(
     return final, snapshots
 
 
+# Fewest random-code PMEPRs the threshold histogram is drawn from.
+MIN_THRESHOLD_SAMPLES = 100
+
+
 def pmepr_threshold_from_distribution(samples: Sequence[float]) -> float:
     """Pick a PMEPR cap from a random-code sample: one bin under the mode.
 
@@ -250,9 +254,9 @@ def pmepr_threshold_from_distribution(samples: Sequence[float]) -> float:
     threshold is the left edge of the bin immediately below the modal bin.
     """
     vals = np.asarray(samples, dtype=float)
-    if len(vals) < 100:
+    if len(vals) < MIN_THRESHOLD_SAMPLES:
         raise InsufficientDataError(
-            f"need at least 100 PMEPR samples, got {len(vals)}"
+            f"need at least {MIN_THRESHOLD_SAMPLES} PMEPR samples, got {len(vals)}"
         )
     width = 0.5
     edges = np.arange(0.0, vals.max() + 2 * width, width)

@@ -189,48 +189,13 @@ def subcarrier_codes(spec: PulseSpec, w: np.ndarray, phases: np.ndarray) -> np.n
     """Codes c[p, k, n] = w_n * exp(1j * phases[p, n, k]) of P pulses.
 
     ``w`` holds the effective weights (see ``effective_weights``) and
-    ``phases`` the wrapped phase matrices, shape (P, N, K).  The result is
+    ``phases`` the finite phase matrices, shape (P, N, K).  The result is
     laid out (P, K, N), one row of subcarrier codes per symbol.
     """
     n, k = spec.n_subcarriers, spec.n_symbols
     if phases.ndim != 3 or phases.shape[1:] != (n, k):
         raise ValueError(f"phase block shape {phases.shape} != (P, {n}, {k})")
     return w * np.exp(1j * phases).transpose(0, 2, 1)
-
-
-def synthesize_rows(
-    spec: PulseSpec,
-    w: np.ndarray,
-    phases: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Unit-energy samples (P, M) of P pulses, one per row.
-
-    ``w`` and ``phases`` are as for ``subcarrier_codes``.  Each symbol is a
-    zero-padded length-N*L inverse DFT, symbols follow each other along a
-    row.  ``out`` is an optional zero-filled (>= P, K, N*L) complex buffer
-    for the spectra; only its first N bins per symbol are written, so it
-    can be reused across calls.
-    """
-    codes = subcarrier_codes(spec, w, phases)
-    count, k, n = codes.shape
-    m = spec.samples_per_symbol
-    if out is None:
-        out = np.zeros((count, k, m), dtype=complex)
-    spectra = out[:count]
-    spectra[:, :, :n] = codes
-    x = np.fft.ifft(spectra, axis=-1).reshape(count, -1)
-    # in place: blocks this large, allocated and freed on every call, come
-    # back from the allocator as fresh pages
-    x *= m
-    # |x|^2 as re^2 + im^2, accumulated in place (no hypot per sample)
-    power = x.real**2
-    power += x.imag**2
-    energy = power.sum(axis=1) * spec.sample_period_s
-    # times the reciprocal on the float view: the same bits as x /= root,
-    # which numpy runs as a complex division
-    x.view(float)[...] *= (1.0 / np.sqrt(energy))[:, None]
-    return x
 
 
 def synthesize(
@@ -253,8 +218,20 @@ def synthesize(
             f"phase matrix shape {codes.phases.shape} != ({n}, {k})"
         )
     w = effective_weights(spec, weights, mask)
-    samples = synthesize_rows(spec, w, codes.phases[None])[0]
-    return SampledPulse(samples=samples, sample_period_s=spec.sample_period_s, spec=spec)
+    m = spec.samples_per_symbol
+    spectra = np.zeros((k, m), dtype=complex)
+    spectra[:, :n] = w * codes.codes().T
+    x = np.fft.ifft(spectra, axis=-1).reshape(-1)
+    # in place: a fresh product would be one more temporary of the pulse size
+    x *= m
+    # |x|^2 as re^2 + im^2, accumulated in place (no hypot per sample)
+    power = x.real**2
+    power += x.imag**2
+    energy = power.sum() * spec.sample_period_s
+    # times the reciprocal on the float view: the same bits as x /= root,
+    # which numpy runs as a complex division
+    x.view(float)[...] *= 1.0 / np.sqrt(energy)
+    return SampledPulse(samples=x, sample_period_s=spec.sample_period_s, spec=spec)
 
 
 def uniform_weights(mask: SparsityMask) -> WeightVector:

@@ -9,8 +9,12 @@ from ofdmforge import (
     PhaseEvaluator,
     PulseSpec,
     SparsityMask,
+    autocorrelation,
+    islr,
+    newman_phases,
     pmepr,
     pmepr_threshold_from_distribution,
+    pslr,
     random_phases,
     synthesize,
     uniform_weights,
@@ -210,6 +214,31 @@ class TestCliRuns:
         summary = json.loads((out / "0" / "summary.json").read_text())
         assert summary["pmepr"] == pytest.approx(8.0, rel=1e-6)
 
+    def test_reports_the_evaluators_numbers(self, tmp_path):
+        # a full-band Newman baseline draws nothing, so every replica scores
+        # exactly these phases, and through the one evaluator
+        spec = PulseSpec(**MINI_PULSE)
+        mask = SparsityMask.full(8)
+        phases = newman_phases(8).phases[None]
+        evaluator = PhaseEvaluator(spec, uniform_weights(mask), mask)
+        want = evaluator.objectives(phases)[0].tolist()
+        want_pmepr = evaluator.pmepr(phases)[0]
+        for kind in ("evaluate", "baseline", "synthesize"):
+            self.run_cli(tmp_path, kind, {"pulse": MINI_PULSE, "baseline": "newman"})
+        out = tmp_path / "out"
+        report = json.loads((out / "evaluate" / "0" / "report.json").read_text())
+        assert [report[key] for key in ("pmepr", "pslr_db", "islr_db")] == want
+        summary = json.loads((out / "baseline" / "0" / "summary.json").read_text())
+        assert summary["pmepr"] == want_pmepr
+        stats = json.loads((out / "synthesize" / "summary.json").read_text())
+        assert stats["objectives"]["pmepr"]["min"] == want_pmepr
+        assert stats["objectives"]["pmepr"]["max"] == want_pmepr
+        # the sample-domain oracle on the synthesized pulse agrees to rounding
+        pulse = synthesize(spec, newman_phases(8), uniform_weights(mask), mask)
+        acf = autocorrelation(pulse)
+        oracle = [pmepr(pulse), pslr(acf, spec), islr(acf, spec)]
+        assert np.allclose(want, oracle, rtol=1e-12, atol=0.0)
+
     def test_optimize_pmepr(self, tmp_path):
         out = self.run_cli(tmp_path, "optimize-pmepr", {
             "pulse": MINI_PULSE, "ga": MINI_GA, "bits_per_var": 4,
@@ -361,6 +390,17 @@ class TestCliErrors:
         ("illuminate", {"pulse": {**MINI_PULSE, "n_symbols": 2}}),
         ("illuminate", {"carrier_hz": -1.0}),
         ("illuminate", {"target": {"n_scatterers": 0}}),
+        # JSON admits NaN, Infinity and integers beyond the float range
+        ("illuminate", {"carrier_hz": float("nan")}),
+        ("illuminate", {"carrier_hz": 10**400}),
+        ("evaluate", {"pulse": {**MINI_PULSE, "subcarrier_spacing_hz": float("inf")}}),
+        ("illuminate", {"target": {"extent_m": float("nan")}}),
+        ("illuminate", {"target": {"scatterers": [[float("nan"), 1e4], [1.0, 1e4 + 1]]}}),
+        ("illuminate", {"weight_bounds": [0.01, float("inf")]}),
+        ("illuminate", {"target": {"seed": -1}}),
+        # the derived PMEPR cap needs 100 random-code samples
+        ("optimize-constrained", {"threshold_samples": 0}),
+        ("optimize-constrained", {"threshold_samples": 99, "pmepr_max": None}),
     ], ids=lambda v: v if isinstance(v, str) else next(iter(v)) + "=" + json.dumps(
         next(iter(v.values())))[:14])
     def test_nonsense_values_exit_2(self, tmp_path, capsys, kind, fields):

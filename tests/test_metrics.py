@@ -12,7 +12,6 @@ from ofdmforge import (
     SparsityMask,
     WeightVector,
     autocorrelation,
-    evaluate_objectives,
     islr,
     newman_phases,
     noncoded_phases,
@@ -211,17 +210,6 @@ class TestPmeprInvariances:
         print(f"mean power drift L=1 -> L=20: {np.mean(drifts):.3e}")
 
 
-def test_evaluate_objectives_bundle():
-    pulse = full_band(16, 1, 20, newman_phases(16))
-    report = evaluate_objectives(pulse)
-    assert report.pmepr_linear >= 1.0
-    assert report.pslr_db <= 0.0
-    assert report.islr_db >= report.pslr_db
-    d = report.as_dict(20)
-    assert d["oversampling"] == 20
-    assert set(d) == {"pmepr", "pslr_db", "islr_db", "oversampling"}
-
-
 def direct_pmepr(spec, phases, weights, mask):
     """PMEPR of one pulse from the direct O(N*M) subcarrier sum
     x[t] = sum_n c_n exp(2j*pi*n*t/S) over every sample t of every symbol."""
@@ -342,11 +330,14 @@ class TestPhaseEvaluator:
         assert_same_pmepr(got[:, 0], want[:, 0])
         assert_same_sidelobes(got[:, 1:], want[:, 1:])
 
-    def test_single_symbol_runs_no_m_point_complex_transform(self, monkeypatch):
-        # the polyphase kernel runs N-point FFTs and the sidelobe closed form
-        # 2N-point ones plus one real rfft of length M; nothing synthesizes
-        spec = PulseSpec(16, 1, 1e5, 4)
-        m = spec.n_samples
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_single_symbol_runs_no_m_point_complex_transform(self, monkeypatch, k):
+        # pmepr runs only the polyphase kernel's N-point FFTs.  With one
+        # symbol the sidelobe closed form adds 2N-point FFTs and one real rfft
+        # of length M, and nothing synthesizes; with K > 1 every block runs
+        # one S-point synthesis ifft and the ACF's two M-point fft + rfft pairs
+        spec = PulseSpec(16, k, 1e5, 4)
+        s, m = spec.samples_per_symbol, spec.n_samples
         evaluator = PhaseEvaluator(spec, WeightVector(np.ones(16)))
         lengths = {"fft": [], "ifft": [], "rfft": []}
         for name in lengths:
@@ -354,11 +345,16 @@ class TestPhaseEvaluator:
                 _seen.append(a.shape[-1])
                 return _fn(a, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
-        evaluator.pmepr(np.zeros((11, 16, 1)))
+        evaluator.pmepr(np.zeros((11, 16, k)))  # two blocks
         assert lengths == {"fft": [16, 16], "ifft": [], "rfft": []}
-        evaluator.objectives(np.zeros((11, 16, 1)))
-        assert m not in lengths["fft"] + lengths["ifft"]
-        assert lengths["rfft"] == [m, m]
+        for seen in lengths.values():
+            seen.clear()
+        evaluator.objectives(np.zeros((11, 16, k)))
+        if k == 1:
+            assert m not in lengths["fft"] + lengths["ifft"]
+            assert lengths["rfft"] == [m, m]
+        else:
+            assert lengths == {"fft": [m] * 4, "ifft": [s, s], "rfft": [m] * 4}
 
     @pytest.mark.parametrize("oversampling", [1, 5])
     def test_undefined_sidelobes_as_per_pulse(self, oversampling):
