@@ -15,15 +15,13 @@ from .design import (
     max_subcarriers,
 )
 from .evolve import (
-    BinaryGenome,
-    BitEncoding,
     ConvergenceTrace,
     GAConfig,
     continuous_minimize,
-    decode_phase_block,
     decode_phases,
     encode_phases,
     sga_minimize,
+    sga_phases,
 )
 from .illumination import (
     IlluminationResult,

@@ -9,16 +9,19 @@ kids``, which breeds the whole offspring block at once: child i mixes row i
 of ``lead`` (its own-index parent) with row i of ``tail`` (the pair's other).
 
 * ``sga_minimize`` works on bit strings (single-point crossover at a random
-  bit boundary, single-bit flip mutation).  Bit genomes decode to phase codes
-  via ``decode_phases``: a b-bit word v maps to phi = 2*pi*v / 2**b.
+  bit boundary, single-bit flip mutation).  ``decode_phases`` turns a block
+  of bit strings into phases: a b-bit word v maps to phi = 2*pi*v / 2**b.
+  ``sga_phases`` is the binary PMEPR phase search built from the two.
 * ``continuous_minimize`` works on real vectors in box bounds (blend
   crossover, per-gene uniform-replacement mutation).
 
-Fitness is always minimized; negate the objective to maximize.  Each
-optimizer calls its fitness once per generation on the whole batch of
-genomes it needs scored (the initial population, then every generation's
-offspring), so an objective can score them together.  A NaN or infinite
-score raises ``NonFiniteFitnessError`` naming the generation and genome.
+Genomes are plain arrays, and every optimizer draws from the
+``np.random.Generator`` its caller passes.  Fitness is always minimized;
+negate the objective to maximize.  Each optimizer calls its fitness once per
+generation on the whole batch of genomes it needs scored (the initial
+population, then every generation's offspring), so an objective can score
+them together.  A NaN or infinite score raises ``NonFiniteFitnessError``
+naming the generation and genome.
 """
 from __future__ import annotations
 
@@ -28,44 +31,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CodecError, InvalidSeedError, NonFiniteFitnessError
-from .waveform import TWO_PI, PhaseCodeMatrix
+from .metrics import PhaseEvaluator
+from .waveform import TWO_PI
 
 # (P, n) block of genomes -> (P,) fitness values (NSGA-II: (P, m) objectives)
 Fitness = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class BitEncoding:
-    """Shape of a binary genome: n_vars words of bits_per_var bits each."""
-
-    bits_per_var: int
-    n_vars: int
-
-    def __post_init__(self) -> None:
-        if self.bits_per_var < 1 or self.n_vars < 1:
-            raise ValueError("bits_per_var and n_vars must be >= 1")
-
-    @property
-    def n_bits(self) -> int:
-        return self.bits_per_var * self.n_vars
-
-
-@dataclass(frozen=True)
-class BinaryGenome:
-    """A bit string plus the word size needed to decode it."""
-
-    bits: np.ndarray
-    bits_per_var: int
-
-    def __post_init__(self) -> None:
-        b = np.asarray(self.bits, dtype=bool)
-        if b.ndim != 1:
-            raise CodecError("bits must be 1-D")
-        if self.bits_per_var < 1 or len(b) % self.bits_per_var != 0:
-            raise CodecError(
-                f"bit length {len(b)} not divisible by bits_per_var {self.bits_per_var}"
-            )
-        object.__setattr__(self, "bits", b)
 
 
 @dataclass(frozen=True)
@@ -86,7 +56,6 @@ class GAConfig:
     mutation_every: int = 1
     mutation_per_offspring: float = 1.0
     mutation_rate: float = 0.2
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.population_size < 2 or self.population_size % 2 != 0:
@@ -125,14 +94,15 @@ class ConvergenceTrace:
         return len(self.best)
 
 
-def decode_phase_block(bits: np.ndarray, bits_per_var: int, n: int, k: int) -> np.ndarray:
+def decode_phases(bits: np.ndarray, bits_per_var: int, n: int, k: int) -> np.ndarray:
     """Decode a (P, n*k*bits_per_var) block of bit strings into (P, n, k) phases.
 
-    Each row decodes as ``decode_phases`` decodes one genome.
+    Each row holds n*k words of ``bits_per_var`` bits, filling (n, k)
+    row-major; word value v of b bits maps to phi = 2*pi*v / 2**b.
     """
     b = bits_per_var
     bits = np.asarray(bits, dtype=bool)
-    if bits.ndim != 2 or bits.shape[1] != n * k * b:
+    if b < 1 or bits.ndim != 2 or bits.shape[1] != n * k * b:
         raise CodecError(
             f"bit block shape {bits.shape} != (P, n*k*bits_per_var = {n * k * b})"
         )
@@ -142,14 +112,6 @@ def decode_phase_block(bits: np.ndarray, bits_per_var: int, n: int, k: int) -> n
     values = words @ 2.0 ** np.arange(b - 1, -1, -1)
     phases = values * (TWO_PI / (1 << b))
     return phases.reshape(len(bits), n, k)
-
-
-def decode_phases(genome: BinaryGenome, n: int, k: int) -> PhaseCodeMatrix:
-    """Decode a bit string into an (n, k) phase matrix, row-major in (n, k).
-
-    Word value v of b bits maps to phi = 2*pi*v / 2**b.
-    """
-    return PhaseCodeMatrix(decode_phase_block(genome.bits[None, :], genome.bits_per_var, n, k)[0])
 
 
 def score_batch(fitness: Fitness, genomes: np.ndarray, generation: int, ndim: int = 1) -> np.ndarray:
@@ -171,18 +133,19 @@ def score_batch(fitness: Fitness, genomes: np.ndarray, generation: int, ndim: in
     return values
 
 
-def encode_phases(codes: PhaseCodeMatrix, bits_per_var: int) -> BinaryGenome:
-    """Inverse of decode_phases on the quantized phase lattice.
+def encode_phases(phases: np.ndarray, bits_per_var: int) -> np.ndarray:
+    """Inverse of decode_phases on the quantized phase lattice: an (n, k)
+    phase array in, its (n*k*bits_per_var,) bit string out.
 
     Phases are snapped to the nearest lattice point 2*pi*v/2**b before
     encoding, so encode(decode(g)) == g for every genome g.
     """
     b = bits_per_var
     levels = 1 << b
-    values = np.rint(codes.phases.reshape(-1) * levels / TWO_PI).astype(np.int64) % levels
+    values = np.rint(np.reshape(phases, -1) * levels / TWO_PI).astype(np.int64) % levels
     shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
     bits = (values[:, None] >> shifts[None, :]) & 1
-    return BinaryGenome(bits=bits.reshape(-1).astype(bool), bits_per_var=b)
+    return bits.reshape(-1).astype(bool)
 
 
 # (lead parents, tail parents, generation) -> kids, all (n_offspring, n)
@@ -223,18 +186,18 @@ def _elitist_minimize(
 
 def sga_minimize(
     fitness: Fitness,
-    encoding: BitEncoding,
+    n_bits: int,
     config: GAConfig,
-    rng: np.random.Generator | None = None,
-) -> tuple[BinaryGenome, ConvergenceTrace]:
-    """Binary-encoded elitist GA; returns the best genome found and its trace.
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, ConvergenceTrace]:
+    """Binary-encoded elitist GA; returns the best (n_bits,) bool genome
+    found and its trace.
 
-    ``fitness`` receives a (P, encoding.n_bits) bool array of bit strings
-    and returns their P finite scores.
+    ``fitness`` receives a (P, n_bits) bool array of bit strings and returns
+    their P finite scores.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    n_bits = encoding.n_bits
+    if n_bits < 1:
+        raise ValueError("n_bits must be >= 1")
 
     def vary(lead, tail, gen):
         # one cut per pair, drawn even when the pair's second child is dropped
@@ -253,8 +216,28 @@ def sga_minimize(
         return kids
 
     genomes = rng.integers(0, 2, size=(config.population_size, n_bits)).astype(bool)
-    best, trace = _elitist_minimize(fitness, genomes, config, vary)
-    return BinaryGenome(bits=best, bits_per_var=encoding.bits_per_var), trace
+    return _elitist_minimize(fitness, genomes, config, vary)
+
+
+def sga_phases(
+    evaluator: PhaseEvaluator,
+    bits_per_var: int,
+    config: GAConfig,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, ConvergenceTrace]:
+    """The binary PMEPR phase search: ``sga_minimize`` over words of
+    ``bits_per_var`` bits, one per (subcarrier, symbol) of the evaluator's
+    pulse, scored by ``evaluator.pmepr``.  Returns the best (N, K) phases
+    and the PMEPR trace.
+    """
+    n, k = evaluator.spec.n_subcarriers, evaluator.spec.n_symbols
+    best, trace = sga_minimize(
+        lambda bits: evaluator.pmepr(decode_phases(bits, bits_per_var, n, k)),
+        n * k * bits_per_var,
+        config,
+        rng,
+    )
+    return decode_phases(best[None], bits_per_var, n, k)[0], trace
 
 
 def continuous_minimize(
@@ -262,7 +245,7 @@ def continuous_minimize(
     lower: np.ndarray,
     upper: np.ndarray,
     config: GAConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     seeds: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Real-coded elitist GA in box bounds.
@@ -274,8 +257,6 @@ def continuous_minimize(
     uniform random vectors.  ``fitness`` maps a (P, n_vars) array to P
     finite scores.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != upper.shape or lower.ndim != 1:

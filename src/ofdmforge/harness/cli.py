@@ -5,12 +5,11 @@ Exit codes: 0 on success, 2 on configuration errors, 1 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from ..errors import ConfigError, ForgeError
-from .config import BASELINES, KINDS, load_config
+from .config import BASELINES, KINDS, parse_config, read_config
 from .runner import run_experiment
 
 _COMMON_FIELDS = """\
@@ -108,25 +107,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # flags override the document's fields, so every parse-time check covers them
+    overrides = {
+        "seed": args.seed,
+        "out_dir": args.out,
+        "runs": args.runs,
+        "workers": args.workers,
+        "baseline": getattr(args, "baseline", None),
+    }
     try:
-        config = load_config(args.config, kind_override=args.command)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.runs is not None:
-            if args.runs < 1:
-                raise ConfigError("--runs must be >= 1")
-            overrides["runs"] = args.runs
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("--workers must be >= 1")
-            overrides["workers"] = args.workers
-        if getattr(args, "baseline", None) is not None:
-            overrides["baseline"] = args.baseline
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        data = read_config(args.config)
+        data.update((k, v) for k, v in overrides.items() if v is not None)
+        config = parse_config(data, kind_override=args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

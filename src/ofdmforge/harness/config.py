@@ -204,6 +204,10 @@ class ExperimentConfig:
         return Path(self.out_dir) / self.kind
 
 
+# kinds whose replicas draw baseline codes, and those that also draw a mask
+_BASELINE_KINDS = ("synthesize", "evaluate", "baseline")
+_MASK_KINDS = (*_BASELINE_KINDS, "optimize-pmepr")
+
 _REQUIRED_SECTIONS = {
     "dimension": ("scenario",),
     "synthesize": ("pulse",),
@@ -321,6 +325,19 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
             raise ConfigError("kind 'illuminate' requires a 'target' section")
         if cfg.pulse.n_symbols != 1:
             raise ConfigError("kind 'illuminate' designs single-symbol pulses (n_symbols 1)")
+    if kind not in ("dimension", "illuminate"):
+        n = cfg.pulse.n_subcarriers
+        # a sparsity mask keeps both extreme subcarriers
+        if n < 2:
+            raise ConfigError(f"kind '{kind}' needs pulse.n_subcarriers >= 2")
+        if kind in _MASK_KINDS and cfg.sparsity < 1 and int(round(n * cfg.sparsity)) < 2:
+            raise ConfigError(
+                f"sparsity {cfg.sparsity} keeps fewer than 2 of {n} subcarriers"
+            )
+        if kind in _BASELINE_KINDS and cfg.baseline == "newman" and cfg.pulse.n_symbols > 1:
+            raise ConfigError(
+                "baseline 'newman' is defined for single-symbol pulses (n_symbols 1)"
+            )
     if (
         cfg.kind == "optimize-constrained"
         and cfg.pmepr_max is None
@@ -335,7 +352,8 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
     return cfg
 
 
-def load_config(path: str | Path, kind_override: str | None = None) -> ExperimentConfig:
+def read_config(path: str | Path) -> dict:
+    """The JSON object in the config file at ``path``, not yet validated."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -345,4 +363,8 @@ def load_config(path: str | Path, kind_override: str | None = None) -> Experimen
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    return parse_config(data, kind_override)
+    return data
+
+
+def load_config(path: str | Path, kind_override: str | None = None) -> ExperimentConfig:
+    return parse_config(read_config(path), kind_override)

@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..design import dimension_pulse
-from ..evolve import (
-    BitEncoding,
-    ConvergenceTrace,
-    decode_phase_block,
-    decode_phases,
-    sga_minimize,
-)
+from ..evolve import ConvergenceTrace, sga_phases
 from ..illumination import (
     TargetModel,
     normalize_reflectivity,
@@ -180,17 +174,9 @@ def _run_baseline(config, run_id, run_dir, rng):
 
 
 def _run_optimize_pmepr(config, run_id, run_dir, rng):
-    spec = config.pulse
-    n, k, b = spec.n_subcarriers, spec.n_symbols, config.bits_per_var
     mask = _run_mask(config, rng)
-    evaluator = PhaseEvaluator(spec, uniform_weights(mask), mask)
-    best, trace = sga_minimize(
-        lambda bits: evaluator.pmepr(decode_phase_block(bits, b, n, k)),
-        BitEncoding(b, n * k),
-        config.ga,
-        rng=rng,
-    )
-    phases = decode_phases(best, n, k)
+    evaluator = PhaseEvaluator(config.pulse, uniform_weights(mask), mask)
+    phases, trace = sga_phases(evaluator, config.bits_per_var, config.ga, rng)
 
     trace_path = run_dir / "trace.csv"
     _write_trace(trace_path, trace)
@@ -199,7 +185,7 @@ def _run_optimize_pmepr(config, run_id, run_dir, rng):
         genome_path,
         {
             "bits_per_var": config.bits_per_var,
-            "phases": phases.phases.tolist(),
+            "phases": phases.tolist(),
             "mask": mask.active.astype(int).tolist(),
         },
     )
@@ -337,7 +323,7 @@ def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
         "islr_max_db": float(front_arr[:, 2].max()) if len(front_arr) else float("nan"),
     }
     _write_json(run_dir / "summary.json", objectives)
-    payload = {"front": front_arr, "final_pmeprs": final_pmeprs}
+    payload = {"front": front_arr}
     artifacts = {"front": str(front_path), "summary": str(run_dir / "summary.json")}
     return objectives, artifacts, payload
 

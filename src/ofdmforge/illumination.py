@@ -14,15 +14,7 @@ import numpy as np
 
 from .design import SPEED_OF_LIGHT
 from .errors import ContractViolationError, DegenerateTargetError
-from .evolve import (
-    BitEncoding,
-    ConvergenceTrace,
-    GAConfig,
-    continuous_minimize,
-    decode_phase_block,
-    decode_phases,
-    sga_minimize,
-)
+from .evolve import ConvergenceTrace, GAConfig, continuous_minimize, sga_phases
 from .metrics import PhaseEvaluator
 from .waveform import PhaseCodeMatrix, PulseSpec, WeightVector
 
@@ -162,7 +154,7 @@ def optimize_weights(
     v_l: float,
     v_u: float,
     config: GAConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> WeightVector:
     """Maximize sum w_n^2 |s_norm[n]|^2 with the continuous GA.
 
@@ -218,13 +210,7 @@ def two_step_pipeline(
     w_opt = optimize_weights(norm, v_l, v_u, weight_config, rng=rng)
     gain = snr_gain_db(w_opt, norm)
 
-    n = spec.n_subcarriers
-    evaluator = PhaseEvaluator(spec, w_opt)
-    best_bits, trace = sga_minimize(
-        lambda bits: evaluator.pmepr(decode_phase_block(bits, bits_per_var, n, 1)),
-        BitEncoding(bits_per_var=bits_per_var, n_vars=n),
-        phase_config,
-        rng=rng,
+    phases, trace = sga_phases(PhaseEvaluator(spec, w_opt), bits_per_var, phase_config, rng)
+    return IlluminationResult(
+        w_opt=w_opt, a_opt=PhaseCodeMatrix(phases), gain_db=gain, pmepr_trace=trace
     )
-    a_opt = decode_phases(best_bits, n, 1)
-    return IlluminationResult(w_opt=w_opt, a_opt=a_opt, gain_db=gain, pmepr_trace=trace)

@@ -179,7 +179,7 @@ def nsga2(
     objective_fn: ObjectiveFn,
     n_vars: int,
     config: GAConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     constraint: ConstraintSpec | None = None,
     snapshot_every: int = 100,
     generation_hook: GenerationHook | None = None,
@@ -199,8 +199,6 @@ def nsga2(
     """
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     pop = config.population_size
 
     genomes = rng.uniform(0.0, TWO_PI, size=(pop, n_vars))

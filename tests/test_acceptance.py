@@ -10,8 +10,6 @@ import pytest
 
 from conftest import brute_force_fronts, direct_acf
 from ofdmforge import (
-    BinaryGenome,
-    BitEncoding,
     ConstraintSpec,
     GAConfig,
     PhaseCodeMatrix,
@@ -21,7 +19,6 @@ from ofdmforge import (
     TargetModel,
     WeightVector,
     autocorrelation,
-    decode_phase_block,
     decode_phases,
     encode_phases,
     newman_phases,
@@ -34,7 +31,7 @@ from ofdmforge import (
     random_mask,
     random_phases,
     reflectivity_spectrum,
-    sga_minimize,
+    sga_phases,
     snr_gain_db,
     synthesize,
     two_step_pipeline,
@@ -100,10 +97,7 @@ def test_criterion_04_sga_pmepr():
     medians = {}
     for bits in (18, 2):
         finals = [
-            sga_minimize(
-                lambda g: evaluator.pmepr(decode_phase_block(g, bits, 100, 1)),
-                BitEncoding(bits, 100), config, rng=np.random.default_rng(10_000 + run),
-            )[1].best[-1]
+            sga_phases(evaluator, bits, config, np.random.default_rng(10_000 + run))[1].best[-1]
             for run in range(20)
         ]
         medians[bits] = float(np.median(finals))
@@ -119,10 +113,7 @@ def test_criterion_05_sga_beats_newman_under_sparsity():
         mask = random_mask(100, 0.5, rng_masks)
         newman_vals.append(pmepr(full_band_pulse(100, 1, newman_phases(100), mask=mask)))
         evaluator = full_band_evaluator(100, mask=mask)
-        _, trace = sga_minimize(
-            lambda g: evaluator.pmepr(decode_phase_block(g, 18, 100, 1)),
-            BitEncoding(18, 100), config, rng=np.random.default_rng(20_000 + run),
-        )
+        _, trace = sga_phases(evaluator, 18, config, np.random.default_rng(20_000 + run))
         ga_finals.append(trace.best[-1])
     ga_median = float(np.median(ga_finals))
     newman_mean = float(np.mean(newman_vals))
@@ -146,7 +137,7 @@ def test_criterion_06_nsga2_improvement():
 
     archive, _ = nsga2(
         objective, n * k,
-        GAConfig(population_size=40, generations=2000, seed=0),
+        GAConfig(population_size=40, generations=2000),
         rng=np.random.default_rng(21),
     )
     front = archive.objectives
@@ -160,7 +151,7 @@ def test_criterion_06_nsga2_improvement():
 def test_criterion_07_constrained_nsga2():
     # desk-scale fallback protocol: 20 runs, at least 3 fully compliant
     n, cap, runs = 100, 5.0, 20
-    config = GAConfig(population_size=40, generations=1000, seed=0)
+    config = GAConfig(population_size=40, generations=1000)
     evaluator = full_band_evaluator(n)
 
     def constrained(genomes):  # objectives (pslr_db, islr_db), then the PMEPR
@@ -311,7 +302,8 @@ class TestCriterion11OracleSuites:
 
         nsga2(
             lambda g: evaluator.objectives(g.reshape(len(g), 8, 1))[:, 1:], 8,
-            GAConfig(population_size=8, generations=40, seed=1),
+            GAConfig(population_size=8, generations=40),
+            np.random.default_rng(1),
             generation_hook=hook,
         )
         for objs in observed:
@@ -352,7 +344,6 @@ class TestCriterion11OracleSuites:
             n = int(rng.integers(1, 9))
             k = int(rng.integers(1, 4))
             bits = rng.integers(0, 2, size=n * k * b).astype(bool)
-            genome = BinaryGenome(bits, b)
-            back = encode_phases(decode_phases(genome, n, k), b)
-            assert np.array_equal(back.bits, bits)
+            back = encode_phases(decode_phases(bits[None], b, n, k)[0], b)
+            assert np.array_equal(back, bits)
         report(11, True, "decode/encode bijection on 300 random genomes")

@@ -3,17 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ofdmforge import (
-    BinaryGenome,
-    BitEncoding,
     GAConfig,
     PhaseEvaluator,
     PulseSpec,
     SparsityMask,
     continuous_minimize,
-    decode_phase_block,
     decode_phases,
     encode_phases,
     sga_minimize,
+    sga_phases,
     uniform_weights,
 )
 from ofdmforge.errors import CodecError, InvalidSeedError, NonFiniteFitnessError
@@ -24,28 +22,30 @@ TWO_PI = 2 * np.pi
 
 class TestCodec:
     def test_two_bit_lattice(self):
-        bits = np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=bool)
-        codes = decode_phases(BinaryGenome(bits, 2), 4, 1)
-        assert np.allclose(codes.phases[:, 0], [0, np.pi / 2, np.pi, 3 * np.pi / 2])
+        bits = np.array([[0, 0, 0, 1, 1, 0, 1, 1]], dtype=bool)
+        phases = decode_phases(bits, 2, 4, 1)
+        assert phases.shape == (1, 4, 1)
+        assert np.allclose(phases[0, :, 0], [0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
     def test_all_zero_18_bit(self):
-        bits = np.zeros(3 * 18, dtype=bool)
-        codes = decode_phases(BinaryGenome(bits, 18), 3, 1)
-        assert np.all(codes.phases == 0)
+        bits = np.zeros((1, 3 * 18), dtype=bool)
+        assert np.all(decode_phases(bits, 18, 3, 1) == 0)
 
     def test_row_major_layout(self):
         # variables fill (n, k) row-major: genome order is (n0k0, n0k1, n1k0, ...)
-        bits = np.array([0, 1, 1, 0], dtype=bool)  # values 1, 2 with b=2
-        codes = decode_phases(BinaryGenome(bits, 2), 1, 2)
-        assert np.allclose(codes.phases, [[np.pi / 2, np.pi]])
-        codes = decode_phases(BinaryGenome(bits, 2), 2, 1)
-        assert np.allclose(codes.phases, [[np.pi / 2], [np.pi]])
+        bits = np.array([[0, 1, 1, 0]], dtype=bool)  # values 1, 2 with b=2
+        assert np.allclose(decode_phases(bits, 2, 1, 2)[0], [[np.pi / 2, np.pi]])
+        assert np.allclose(decode_phases(bits, 2, 2, 1)[0], [[np.pi / 2], [np.pi]])
 
     def test_length_mismatch(self):
         with pytest.raises(CodecError):
-            decode_phases(BinaryGenome(np.zeros(8, dtype=bool), 2), 3, 1)
+            decode_phases(np.zeros((1, 8), dtype=bool), 2, 3, 1)
         with pytest.raises(CodecError):
-            BinaryGenome(np.zeros(7, dtype=bool), 2)
+            decode_phases(np.zeros((1, 7), dtype=bool), 2, 3, 1)
+        with pytest.raises(CodecError):  # one genome needs a (1, bits) block
+            decode_phases(np.zeros(6, dtype=bool), 2, 3, 1)
+        with pytest.raises(CodecError):
+            decode_phases(np.zeros((1, 0), dtype=bool), 0, 3, 1)
 
     @pytest.mark.parametrize("b", [1, 2, 18, 30])
     def test_block_decode_matches_integer_words(self, b):
@@ -54,7 +54,7 @@ class TestCodec:
         words = bits.reshape(5, n * k, b).astype(np.int64)
         values = words @ (1 << np.arange(b - 1, -1, -1, dtype=np.int64))
         expected = (values.astype(float) * (TWO_PI / (1 << b))).reshape(5, n, k)
-        assert np.array_equal(decode_phase_block(bits, b, n, k), expected)
+        assert np.array_equal(decode_phases(bits, b, n, k), expected)
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -66,10 +66,8 @@ class TestCodec:
     def test_roundtrip_bijection(self, seed, b, n, k):
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, size=n * k * b).astype(bool)
-        genome = BinaryGenome(bits, b)
-        back = encode_phases(decode_phases(genome, n, k), b)
-        assert np.array_equal(back.bits, bits)
-        assert back.bits_per_var == b
+        back = encode_phases(decode_phases(bits[None], b, n, k)[0], b)
+        assert np.array_equal(back, bits)
 
 
 class TestGAConfig:
@@ -110,40 +108,39 @@ def poisoned(fitness, call: int, row: int, value: float = np.nan):
 class TestSGA:
     def test_constant_fitness(self):
         cfg = GAConfig(population_size=8, generations=20)
-        _, trace = sga_minimize(lambda b: np.full(len(b), 7.5), BitEncoding(4, 3), cfg)
+        _, trace = sga_minimize(lambda b: np.full(len(b), 7.5), 12, cfg,
+                                np.random.default_rng(0))
         assert np.all(trace.best == 7.5)
         assert np.all(trace.mean == 7.5)
 
     def test_monotone_best_with_elitism(self):
         cfg = GAConfig(population_size=8, generations=60)
-        _, trace = sga_minimize(bit_count_fitness, BitEncoding(4, 8), cfg,
-                                rng=np.random.default_rng(1))
+        _, trace = sga_minimize(bit_count_fitness, 32, cfg, np.random.default_rng(1))
         assert np.all(np.diff(trace.best) <= 0)
 
     def test_never_worse_than_initial_best(self):
         cfg = GAConfig(population_size=8, generations=30)
-        best, trace = sga_minimize(bit_count_fitness, BitEncoding(3, 10), cfg,
-                                   rng=np.random.default_rng(5))
-        assert best.bits.sum() <= trace.best[0]
-        assert best.bits.sum() == trace.best[-1]
+        best, trace = sga_minimize(bit_count_fitness, 30, cfg, np.random.default_rng(5))
+        assert best.shape == (30,) and best.dtype == bool
+        assert best.sum() <= trace.best[0]
+        assert best.sum() == trace.best[-1]
 
     def test_solves_onemax(self):
         cfg = GAConfig(population_size=12, generations=300)
-        best, _ = sga_minimize(bit_count_fitness, BitEncoding(4, 10), cfg,
-                               rng=np.random.default_rng(2))
-        assert best.bits.sum() <= 2
+        best, _ = sga_minimize(bit_count_fitness, 40, cfg, np.random.default_rng(2))
+        assert best.sum() <= 2
 
     def test_determinism(self):
-        cfg = GAConfig(population_size=8, generations=40, seed=123)
-        b1, t1 = sga_minimize(bit_count_fitness, BitEncoding(4, 6), cfg)
-        b2, t2 = sga_minimize(bit_count_fitness, BitEncoding(4, 6), cfg)
-        assert np.array_equal(b1.bits, b2.bits)
+        cfg = GAConfig(population_size=8, generations=40)
+        b1, t1 = sga_minimize(bit_count_fitness, 24, cfg, np.random.default_rng(123))
+        b2, t2 = sga_minimize(bit_count_fitness, 24, cfg, np.random.default_rng(123))
+        assert np.array_equal(b1, b2)
         assert np.array_equal(t1.best, t2.best)
         assert np.array_equal(t1.mean, t2.mean)
 
     def test_trace_length(self):
         cfg = GAConfig(population_size=8, generations=25)
-        _, trace = sga_minimize(bit_count_fitness, BitEncoding(2, 4), cfg)
+        _, trace = sga_minimize(bit_count_fitness, 8, cfg, np.random.default_rng(0))
         assert len(trace) == 26  # initial population plus one entry per generation
 
     def test_one_fitness_call_per_generation(self):
@@ -154,13 +151,13 @@ class TestSGA:
             calls.append(bits.shape)
             return bit_count_fitness(bits)
 
-        sga_minimize(fitness, BitEncoding(2, 4), cfg)
+        sga_minimize(fitness, 8, cfg, np.random.default_rng(0))
         assert calls == [(8, 8)] + [(4, 8)] * 25
 
     def test_non_finite_fitness_names_generation_and_genome(self):
         cfg = GAConfig(population_size=8, generations=10)
         with pytest.raises(NonFiniteFitnessError, match="generation 3: genome 2 ") as info:
-            sga_minimize(poisoned(bit_count_fitness, 3, 2), BitEncoding(2, 4), cfg)
+            sga_minimize(poisoned(bit_count_fitness, 3, 2), 8, cfg, np.random.default_rng(0))
         assert (info.value.generation, info.value.genome) == (3, 2)
 
     def test_reduces_pmepr_on_small_pulse(self):
@@ -168,13 +165,38 @@ class TestSGA:
         evaluator = PhaseEvaluator(PulseSpec(8, 1, 1e5, 8), uniform_weights(mask), mask)
 
         def fitness(bits):
-            return evaluator.pmepr(decode_phase_block(bits, 4, 8, 1))
+            return evaluator.pmepr(decode_phases(bits, 4, 8, 1))
 
         cfg = GAConfig(population_size=12, generations=150)
-        _, trace = sga_minimize(fitness, BitEncoding(4, 8), cfg,
-                                rng=np.random.default_rng(3))
+        _, trace = sga_minimize(fitness, 32, cfg, np.random.default_rng(3))
         assert trace.best[-1] < trace.best[0]
         assert trace.best[-1] < 2.5
+
+
+    def test_rejects_empty_genome(self):
+        with pytest.raises(ValueError):
+            sga_minimize(bit_count_fitness, 0, GAConfig(population_size=8, generations=1),
+                         np.random.default_rng(0))
+
+
+class TestSgaPhases:
+    @pytest.mark.parametrize("n, k, b", [(8, 1, 4), (5, 3, 2), (2, 1, 18)])
+    def test_is_the_decoded_bit_search(self, n, k, b):
+        mask = SparsityMask.full(n)
+        evaluator = PhaseEvaluator(PulseSpec(n, k, 1e5, 4), uniform_weights(mask), mask)
+        cfg = GAConfig(population_size=10, generations=15, elitism_fraction=0.3)
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        phases, trace = sga_phases(evaluator, b, cfg, rng)
+        ref_bits, ref_trace = sga_minimize(
+            lambda bits: evaluator.pmepr(decode_phases(bits, b, n, k)), n * k * b, cfg, ref_rng
+        )
+        assert phases.shape == (n, k)
+        assert np.array_equal(phases, decode_phases(ref_bits[None], b, n, k)[0])
+        assert np.array_equal(encode_phases(phases, b), ref_bits)
+        assert np.array_equal(trace.best, ref_trace.best)
+        assert np.array_equal(trace.mean, ref_trace.mean)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert evaluator.pmepr(phases[None])[0] == trace.best[-1]
 
 
 def sphere(v: np.ndarray) -> np.ndarray:
@@ -225,12 +247,15 @@ class TestContinuousGA:
     def test_invalid_bounds(self):
         cfg = GAConfig(population_size=10, generations=5)
         with pytest.raises(ValueError):
-            continuous_minimize(sphere, np.full(3, 1.0), np.full(3, -1.0), cfg)
+            continuous_minimize(sphere, np.full(3, 1.0), np.full(3, -1.0), cfg,
+                                np.random.default_rng(0))
 
     def test_determinism(self):
-        cfg = GAConfig(population_size=10, generations=30, seed=9)
-        b1, t1 = continuous_minimize(sphere, np.full(4, -2.0), np.full(4, 2.0), cfg)
-        b2, t2 = continuous_minimize(sphere, np.full(4, -2.0), np.full(4, 2.0), cfg)
+        cfg = GAConfig(population_size=10, generations=30)
+        b1, t1 = continuous_minimize(sphere, np.full(4, -2.0), np.full(4, 2.0), cfg,
+                                     np.random.default_rng(9))
+        b2, t2 = continuous_minimize(sphere, np.full(4, -2.0), np.full(4, 2.0), cfg,
+                                     np.random.default_rng(9))
         assert np.array_equal(b1, b2)
         assert np.array_equal(t1.best, t2.best)
 
@@ -238,9 +263,11 @@ class TestContinuousGA:
         cfg = GAConfig(population_size=10, generations=5)
         lower, upper = np.full(3, -1.0), np.full(3, 1.0)
         with pytest.raises(NonFiniteFitnessError, match="generation 0: genome 7 "):
-            continuous_minimize(poisoned(sphere, 0, 7), lower, upper, cfg)
+            continuous_minimize(poisoned(sphere, 0, 7), lower, upper, cfg,
+                                np.random.default_rng(0))
         with pytest.raises(NonFiniteFitnessError, match="generation 4: genome 0 "):
-            continuous_minimize(poisoned(sphere, 4, 0, np.inf), lower, upper, cfg)
+            continuous_minimize(poisoned(sphere, 4, 0, np.inf), lower, upper, cfg,
+                                np.random.default_rng(0))
 
     @pytest.mark.parametrize("pop, elitism", [(10, 0.5), (8, 0.5), (10, 0.3)])
     def test_one_fitness_call_per_generation(self, pop, elitism):
@@ -251,7 +278,8 @@ class TestContinuousGA:
             calls.append(v.shape)
             return sphere(v)
 
-        continuous_minimize(fitness, np.full(3, -1.0), np.full(3, 1.0), cfg)
+        continuous_minimize(fitness, np.full(3, -1.0), np.full(3, 1.0), cfg,
+                            np.random.default_rng(0))
         n_kids = pop - cfg.n_keep()
         assert calls == [(pop, 3)] + [(n_kids, 3)] * 25
 
@@ -283,8 +311,7 @@ def _reference_rank_pairs_refill(parents, n_offspring, crossover_pair):
     return kids
 
 
-def _reference_sga_minimize(fitness, encoding, config, rng):
-    n_bits = encoding.n_bits
+def _reference_sga_minimize(fitness, n_bits, config, rng):
     pop = config.population_size
     n_keep = config.n_keep()
 
@@ -316,10 +343,7 @@ def _reference_sga_minimize(fitness, encoding, config, rng):
         mean_hist.append(float(fit.mean()))
 
     best = genomes[int(np.argmin(fit))]
-    return (
-        BinaryGenome(bits=best.copy(), bits_per_var=encoding.bits_per_var),
-        ConvergenceTrace.from_lists(best_hist, mean_hist),
-    )
+    return best.copy(), ConvergenceTrace.from_lists(best_hist, mean_hist)
 
 
 def _reference_continuous_minimize(fitness, lower, upper, config, rng, seeds=None):
@@ -381,16 +405,15 @@ STREAM_CONFIGS = {
 class TestStreamIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     @pytest.mark.parametrize("case", sorted(STREAM_CONFIGS))
-    @pytest.mark.parametrize("encoding", [BitEncoding(3, 7), BitEncoding(1, 1)],
-                             ids=["21-bit", "1-bit"])
+    @pytest.mark.parametrize("n_bits", [21, 1], ids=["21-bit", "1-bit"])
     @pytest.mark.parametrize("fitness", [bit_count_fitness, weighted_bits],
                              ids=["count", "weighted"])
-    def test_sga_matches_per_pair_loop(self, seed, case, encoding, fitness):
+    def test_sga_matches_per_pair_loop(self, seed, case, n_bits, fitness):
         cfg = GAConfig(generations=30, **STREAM_CONFIGS[case])
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        best, trace = sga_minimize(fitness, encoding, cfg, rng=rng)
-        ref_best, ref_trace = _reference_sga_minimize(fitness, encoding, cfg, ref_rng)
-        assert np.array_equal(best.bits, ref_best.bits)
+        best, trace = sga_minimize(fitness, n_bits, cfg, rng)
+        ref_best, ref_trace = _reference_sga_minimize(fitness, n_bits, cfg, ref_rng)
+        assert np.array_equal(best, ref_best)
         assert np.array_equal(trace.best, ref_trace.best)
         assert np.array_equal(trace.mean, ref_trace.mean)
         assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -136,6 +136,15 @@ class TestConfigParsing:
             parse_config({"kind": "baseline", "pulse": MINI_PULSE,
                           "weight_bounds": [1.0, 0.5]})
 
+    def test_mask_checks(self):
+        # illuminate builds no mask, so one subcarrier is a valid pulse there
+        parse_config({"kind": "illuminate", "pulse": {**MINI_PULSE, "n_subcarriers": 1},
+                      "target": {"seed": 4}, "weight_ga": MINI_GA, "phase_ga": MINI_GA})
+        # round(8 * 0.25) = 2 subcarriers, the fewest a mask can keep
+        parse_config({"kind": "baseline", "pulse": MINI_PULSE, "sparsity": 0.25})
+        with pytest.raises(ConfigError, match="fewer than 2"):
+            parse_config({"kind": "baseline", "pulse": MINI_PULSE, "sparsity": 0.18})
+
     def test_defaults_fill_in(self):
         cfg = parse_config({"kind": "baseline", "pulse": MINI_PULSE})
         assert cfg.runs == 1 and cfg.seed == 0 and cfg.baseline == "random"
@@ -378,6 +387,16 @@ class TestCliErrors:
     def test_cli_override_validation(self, tmp_path, capsys):
         path = write_config(tmp_path, {"kind": "baseline", "pulse": MINI_PULSE})
         assert main(["baseline", "--config", path, "--runs", "0"]) == 2
+        assert main(["baseline", "--config", path, "--workers", "0"]) == 2
+        capsys.readouterr()
+        # flags go through the same parse-time checks as the document
+        path = write_config(tmp_path, {"pulse": {**MINI_PULSE, "n_symbols": 3}}, name="k3.json")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", path, "--baseline", "newman",
+                     "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["evaluate", "--config", path, "--out", str(out)]) == 0
         capsys.readouterr()
 
     @pytest.mark.parametrize("kind, fields", [
@@ -401,6 +420,15 @@ class TestCliErrors:
         # the derived PMEPR cap needs 100 random-code samples
         ("optimize-constrained", {"threshold_samples": 0}),
         ("optimize-constrained", {"threshold_samples": 99, "pmepr_max": None}),
+        # a mask keeps both extreme subcarriers, so it needs two of them
+        ("baseline", {"sparsity": 0.1}),
+        ("optimize-pmepr", {"sparsity": 0.1}),
+        pytest.param("evaluate", {"pulse": {**MINI_PULSE, "n_subcarriers": 1}},
+                     id="evaluate-n_subcarriers=1"),
+        pytest.param("optimize-moo", {"pulse": {**MINI_PULSE, "n_subcarriers": 1}},
+                     id="optimize-moo-n_subcarriers=1"),
+        pytest.param("evaluate", {"baseline": "newman", "pulse": {**MINI_PULSE, "n_symbols": 3}},
+                     id="evaluate-newman-n_symbols=3"),
     ], ids=lambda v: v if isinstance(v, str) else next(iter(v)) + "=" + json.dumps(
         next(iter(v.values())))[:14])
     def test_nonsense_values_exit_2(self, tmp_path, capsys, kind, fields):

@@ -199,9 +199,9 @@ class TestOptimizeWeights:
         norm = normalize_reflectivity(ReflectivitySpectrum(np.ones(4, dtype=complex), 0.0))
         cfg = GAConfig(population_size=10, generations=5)
         with pytest.raises(ValueError):
-            optimize_weights(norm, 0.0, 10.0, cfg)
+            optimize_weights(norm, 0.0, 10.0, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            optimize_weights(norm, 2.0, 1.0, cfg)
+            optimize_weights(norm, 2.0, 1.0, cfg, np.random.default_rng(0))
 
 
 class TestTwoStepPipeline:

@@ -150,8 +150,8 @@ class TestOffspring:
 
 class TestNsga2:
     def test_recovers_analytic_convex_front(self):
-        cfg = GAConfig(population_size=40, generations=150, seed=3)
-        archive, _ = nsga2(analytic_biobjective, 1, cfg)
+        cfg = GAConfig(population_size=40, generations=150)
+        archive, _ = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(3))
         objs = archive.objectives
         # points on the front satisfy sqrt(f1) + sqrt(f2) = 2 with v in [0, 2]
         dev = np.abs(np.sqrt(objs[:, 0]) + np.sqrt(objs[:, 1]) - 2.0)
@@ -166,9 +166,10 @@ class TestNsga2:
         def hook(gen, genomes, objs, carried):
             seen.append(objs.copy())
 
-        cfg = GAConfig(population_size=8, generations=25, seed=7)
+        cfg = GAConfig(population_size=8, generations=25)
         archive, snapshots = nsga2(
-            lambda g: objectives(g)[:, :2], 6, cfg, generation_hook=hook
+            lambda g: objectives(g)[:, :2], 6, cfg, np.random.default_rng(7),
+            generation_hook=hook,
         )
         assert len(seen) == 26
         for objs in seen:
@@ -184,8 +185,8 @@ class TestNsga2:
 
     def test_environmental_selection_keeps_small_rank0(self):
         # when the rank-0 front fits in the budget it survives whole
-        cfg = GAConfig(population_size=8, generations=10, seed=1)
-        archive, _ = nsga2(analytic_biobjective, 1, cfg)
+        cfg = GAConfig(population_size=8, generations=10)
+        archive, _ = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(1))
         assert 1 <= len(archive) <= 8
 
     def test_per_objective_minima_never_regress(self):
@@ -198,23 +199,24 @@ class TestNsga2:
         def hook(gen, genomes, objs, carried):
             minima.append(objs.min(axis=0))
 
-        cfg = GAConfig(population_size=8, generations=30, seed=5)
-        nsga2(lambda g: objectives(g)[:, :2], 8, cfg, generation_hook=hook)
+        cfg = GAConfig(population_size=8, generations=30)
+        nsga2(lambda g: objectives(g)[:, :2], 8, cfg, np.random.default_rng(5),
+              generation_hook=hook)
         minima = np.array(minima)
         assert np.all(np.diff(minima[:, 0]) <= 1e-12)
         assert np.all(np.diff(minima[:, 1]) <= 1e-12)
 
     def test_determinism(self):
-        cfg = GAConfig(population_size=8, generations=15, seed=11)
-        a1, s1 = nsga2(analytic_biobjective, 2, cfg)
-        a2, s2 = nsga2(analytic_biobjective, 2, cfg)
+        cfg = GAConfig(population_size=8, generations=15)
+        a1, s1 = nsga2(analytic_biobjective, 2, cfg, np.random.default_rng(11))
+        a2, s2 = nsga2(analytic_biobjective, 2, cfg, np.random.default_rng(11))
         assert np.array_equal(a1.objectives, a2.objectives)
         assert np.array_equal(a1.genomes, a2.genomes)
         assert [g for g, _ in s1] == [g for g, _ in s2]
 
     def test_genomes_stay_wrapped(self):
-        cfg = GAConfig(population_size=8, generations=20, seed=2)
-        archive, _ = nsga2(analytic_biobjective, 3, cfg)
+        cfg = GAConfig(population_size=8, generations=20)
+        archive, _ = nsga2(analytic_biobjective, 3, cfg, np.random.default_rng(2))
         g = archive.genomes
         assert np.all((g >= 0) & (g < TWO_PI))
 
@@ -222,12 +224,13 @@ class TestNsga2:
         # with a constraint column 2 is the PMEPR, and two objectives leave none
         cfg = GAConfig(population_size=8, generations=5)
         with pytest.raises(ValueError, match="PMEPR column"):
-            nsga2(analytic_biobjective, 1, cfg, constraint=ConstraintSpec(5.0))
+            nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(0),
+                  constraint=ConstraintSpec(5.0))
 
     def test_needs_two_objective_columns(self):
         cfg = GAConfig(population_size=8, generations=5)
         with pytest.raises(ValueError, match="two objective columns"):
-            nsga2(lambda g: analytic_biobjective(g)[:, :1], 1, cfg)
+            nsga2(lambda g: analytic_biobjective(g)[:, :1], 1, cfg, np.random.default_rng(0))
 
     @pytest.mark.parametrize("every", [0, -3])
     def test_rejects_snapshot_every_below_one(self, every):
@@ -235,6 +238,7 @@ class TestNsga2:
         cfg = GAConfig(population_size=8, generations=5)
         with pytest.raises(ValueError, match="snapshot_every"):
             nsga2(lambda g: calls.append(1) or analytic_biobjective(g), 1, cfg,
+                  np.random.default_rng(0),
                   snapshot_every=every)
         assert calls == []  # rejected before any scoring
 
@@ -249,8 +253,9 @@ class TestNsga2:
         def hook(gen, genomes, objs, carried):
             hooked.append((genomes, objs, carried))
 
-        cfg = GAConfig(population_size=10, generations=12, seed=8)
-        archive, snapshots = nsga2(objective, 3, cfg, snapshot_every=5, generation_hook=hook)
+        cfg = GAConfig(population_size=10, generations=12)
+        archive, snapshots = nsga2(objective, 3, cfg, np.random.default_rng(8), snapshot_every=5,
+                                   generation_hook=hook)
         assert archive.carried.shape == (len(archive), 2)
         assert np.array_equal(archive.carried, objective(archive.genomes)[:, 2:])
         assert [g for g, _ in snapshots] == [5, 10, 12]
@@ -262,12 +267,12 @@ class TestNsga2:
             assert np.array_equal(np.column_stack([objs, carried]), objective(genomes))
 
     def test_no_carried_columns_is_an_empty_block(self):
-        cfg = GAConfig(population_size=8, generations=3, seed=1)
-        archive, _ = nsga2(analytic_biobjective, 1, cfg)
+        cfg = GAConfig(population_size=8, generations=3)
+        archive, _ = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(1))
         assert archive.carried.shape == (len(archive), 0)
 
     def test_one_objective_call_per_generation(self):
-        cfg = GAConfig(population_size=8, generations=6, seed=4)
+        cfg = GAConfig(population_size=8, generations=6)
         objectives = sidelobe_objectives(5)
         calls = []
 
@@ -275,11 +280,11 @@ class TestNsga2:
             calls.append(g.shape)
             return objectives(g)
 
-        nsga2(objective, 5, cfg, constraint=ConstraintSpec(3.0))
+        nsga2(objective, 5, cfg, np.random.default_rng(4), constraint=ConstraintSpec(3.0))
         assert calls == [(8, 5)] * 7
 
     def test_non_finite_objective_names_generation_and_genome(self):
-        cfg = GAConfig(population_size=8, generations=10, seed=2)
+        cfg = GAConfig(population_size=8, generations=10)
         calls = []
 
         def objective(g):
@@ -290,7 +295,7 @@ class TestNsga2:
             return values
 
         with pytest.raises(NonFiniteFitnessError, match="generation 6: genome 5 "):
-            nsga2(objective, 1, cfg)
+            nsga2(objective, 1, cfg, np.random.default_rng(2))
 
     def test_constraint_spec_validation(self):
         with pytest.raises(ValueError):
@@ -313,11 +318,12 @@ class TestConstrainedVariant:
             def hook(gen, genomes, objs, carried):
                 fractions[gen] = float(np.mean(carried[:, 0] > threshold))
 
-            cfg = GAConfig(population_size=24, generations=400, seed=100 + s)
+            cfg = GAConfig(population_size=24, generations=400)
             nsga2(
                 objectives,
                 n,
                 cfg,
+                np.random.default_rng(100 + s),
                 constraint=ConstraintSpec(threshold),
                 generation_hook=hook,
             )
@@ -327,11 +333,12 @@ class TestConstrainedVariant:
 
     def test_suppressed_crowding_loses_truncation(self):
         # all-violating population still works (pure rank selection)
-        cfg = GAConfig(population_size=8, generations=10, seed=0)
+        cfg = GAConfig(population_size=8, generations=10)
         archive, _ = nsga2(
             sidelobe_objectives(8),
             8,
             cfg,
+            np.random.default_rng(0),
             constraint=ConstraintSpec(1.01),  # everything violates
         )
         assert len(archive) >= 1

@@ -43,11 +43,11 @@ def main(argv=None) -> int:
     runs = []
     for src in args.src:
         forge = load(src)
-        config = forge.GAConfig(population_size=POPULATION, generations=GENERATIONS, seed=1)
+        config = forge.GAConfig(population_size=POPULATION, generations=GENERATIONS)
         constraint = forge.ConstraintSpec(CAP)
 
         def run(forge=forge, config=config, constraint=constraint):
-            forge.nsga2(objective, N_VARS, config, constraint=constraint)
+            forge.nsga2(objective, N_VARS, config, np.random.default_rng(1), constraint=constraint)
 
         run()  # warm-up
         runs.append(run)
