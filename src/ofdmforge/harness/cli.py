@@ -9,7 +9,7 @@ import json
 import sys
 
 from ..errors import ConfigError, ForgeError
-from .config import BASELINES, KINDS, parse_config, read_config
+from .config import BASELINES, KIND_KEYS, parse_config, read_config
 from .runner import run_experiment
 
 _COMMON_FIELDS = """\
@@ -18,6 +18,7 @@ common config fields:
   runs      number of independent replicas                    (default 1)
   workers   parallel replica processes                        (default 1)
   out_dir   output root; results land in <out_dir>/<kind>/    (default results)
+a key that only other kinds read is a config error
 """
 
 _KIND_FIELDS = {
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design pulsed-OFDM radar waveforms by evolutionary optimization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KINDS:
+    for kind, reads in KIND_KEYS.items():
         p = sub.add_parser(
             kind,
             help=_KIND_FIELDS[kind].splitlines()[0].strip(),
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override config out_dir")
         p.add_argument("--runs", type=int, default=None, help="override config runs")
         p.add_argument("--workers", type=int, default=None, help="override config workers")
-        if kind in ("synthesize", "evaluate", "baseline"):
+        if "baseline" in reads.keys:
             p.add_argument(
                 "--baseline",
                 choices=BASELINES,

@@ -1,7 +1,8 @@
 """Experiment configuration: one strict JSON document per experiment.
 
-Unknown keys are rejected everywhere, and each experiment kind checks that
-its required sections are present before any compute starts.
+Unknown keys are rejected everywhere.  ``KIND_KEYS`` declares what each
+experiment kind reads: a key that only other kinds read is rejected too, and
+the kind's required sections must be present, all before any compute starts.
 """
 from __future__ import annotations
 
@@ -9,23 +10,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from ..design import ScenarioSpec
 from ..errors import ConfigError
 from ..evolve import GAConfig
 from ..pareto import MIN_THRESHOLD_SAMPLES, ConstraintSpec
 from ..waveform import PulseSpec
-
-KINDS = (
-    "dimension",
-    "synthesize",
-    "evaluate",
-    "baseline",
-    "optimize-pmepr",
-    "optimize-moo",
-    "optimize-constrained",
-    "illuminate",
-)
 
 BASELINES = ("noncoded", "random", "newman")
 
@@ -204,20 +195,31 @@ class ExperimentConfig:
         return Path(self.out_dir) / self.kind
 
 
-# kinds whose replicas draw baseline codes, and those that also draw a mask
-_BASELINE_KINDS = ("synthesize", "evaluate", "baseline")
-_MASK_KINDS = (*_BASELINE_KINDS, "optimize-pmepr")
+class KindKeys(NamedTuple):
+    """The keys one experiment kind reads besides kind, seed, runs, workers
+    and out_dir; a key that another kind reads is an error for this one."""
 
-_REQUIRED_SECTIONS = {
-    "dimension": ("scenario",),
-    "synthesize": ("pulse",),
-    "evaluate": ("pulse",),
-    "baseline": ("pulse",),
-    "optimize-pmepr": ("pulse", "ga"),
-    "optimize-moo": ("pulse", "ga"),
-    "optimize-constrained": ("pulse", "ga"),
-    "illuminate": ("pulse", "weight_ga", "phase_ga"),
+    sections: tuple[str, ...]  # required
+    keys: tuple[str, ...] = ()  # optional
+    masked: bool = True  # replicas score pulses over a SparsityMask (N >= 2)
+
+
+KIND_KEYS = {
+    "dimension": KindKeys(("scenario",), masked=False),
+    "synthesize": KindKeys(("pulse",), ("baseline", "alphabet", "sparsity")),
+    "evaluate": KindKeys(("pulse",), ("baseline", "alphabet", "sparsity")),
+    "baseline": KindKeys(("pulse",), ("baseline", "alphabet", "sparsity")),
+    "optimize-pmepr": KindKeys(("pulse", "ga"), ("sparsity", "bits_per_var")),
+    "optimize-moo": KindKeys(("pulse", "ga"), ("snapshot_every", "n_random")),
+    "optimize-constrained": KindKeys(("pulse", "ga"), ("pmepr_max", "threshold_samples")),
+    "illuminate": KindKeys(
+        ("pulse", "weight_ga", "phase_ga", "target"),
+        ("carrier_hz", "weight_bounds", "bits_per_var"),
+        masked=False,
+    ),
 }
+KINDS = tuple(KIND_KEYS)
+_KIND_SPECIFIC = {key for k in KIND_KEYS.values() for key in (*k.sections, *k.keys)}
 
 
 def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConfig:
@@ -232,6 +234,10 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
         )
     if kind not in KINDS:
         raise ConfigError(f"unknown kind '{kind}'; expected one of {list(KINDS)}")
+    reads = KIND_KEYS[kind]
+    unread = sorted(_KIND_SPECIFIC.intersection(data).difference(reads.sections, reads.keys))
+    if unread:
+        raise ConfigError(f"kind '{kind}' does not read {unread}")
 
     runs = _as_int(s.take("runs", 1), "runs")
     if runs < 1:
@@ -317,32 +323,22 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
     )
     s.finish()
 
-    for section in _REQUIRED_SECTIONS[kind]:
+    for section in reads.sections:
         if getattr(cfg, section) is None:
             raise ConfigError(f"kind '{kind}' requires a '{section}' section")
-    if cfg.kind == "illuminate":
-        if cfg.target is None:
-            raise ConfigError("kind 'illuminate' requires a 'target' section")
-        if cfg.pulse.n_symbols != 1:
-            raise ConfigError("kind 'illuminate' designs single-symbol pulses (n_symbols 1)")
-    if kind not in ("dimension", "illuminate"):
-        n = cfg.pulse.n_subcarriers
-        # a sparsity mask keeps both extreme subcarriers
-        if n < 2:
-            raise ConfigError(f"kind '{kind}' needs pulse.n_subcarriers >= 2")
-        if kind in _MASK_KINDS and cfg.sparsity < 1 and int(round(n * cfg.sparsity)) < 2:
-            raise ConfigError(
-                f"sparsity {cfg.sparsity} keeps fewer than 2 of {n} subcarriers"
-            )
-        if kind in _BASELINE_KINDS and cfg.baseline == "newman" and cfg.pulse.n_symbols > 1:
-            raise ConfigError(
-                "baseline 'newman' is defined for single-symbol pulses (n_symbols 1)"
-            )
-    if (
-        cfg.kind == "optimize-constrained"
-        and cfg.pmepr_max is None
-        and cfg.threshold_samples < MIN_THRESHOLD_SAMPLES
-    ):
+    if kind == "illuminate" and cfg.pulse.n_symbols != 1:
+        raise ConfigError("kind 'illuminate' designs single-symbol pulses (n_symbols 1)")
+    # a sparsity mask keeps both extreme subcarriers
+    if reads.masked and cfg.pulse.n_subcarriers < 2:
+        raise ConfigError(f"kind '{kind}' needs pulse.n_subcarriers >= 2")
+    # a key the kind does not read is at its default, so these checks pass
+    if cfg.sparsity < 1 and int(round(cfg.pulse.n_subcarriers * cfg.sparsity)) < 2:
+        raise ConfigError(
+            f"sparsity {cfg.sparsity} keeps fewer than 2 of {cfg.pulse.n_subcarriers} subcarriers"
+        )
+    if cfg.baseline == "newman" and cfg.pulse.n_symbols > 1:
+        raise ConfigError("baseline 'newman' is defined for single-symbol pulses (n_symbols 1)")
+    if cfg.pmepr_max is None and cfg.threshold_samples < MIN_THRESHOLD_SAMPLES:
         raise ConfigError(
             f"threshold_samples must be >= {MIN_THRESHOLD_SAMPLES} to derive "
             "pmepr_max from the random-code PMEPR distribution"

@@ -17,7 +17,10 @@ import csv
 import os
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import ConfigError
+from ..evolve import ConvergenceTrace
 
 PLOT_KINDS = (
     "convergence",
@@ -51,21 +54,35 @@ def write_csv(path: Path | str, header: tuple, rows) -> None:
         writer.writerows(rows)
 
 
+def write_trace(path: Path | str, trace: ConvergenceTrace) -> None:
+    write_csv(
+        path,
+        ("generation", "best", "mean"),
+        zip(range(len(trace)), trace.best.tolist(), trace.mean.tolist()),
+    )
+
+
+def aggregate(traces: list[ConvergenceTrace]) -> ConvergenceTrace:
+    """Pointwise mean of per-run traces (best and mean curves)."""
+    if not traces:
+        raise ValueError("no traces to aggregate")
+    lengths = {len(t) for t in traces}
+    if len(lengths) != 1:
+        raise ValueError(f"ragged traces: lengths {sorted(lengths)}")
+    return ConvergenceTrace(
+        best=np.mean([t.best for t in traces], axis=0),
+        mean=np.mean([t.mean for t in traces], axis=0),
+    )
+
+
 def emit_plot_data(payloads: list[dict], kind: str, out_dir: Path | str) -> list[Path]:
     """Write the plot CSV(s) for one experiment's collected run payloads."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if kind == "convergence":
-        from .runner import aggregate  # local import: runner imports this module
-
-        agg = aggregate([p["trace"] for p in payloads])
         path = out / "convergence.csv"
-        write_csv(
-            path,
-            ("generation", "best", "mean"),
-            zip(range(len(agg)), agg.best.tolist(), agg.mean.tolist()),
-        )
+        write_trace(path, aggregate([p["trace"] for p in payloads]))
         return [path]
 
     if kind == "pareto":

@@ -4,8 +4,8 @@ Each experiment executes ``runs`` independent replicas.  Replica r uses the
 RNG seeded with ``mix64(master_seed, r)`` so results are reproducible and
 independent of worker scheduling; replicas may run in parallel processes.
 
-Per-run artifacts land in <out>/<kind>/<run_id>/, the cross-run aggregate and
-plot CSVs in <out>/<kind>/.
+Per-run artifacts land in <out>/<kind>/<run_id>/, the run's objectives file
+last; the cross-run aggregate and plot CSVs in <out>/<kind>/.
 """
 from __future__ import annotations
 
@@ -13,13 +13,13 @@ import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..design import dimension_pulse
-from ..evolve import ConvergenceTrace, sga_phases
+from ..evolve import sga_phases
 from ..illumination import (
     TargetModel,
     normalize_reflectivity,
@@ -42,7 +42,7 @@ from ..waveform import (
     uniform_weights,
 )
 from .config import ExperimentConfig
-from .plotdata import atomic_open, emit_plot_data, write_csv
+from .plotdata import atomic_open, emit_plot_data, write_csv, write_trace
 
 _MASK64 = (1 << 64) - 1
 
@@ -57,40 +57,18 @@ def mix64(seed: int, run_id: int) -> int:
 
 @dataclass
 class RunResult:
-    """Outcome of one replica; all referenced artifact files exist."""
+    """Outcome of one replica."""
 
     run_id: int
     seed: int
     final_objectives: dict
     wall_time_s: float
-    artifacts: dict[str, str] = field(default_factory=dict)
-
-
-def aggregate(traces: list[ConvergenceTrace]) -> ConvergenceTrace:
-    """Pointwise mean of per-run traces (best and mean curves)."""
-    if not traces:
-        raise ValueError("no traces to aggregate")
-    lengths = {len(t) for t in traces}
-    if len(lengths) != 1:
-        raise ValueError(f"ragged traces: lengths {sorted(lengths)}")
-    return ConvergenceTrace(
-        best=np.mean([t.best for t in traces], axis=0),
-        mean=np.mean([t.mean for t in traces], axis=0),
-    )
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_trace(path: Path, trace: ConvergenceTrace) -> None:
-    write_csv(
-        path,
-        ("generation", "best", "mean"),
-        zip(range(len(trace)), trace.best.tolist(), trace.mean.tolist()),
-    )
 
 
 def _run_mask(config: ExperimentConfig, rng: np.random.Generator) -> SparsityMask:
@@ -116,28 +94,25 @@ def _baseline_design(config: ExperimentConfig, rng: np.random.Generator):
 
 
 # --- per-kind replicas ----------------------------------------------------
+# Each writes its run's files except the objectives file and returns
+# (objectives, payload); the payload feeds the kind's plots.
 
 
 def _run_dimension(config, run_id, run_dir, rng):
-    dims = dimension_pulse(config.scenario)
-    path = run_dir / "dimensions.json"
-    _write_json(path, dims.as_dict())
-    return dims.as_dict(), {"dimensions": str(path)}, {}
+    return dimension_pulse(config.scenario).as_dict(), {}
 
 
 def _run_synthesize(config, run_id, run_dir, rng):
     codes, mask, evaluator = _baseline_design(config, rng)
     pulse = synthesize(config.pulse, codes, uniform_weights(mask), mask)
     t = pulse.times_s
-    pulse_path = run_dir / "pulse.csv"
     write_csv(
-        pulse_path,
+        run_dir / "pulse.csv",
         ("t_s", "re", "im"),
         zip(t.tolist(), pulse.samples.real.tolist(), pulse.samples.imag.tolist()),
     )
     freqs, mag = pulse_spectrum(pulse)
-    spec_path = run_dir / "spectrum.csv"
-    write_csv(spec_path, ("f_hz", "magnitude"), zip(freqs.tolist(), mag.tolist()))
+    write_csv(run_dir / "spectrum.csv", ("f_hz", "magnitude"), zip(freqs.tolist(), mag.tolist()))
     objectives = {"pmepr": float(evaluator.pmepr(codes.phases[None])[0])}
     payload = {
         "envelope": np.abs(pulse.samples),
@@ -145,21 +120,19 @@ def _run_synthesize(config, run_id, run_dir, rng):
         "freqs_hz": freqs,
         "spectrum": mag,
     }
-    return objectives, {"pulse": str(pulse_path), "spectrum": str(spec_path)}, payload
+    return objectives, payload
 
 
 def _run_evaluate(config, run_id, run_dir, rng):
     codes, _, evaluator = _baseline_design(config, rng)
     pm, ps, il = evaluator.objectives(codes.phases[None])[0].tolist()
-    payload = {
+    objectives = {
         "pmepr": pm,
         "pslr_db": ps,
         "islr_db": il,
         "oversampling": config.pulse.oversampling,
     }
-    path = run_dir / "report.json"
-    _write_json(path, payload)
-    return payload, {"report": str(path)}, {}
+    return objectives, {}
 
 
 def _run_baseline(config, run_id, run_dir, rng):
@@ -168,9 +141,7 @@ def _run_baseline(config, run_id, run_dir, rng):
         "pmepr": float(evaluator.pmepr(codes.phases[None])[0]),
         "n_active": mask.n_active,
     }
-    path = run_dir / "summary.json"
-    _write_json(path, objectives)
-    return objectives, {"summary": str(path)}, {}
+    return objectives, {}
 
 
 def _run_optimize_pmepr(config, run_id, run_dir, rng):
@@ -178,25 +149,16 @@ def _run_optimize_pmepr(config, run_id, run_dir, rng):
     evaluator = PhaseEvaluator(config.pulse, uniform_weights(mask), mask)
     phases, trace = sga_phases(evaluator, config.bits_per_var, config.ga, rng)
 
-    trace_path = run_dir / "trace.csv"
-    _write_trace(trace_path, trace)
-    genome_path = run_dir / "genome.json"
+    write_trace(run_dir / "trace.csv", trace)
     _write_json(
-        genome_path,
+        run_dir / "genome.json",
         {
             "bits_per_var": config.bits_per_var,
             "phases": phases.tolist(),
             "mask": mask.active.astype(int).tolist(),
         },
     )
-    objectives = {"pmepr": float(trace.best[-1])}
-    _write_json(run_dir / "summary.json", objectives)
-    artifacts = {
-        "trace": str(trace_path),
-        "genome": str(genome_path),
-        "summary": str(run_dir / "summary.json"),
-    }
-    return objectives, artifacts, {"trace": trace}
+    return {"pmepr": float(trace.best[-1])}, {"trace": trace}
 
 
 def _full_band_scores(config: ExperimentConfig):
@@ -234,10 +196,10 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
                 genome_map.append(
                     {"row": len(front_rows) - 1, "phases": genome.tolist()}
                 )
-    front_path = run_dir / "front.csv"
-    write_csv(front_path, ("pmepr", "pslr_db", "islr_db", "run_id", "generation"), front_rows)
-    genome_path = run_dir / "genome.json"
-    _write_json(genome_path, {"rows": genome_map})
+    write_csv(
+        run_dir / "front.csv", ("pmepr", "pslr_db", "islr_db", "run_id", "generation"), front_rows
+    )
+    _write_json(run_dir / "genome.json", {"rows": genome_map})
 
     n_random = config.ga.population_size if config.n_random is None else config.n_random
     random_pts = scores(_random_phase_block(config, n_random, rng).reshape(n_random, -1))
@@ -250,17 +212,7 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
         "random_mean_pmepr": float(np.mean(random_pts[:, 0])),
         "random_mean_pslr_db": float(np.mean(random_pts[:, 1])),
     }
-    _write_json(run_dir / "summary.json", objectives)
-    payload = {
-        "front": final_objs,
-        "random": random_pts,
-    }
-    artifacts = {
-        "front": str(front_path),
-        "genome": str(genome_path),
-        "summary": str(run_dir / "summary.json"),
-    }
-    return objectives, artifacts, payload
+    return objectives, {"front": final_objs, "random": random_pts}
 
 
 def _random_phase_block(config: ExperimentConfig, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -299,7 +251,6 @@ def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
         config.ga,
         rng=rng,
         constraint=ConstraintSpec(pmepr_max=pmepr_max),
-        snapshot_every=config.snapshot_every,
         generation_hook=observe,
     )
 
@@ -307,8 +258,9 @@ def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
     front_rows = [
         (pm, ps, il, run_id, config.ga.generations) for pm, ps, il in front_arr.tolist()
     ]
-    front_path = run_dir / "front.csv"
-    write_csv(front_path, ("pmepr", "pslr_db", "islr_db", "run_id", "generation"), front_rows)
+    write_csv(
+        run_dir / "front.csv", ("pmepr", "pslr_db", "islr_db", "run_id", "generation"), front_rows
+    )
 
     final_pmeprs = pop_pmeprs["final"]
     violators = int(np.sum(final_pmeprs > pmepr_max))
@@ -322,10 +274,7 @@ def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
         "islr_min_db": float(front_arr[:, 2].min()) if len(front_arr) else float("nan"),
         "islr_max_db": float(front_arr[:, 2].max()) if len(front_arr) else float("nan"),
     }
-    _write_json(run_dir / "summary.json", objectives)
-    payload = {"front": front_arr}
-    artifacts = {"front": str(front_path), "summary": str(run_dir / "summary.json")}
-    return objectives, artifacts, payload
+    return objectives, {"front": front_arr, "run_id": run_id, "compliant": objectives["compliant"]}
 
 
 def _run_illuminate(config, run_id, run_dir, rng):
@@ -359,9 +308,8 @@ def _run_illuminate(config, run_id, run_dir, rng):
     norm = normalize_reflectivity(
         reflectivity_spectrum(target, spec, config.carrier_hz)
     )
-    spectra_path = run_dir / "spectra.csv"
     write_csv(
-        spectra_path,
+        run_dir / "spectra.csv",
         ("n", "reflectivity_norm_abs", "w_opt"),
         zip(
             range(spec.n_subcarriers),
@@ -369,40 +317,33 @@ def _run_illuminate(config, run_id, run_dir, rng):
             result.w_opt.weights.tolist(),
         ),
     )
-    trace_path = run_dir / "trace.csv"
-    _write_trace(trace_path, result.pmepr_trace)
+    write_trace(run_dir / "trace.csv", result.pmepr_trace)
     objectives = {
         "gain_db": result.gain_db,
         "pmepr_initial": result.pmepr_initial,
         "pmepr_final": result.pmepr_final,
     }
-    path = run_dir / "illumination.json"
-    _write_json(path, objectives)
     payload = {
         "trace": result.pmepr_trace,
         "reflectivity": np.abs(norm.values),
         "w_opt": result.w_opt.weights,
     }
-    artifacts = {
-        "illumination": str(path),
-        "spectra": str(spectra_path),
-        "trace": str(trace_path),
-    }
-    return objectives, artifacts, payload
+    return objectives, payload
 
 
 # --- orchestration ----------------------------------------------------------
 
 
+# kind -> (replica, per-run objectives file or None, plots of the aggregate)
 _RUNNERS = {
-    "dimension": _run_dimension,
-    "synthesize": _run_synthesize,
-    "evaluate": _run_evaluate,
-    "baseline": _run_baseline,
-    "optimize-pmepr": _run_optimize_pmepr,
-    "optimize-moo": _run_optimize_moo,
-    "optimize-constrained": _run_optimize_constrained,
-    "illuminate": _run_illuminate,
+    "dimension": (_run_dimension, "dimensions.json", ()),
+    "synthesize": (_run_synthesize, None, ("envelope", "spectrum")),
+    "evaluate": (_run_evaluate, "report.json", ()),
+    "baseline": (_run_baseline, "summary.json", ()),
+    "optimize-pmepr": (_run_optimize_pmepr, "summary.json", ("convergence",)),
+    "optimize-moo": (_run_optimize_moo, "summary.json", ("pareto",)),
+    "optimize-constrained": (_run_optimize_constrained, "summary.json", ("constrained",)),
+    "illuminate": (_run_illuminate, "illumination.json", ("convergence", "illumination")),
 }
 
 
@@ -412,10 +353,13 @@ def _execute_run(config: ExperimentConfig, run_id: int, extra: dict) -> tuple[Ru
     run_dir.mkdir(parents=True, exist_ok=True)
     seed = mix64(config.seed, run_id)
     rng = np.random.default_rng(seed)
+    replica, objectives_file, _ = _RUNNERS[config.kind]
     started = time.perf_counter()
-    objectives, artifacts, payload = _RUNNERS[config.kind](config, run_id, run_dir, rng, **extra)
+    objectives, payload = replica(config, run_id, run_dir, rng, **extra)
+    if objectives_file is not None:
+        _write_json(run_dir / objectives_file, objectives)
     wall = time.perf_counter() - started
-    return RunResult(run_id, seed, objectives, wall, artifacts), payload
+    return RunResult(run_id, seed, objectives, wall), payload
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunResult]:
@@ -443,7 +387,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunResult]:
     results = [res for res, _ in outcomes]
     payloads = [pay for _, pay in outcomes]
 
-    _write_aggregate(config, results, payloads, out)
+    _write_aggregate(config, results, payloads, extra, out)
     return results
 
 
@@ -472,37 +416,20 @@ def _summaries(results: list[RunResult]) -> dict:
     return stats
 
 
-def _write_aggregate(config, results, payloads, out: Path) -> None:
+def _write_aggregate(config, results, payloads, extra: dict, out: Path) -> None:
     summary = {
         "kind": config.kind,
         "seed": config.seed,
         "runs": config.runs,
         "objectives": _summaries(results),
         "wall_time_s": {str(r.run_id): r.wall_time_s for r in results},
+        **extra,  # optimize-constrained's pmepr_max
     }
-    if config.kind == "optimize-constrained" and results:
-        compliant = [r.final_objectives.get("compliant", False) for r in results]
-        summary["compliant_runs"] = int(sum(compliant))
-        summary["pmepr_max"] = results[0].final_objectives.get("pmepr_max")
+    # a boolean objective counts the runs in which it holds
+    for key in {k for r in results for k, v in r.final_objectives.items() if isinstance(v, bool)}:
+        summary[f"{key}_runs"] = sum(r.final_objectives[key] for r in results)
     _write_json(out / "summary.json", summary)
 
-    trace_payloads = [p for p in payloads if "trace" in p]
-    if trace_payloads:
-        emit_plot_data(trace_payloads, "convergence", out)
-
-    if config.kind == "optimize-moo":
-        emit_plot_data(payloads, "pareto", out)
-    elif config.kind == "optimize-constrained":
-        emit_plot_data(
-            [
-                {**p, "run_id": r.run_id, "compliant": r.final_objectives["compliant"]}
-                for p, r in zip(payloads, results)
-            ],
-            "constrained",
-            out,
-        )
-    elif config.kind == "synthesize":
-        emit_plot_data(payloads, "envelope", out)
-        emit_plot_data(payloads, "spectrum", out)
-    elif config.kind == "illuminate":
-        emit_plot_data(payloads, "illumination", out)
+    _, _, plots = _RUNNERS[config.kind]
+    for plot in plots:
+        emit_plot_data(payloads, plot, out)

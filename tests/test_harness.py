@@ -1,6 +1,6 @@
 import csv
 import json
-from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from ofdmforge.harness import (
     run_experiment,
 )
 from ofdmforge.harness.cli import main
-from ofdmforge.harness.config import KINDS
+from ofdmforge.harness.config import KIND_KEYS, KINDS
 from ofdmforge.harness.plotdata import write_csv
 from ofdmforge.harness.runner import (
     _RUNNERS,
@@ -46,6 +46,41 @@ MINI_PULSE = {
     "oversampling": 4,
 }
 MINI_GA = {"population_size": 8, "generations": 20}
+
+# one miniature config per kind, holding only keys the kind reads
+KIND_CONFIGS = {
+    "dimension": {"scenario": {"target_extent_m": 2.0, "margin_m": 1.0, "min_range_m": 1500.0}},
+    "synthesize": {"pulse": MINI_PULSE},
+    "evaluate": {"pulse": MINI_PULSE},
+    "baseline": {"pulse": MINI_PULSE},
+    "optimize-pmepr": {"pulse": MINI_PULSE, "ga": MINI_GA, "bits_per_var": 4},
+    "optimize-moo": {"pulse": MINI_PULSE, "ga": MINI_GA},
+    "optimize-constrained": {"pulse": MINI_PULSE, "ga": MINI_GA},
+    "illuminate": {
+        "pulse": MINI_PULSE, "carrier_hz": 9e9, "target": {"seed": 4},
+        "weight_ga": MINI_GA, "phase_ga": MINI_GA, "bits_per_var": 4,
+    },
+}
+
+# a valid value for every key some kind reads
+VALID_VALUES = {
+    "scenario": KIND_CONFIGS["dimension"]["scenario"],
+    "pulse": MINI_PULSE,
+    "ga": MINI_GA,
+    "weight_ga": MINI_GA,
+    "phase_ga": MINI_GA,
+    "target": {"seed": 4},
+    "baseline": "newman",
+    "alphabet": 4,
+    "sparsity": 0.5,
+    "bits_per_var": 4,
+    "snapshot_every": 10,
+    "n_random": 5,
+    "pmepr_max": 4.0,
+    "threshold_samples": 150,
+    "carrier_hz": 9e9,
+    "weight_bounds": [0.01, 10.0],
+}
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -432,14 +467,7 @@ class TestCliErrors:
     ], ids=lambda v: v if isinstance(v, str) else next(iter(v)) + "=" + json.dumps(
         next(iter(v.values())))[:14])
     def test_nonsense_values_exit_2(self, tmp_path, capsys, kind, fields):
-        if kind == "illuminate":
-            config = {
-                "pulse": MINI_PULSE, "carrier_hz": 9e9, "target": {"seed": 4},
-                "weight_ga": MINI_GA, "phase_ga": MINI_GA, "bits_per_var": 4,
-            }
-        else:
-            config = {"pulse": MINI_PULSE, "ga": MINI_GA}
-        path = write_config(tmp_path, {**config, **fields})
+        path = write_config(tmp_path, {**KIND_CONFIGS[kind], **fields})
         assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any compute
@@ -486,19 +514,95 @@ class TestDeterminism:
         assert r1["pmepr"] != r2["pmepr"]
 
 
+class TestConfigTable:
+    """``KIND_KEYS`` is the one statement of the keys each kind reads."""
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("dimension", {"pulse": MINI_PULSE}),
+        ("synthesize", {"ga": MINI_GA}),
+        ("evaluate", {"bits_per_var": 4}),
+        ("baseline", {"n_random": 5}),
+        ("optimize-pmepr", {"baseline": "newman"}),
+        # full-band NSGA-II draws no mask and no baseline codes
+        ("optimize-moo", {"sparsity": 0.5, "alphabet": 4, "baseline": "newman"}),
+        # the constrained replica keeps no archive snapshots
+        ("optimize-constrained", {"snapshot_every": 10}),
+        ("illuminate", {"sparsity": 0.5}),
+    ], ids=lambda v: v if isinstance(v, str) else "+".join(v))
+    def test_unread_key_exits_2(self, tmp_path, capsys, kind, fields):
+        path = write_config(tmp_path, {**KIND_CONFIGS[kind], **fields})
+        out = tmp_path / "out"
+        assert main([kind, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"kind '{kind}' does not read {sorted(fields)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_kind_reads_its_keys_and_no_others(self, kind):
+        reads = KIND_KEYS[kind]
+        mine = {*reads.sections, *reads.keys}
+        cfg = parse_config({key: VALID_VALUES[key] for key in mine}, kind_override=kind)
+        assert cfg.kind == kind
+        for key in set(VALID_VALUES) - mine:
+            with pytest.raises(ConfigError, match=f"does not read \\['{key}'\\]"):
+                parse_config({**KIND_CONFIGS[kind], key: VALID_VALUES[key]},
+                             kind_override=kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_help_names_every_key_the_kind_reads(self, kind, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([kind, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        fields = help_text.split("kind-specific fields:")[1]
+        reads = KIND_KEYS[kind]
+        missing = [
+            key for key in (*reads.sections, *reads.keys)
+            if not re.search(rf"(?<![\w-]){re.escape(key)}(?![\w-])", fields)
+        ]
+        assert missing == []
+        assert ("--baseline" in help_text) == ("baseline" in reads.keys)
+
+
+# kind -> (files of each run directory, its objectives file, plot files)
+RUN_FILES = {
+    "dimension": ({"dimensions.json"}, "dimensions.json", set()),
+    "synthesize": ({"pulse.csv", "spectrum.csv"}, None, {"envelope.csv", "spectrum.csv"}),
+    "evaluate": ({"report.json"}, "report.json", set()),
+    "baseline": ({"summary.json"}, "summary.json", set()),
+    "optimize-pmepr": (
+        {"trace.csv", "genome.json", "summary.json"}, "summary.json", {"convergence.csv"},
+    ),
+    "optimize-moo": ({"front.csv", "genome.json", "summary.json"}, "summary.json", {"pareto.csv"}),
+    "optimize-constrained": ({"front.csv", "summary.json"}, "summary.json", {"constrained.csv"}),
+    "illuminate": (
+        {"spectra.csv", "trace.csv", "illumination.json"}, "illumination.json",
+        {"convergence.csv", "illumination.csv"},
+    ),
+}
+
+
 class TestRunResults:
-    def test_artifacts_exist(self, tmp_path):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_directories(self, tmp_path, kind):
         cfg = parse_config({
-            "kind": "optimize-pmepr", "pulse": MINI_PULSE, "ga": MINI_GA,
-            "bits_per_var": 2, "runs": 2, "out_dir": str(tmp_path / "out"),
+            **KIND_CONFIGS[kind], "kind": kind, "runs": 2, "seed": 3,
+            "out_dir": str(tmp_path / "out"),
         })
         results = run_experiment(cfg)
-        assert len(results) == 2
+        run_files, objectives_file, plots = RUN_FILES[kind]
+        out = cfg.out_path()
+        assert {p.name for p in out.iterdir()} == {"summary.json", "0", "1", *plots}
+        assert [res.run_id for res in results] == [0, 1]
         for res in results:
             assert res.wall_time_s >= 0
-            assert res.seed == mix64(0, res.run_id)
-            for path in res.artifacts.values():
-                assert Path(path).is_file()
+            assert res.seed == mix64(3, res.run_id)
+            run_dir = out / str(res.run_id)
+            assert {p.name for p in run_dir.iterdir()} == run_files
+            if objectives_file is not None:
+                written = json.loads((run_dir / objectives_file).read_text())
+                assert written == res.final_objectives
 
 
 def raising_rows():
