@@ -40,14 +40,16 @@ Fitness = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Knobs shared by the binary and continuous GA.
+    """Knobs of the three evolutionary searches; each reads some of them.
 
-    population_size must be even (offspring are produced in pairs).
-    ``mutation_every``/``mutation_per_offspring`` control the bit-flip
-    schedule of the binary GA: on every ``mutation_every``-th generation each
-    offspring receives one uniformly random bit flip with probability
-    ``mutation_per_offspring``.  ``mutation_rate`` is the per-gene replacement
-    probability of the continuous GA.
+    ``nsga2`` reads ``population_size`` and ``generations`` only (its SBX and
+    mutation constants are fixed).  Both elitist GAs also keep the best
+    ``elitism_fraction`` of each generation.  ``sga_minimize`` reads
+    ``mutation_every``/``mutation_per_offspring``, its bit-flip schedule: on
+    every ``mutation_every``-th generation each offspring receives one
+    uniformly random bit flip with probability ``mutation_per_offspring``.
+    ``continuous_minimize`` reads ``mutation_rate``, its per-gene
+    replacement probability.
     """
 
     population_size: int
@@ -58,8 +60,8 @@ class GAConfig:
     mutation_rate: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.population_size < 2 or self.population_size % 2 != 0:
-            raise ValueError("population_size must be even and >= 2")
+        if self.population_size < 2:
+            raise ValueError("population_size must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
         if not 0 < self.elitism_fraction < 1:

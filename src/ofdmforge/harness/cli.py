@@ -7,18 +7,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 
 from ..errors import ConfigError, ForgeError
-from .config import BASELINES, KIND_KEYS, parse_config, read_config
+from ..evolve import GAConfig
+from .config import BASELINES, GA_FIELDS, KIND_KEYS, ExperimentConfig, parse_config, read_config
 from .runner import run_experiment
+
+# the help's "%(key)s" defaults come from the dataclass fields
+_DEFAULTS = {f.name: f.default for f in (*fields(ExperimentConfig), *fields(GAConfig))}
 
 _COMMON_FIELDS = """\
 common config fields:
-  seed      master seed; replica r runs with mix64(seed, r)   (default 0)
-  runs      number of independent replicas                    (default 1)
-  workers   parallel replica processes                        (default 1)
-  out_dir   output root; results land in <out_dir>/<kind>/    (default results)
-a key that only other kinds read is a config error
+  seed      master seed; replica r runs with mix64(seed, r)   (default %(seed)s)
+  runs      number of independent replicas                    (default %(runs)s)
+  workers   parallel replica processes                        (default %(workers)s)
+  out_dir   output root; results land in <out_dir>/<kind>/    (default %(out_dir)s)
+a key that only other kinds or optimizers read is a config error
 """
 
 _KIND_FIELDS = {
@@ -28,9 +33,9 @@ _KIND_FIELDS = {
 """,
     "synthesize": """\
   pulse     {n_subcarriers, n_symbols, subcarrier_spacing_hz, oversampling}
-  baseline  noncoded | random | newman                        (default random)
+  baseline  noncoded | random | newman                        (default %(baseline)s)
   alphabet  M-ary PSK lattice for random phases (e.g. 4)      (default continuous)
-  sparsity  fraction of active subcarriers                    (default 1.0)
+  sparsity  fraction of active subcarriers                    (default %(sparsity)s)
             writes pulse.csv (t_s, re, im) and spectrum.csv (f_hz, magnitude)
 """,
     "evaluate": """\
@@ -44,13 +49,11 @@ _KIND_FIELDS = {
     "optimize-pmepr": """\
   pulse, sparsity  - one random mask per replica when sparsity < 1
   bits_per_var     phase quantization bits (2 = QPSK, 18 = quasi-continuous)
-  ga               {population_size, generations, elitism_fraction,
-                    mutation_every, mutation_per_offspring}
             writes trace.csv, genome.json, summary.json per run
 """,
     "optimize-moo": """\
   pulse, ga        NSGA-II on (PMEPR, PSLR); a population of 40 works well
-  snapshot_every   archive snapshot period in generations     (default 100)
+  snapshot_every   archive snapshot period in generations     (default %(snapshot_every)s)
   n_random         size of the random comparison cloud        (default pop)
             writes front.csv (pmepr, pslr_db, islr_db, run_id, generation),
             genome.json sidecar, pareto.csv plot data
@@ -58,7 +61,7 @@ _KIND_FIELDS = {
     "optimize-constrained": """\
   pulse, ga        NSGA-II on (PSLR, ISLR) with a PMEPR cap
   pmepr_max        cap; null -> derived from the random-code PMEPR
-                   distribution (threshold_samples draws, default 1000)
+                   distribution (threshold_samples draws, default %(threshold_samples)s)
             writes front.csv per run and constrained.csv with per-run
             compliance flags
 """,
@@ -67,14 +70,23 @@ _KIND_FIELDS = {
   target             {n_scatterers, center_range_m, extent_m, reflectivity,
                       seed, scatterers} - explicit scatterers [[refl, range], ...]
                       win over the random box; a fixed target.seed pins the draw
-  weight_bounds      [v_l, v_u] raw gene bounds               (default [0.01, 10])
-  weight_ga          continuous GA for spectral weights (e.g. 20 x 5000, 0.2)
-  phase_ga           binary GA for PMEPR phases (e.g. 12 x 600)
-  bits_per_var       phase encoding bits                      (default 18)
+  weight_bounds      [v_l, v_u] raw gene bounds               (default %(weight_bounds)s)
+  weight_ga          GA for spectral weights (e.g. 20 x 5000, mutation_rate 0.2)
+  phase_ga           GA for PMEPR phases (e.g. 12 x 600)
+  bits_per_var       phase encoding bits                      (default %(bits_per_var)s)
             writes illumination.json {gain_db, pmepr_initial, pmepr_final},
             spectra.csv (n, reflectivity_norm_abs, w_opt), trace.csv
 """,
 }
+
+
+def _ga_fields(section: str, optimizer: str) -> str:
+    """The help lines of one GA section: the fields its optimizer reads."""
+    lines = [f"{section} ({optimizer}) fields:\n"]
+    for key in GA_FIELDS[optimizer]:
+        default = _DEFAULTS[key]
+        lines.append(f"  {key:<24}{'required' if default is MISSING else f'default {default}'}\n")
+    return "".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
             kind,
             help=_KIND_FIELDS[kind].splitlines()[0].strip(),
             description=f"Run the '{kind}' experiment.",
-            epilog=_COMMON_FIELDS + "kind-specific fields:\n" + _KIND_FIELDS[kind],
+            epilog=(_COMMON_FIELDS + "kind-specific fields:\n" + _KIND_FIELDS[kind]) % _DEFAULTS
+            + "".join(_ga_fields(*ga) for ga in reads.ga.items()),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", required=True, help="JSON experiment config")

@@ -1,14 +1,18 @@
 """Experiment configuration: one strict JSON document per experiment.
 
 Unknown keys are rejected everywhere.  ``KIND_KEYS`` declares what each
-experiment kind reads: a key that only other kinds read is rejected too, and
-the kind's required sections must be present, all before any compute starts.
+experiment kind reads, down to the optimizer behind each GA section, and
+``GA_FIELDS`` the ``GAConfig`` fields each optimizer reads: a key that only
+other kinds or optimizers read is rejected too, and the kind's required
+sections must be present, all before any compute starts.  Every default is
+its dataclass field's: the parsers pass on only the keys that are present,
+then range-check the result.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,30 +24,17 @@ from ..waveform import PulseSpec
 
 BASELINES = ("noncoded", "random", "newman")
 
-_MISSING = object()
-
-
-class _Section:
-    """Dict wrapper that tracks consumed keys and rejects leftovers."""
-
-    def __init__(self, data: object, name: str):
-        if not isinstance(data, dict):
-            raise ConfigError(f"'{name}' must be a JSON object")
-        self._d = dict(data)
-        self._name = name
-
-    def take(self, key: str, default: object = _MISSING) -> object:
-        if key in self._d:
-            return self._d.pop(key)
-        if default is _MISSING:
-            raise ConfigError(f"missing required key '{key}' in {self._name}")
-        return default
-
-    def finish(self) -> None:
-        if self._d:
-            raise ConfigError(
-                f"unknown keys in {self._name}: {sorted(self._d)}"
-            )
+# the GAConfig fields each optimizer reads (nsga2's SBX and mutation
+# constants are fixed)
+GA_FIELDS = {
+    "nsga2": ("population_size", "generations"),
+    "sga_minimize": (
+        "population_size", "generations", "elitism_fraction", "mutation_every",
+        "mutation_per_offspring",
+    ),
+    "continuous_minimize": ("population_size", "generations", "elitism_fraction", "mutation_rate"),
+}
+_GA_KEYS = {f.name for f in fields(GAConfig)}
 
 
 def _as_int(value: object, name: str) -> int:
@@ -65,6 +56,24 @@ def _as_number(value: object, name: str) -> float:
     return number
 
 
+def _as_str(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"'{name}' must be a string, got {value!r}")
+    return value
+
+
+def _as_pair(value: object, name: str) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"'{name}' must be a pair of numbers, got {value!r}")
+    return (_as_number(value[0], name), _as_number(value[1], name))
+
+
+def _as_pairs(value: object, name: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"'{name}' must be a list of pairs, got {value!r}")
+    return tuple(_as_pair(pair, name) for pair in value)
+
+
 @dataclass(frozen=True)
 class TargetSection:
     """Synthetic extended target description.
@@ -81,88 +90,54 @@ class TargetSection:
     seed: int | None = None
     scatterers: tuple[tuple[float, float], ...] | None = None
 
-
-def _parse_pulse(data: object) -> PulseSpec:
-    s = _Section(data, "pulse")
-    spec = PulseSpec(
-        n_subcarriers=_as_int(s.take("n_subcarriers"), "pulse.n_subcarriers"),
-        n_symbols=_as_int(s.take("n_symbols", 1), "pulse.n_symbols"),
-        subcarrier_spacing_hz=_as_number(
-            s.take("subcarrier_spacing_hz", 1.0e5), "pulse.subcarrier_spacing_hz"
-        ),
-        oversampling=_as_int(s.take("oversampling", 20), "pulse.oversampling"),
-    )
-    s.finish()
-    return spec
+    def __post_init__(self) -> None:
+        if self.n_scatterers < 1:
+            raise ValueError("n_scatterers must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.scatterers == ():
+            raise ValueError("scatterers must hold at least one [reflectivity, range_m]")
 
 
-def _parse_ga(data: object, name: str) -> GAConfig:
-    s = _Section(data, name)
+def _build(cls, data: object, name: str, **defaults):
+    """A ``cls`` from the keys present in ``data`` (over ``defaults``); each
+    other field keeps its dataclass default.  A value is cast by its field's
+    annotation (None passes where it admits None), and a ValueError from
+    ``cls`` becomes a ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{name}' must be a JSON object")
+    data = {**defaults, **data}
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data).difference(types))
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {unknown}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in data:
+            raise ConfigError(f"missing required key '{f.name}' in {name}")
+    values = {}
+    for key, value in data.items():
+        optional = types[key].endswith(" | None")
+        cast = _CASTS[types[key].removesuffix(" | None")]
+        label = key if name == "config" else f"{name}.{key}"
+        values[key] = None if optional and value is None else cast(value, label)
     try:
-        cfg = GAConfig(
-            population_size=_as_int(s.take("population_size"), f"{name}.population_size"),
-            generations=_as_int(s.take("generations"), f"{name}.generations"),
-            elitism_fraction=_as_number(
-                s.take("elitism_fraction", 0.5), f"{name}.elitism_fraction"
-            ),
-            mutation_every=_as_int(s.take("mutation_every", 1), f"{name}.mutation_every"),
-            mutation_per_offspring=_as_number(
-                s.take("mutation_per_offspring", 1.0), f"{name}.mutation_per_offspring"
-            ),
-            mutation_rate=_as_number(s.take("mutation_rate", 0.2), f"{name}.mutation_rate"),
-        )
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid {name}: {exc}") from exc
-    s.finish()
-    return cfg
 
 
-def _parse_scenario(data: object) -> ScenarioSpec:
-    s = _Section(data, "scenario")
-    try:
-        spec = ScenarioSpec(
-            target_extent_m=_as_number(s.take("target_extent_m"), "scenario.target_extent_m"),
-            margin_m=_as_number(s.take("margin_m", 0.0), "scenario.margin_m"),
-            min_range_m=_as_number(s.take("min_range_m"), "scenario.min_range_m"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
-    s.finish()
-    return spec
-
-
-def _parse_target(data: object) -> TargetSection:
-    s = _Section(data, "target")
-    scatterers = s.take("scatterers", None)
-    if scatterers is not None:
-        try:
-            scatterers = tuple(
-                (float(sig), float(rng_m)) for sig, rng_m in scatterers
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(
-                "target.scatterers must be [[reflectivity, range_m], ...]"
-            ) from exc
-        if not all(math.isfinite(v) for pair in scatterers for v in pair):
-            raise ConfigError("target.scatterers must be finite numbers")
-    seed = s.take("seed", None)
-    if seed is not None:
-        seed = _as_int(seed, "target.seed")
-        if seed < 0:
-            raise ConfigError("target.seed must be >= 0")
-    n_scatterers = _as_int(s.take("n_scatterers", 50), "target.n_scatterers")
-    if n_scatterers < 1:
-        raise ConfigError("target.n_scatterers must be >= 1")
-    section = TargetSection(
-        n_scatterers=n_scatterers,
-        center_range_m=_as_number(s.take("center_range_m", 1.0e4), "target.center_range_m"),
-        extent_m=_as_number(s.take("extent_m", 10.0), "target.extent_m"),
-        reflectivity=_as_number(s.take("reflectivity", 1.0), "target.reflectivity"),
-        seed=seed,
-        scatterers=scatterers,
-    )
-    s.finish()
-    return section
+_CASTS = {
+    "int": _as_int,
+    "float": _as_number,
+    "str": _as_str,
+    "tuple[float, float]": _as_pair,
+    "tuple[tuple[float, float], ...]": _as_pairs,
+    "PulseSpec": lambda value, name: _build(PulseSpec, value, name),
+    # margin_m sits between ScenarioSpec's required fields, so has no field default
+    "ScenarioSpec": lambda value, name: _build(ScenarioSpec, value, name, margin_m=0.0),
+    "TargetSection": lambda value, name: _build(TargetSection, value, name),
+    "GAConfig": lambda value, name: _build(GAConfig, value, name),
+}
 
 
 @dataclass(frozen=True)
@@ -201,6 +176,7 @@ class KindKeys(NamedTuple):
 
     sections: tuple[str, ...]  # required
     keys: tuple[str, ...] = ()  # optional
+    ga: dict[str, str] = {}  # required GA section -> its optimizer in GA_FIELDS
     masked: bool = True  # replicas score pulses over a SparsityMask (N >= 2)
 
 
@@ -209,23 +185,27 @@ KIND_KEYS = {
     "synthesize": KindKeys(("pulse",), ("baseline", "alphabet", "sparsity")),
     "evaluate": KindKeys(("pulse",), ("baseline", "alphabet", "sparsity")),
     "baseline": KindKeys(("pulse",), ("baseline", "alphabet", "sparsity")),
-    "optimize-pmepr": KindKeys(("pulse", "ga"), ("sparsity", "bits_per_var")),
-    "optimize-moo": KindKeys(("pulse", "ga"), ("snapshot_every", "n_random")),
-    "optimize-constrained": KindKeys(("pulse", "ga"), ("pmepr_max", "threshold_samples")),
+    "optimize-pmepr": KindKeys(("pulse",), ("sparsity", "bits_per_var"), {"ga": "sga_minimize"}),
+    "optimize-moo": KindKeys(("pulse",), ("snapshot_every", "n_random"), {"ga": "nsga2"}),
+    "optimize-constrained": KindKeys(
+        ("pulse",), ("pmepr_max", "threshold_samples"), {"ga": "nsga2"}
+    ),
     "illuminate": KindKeys(
-        ("pulse", "weight_ga", "phase_ga", "target"),
+        ("pulse", "target"),
         ("carrier_hz", "weight_bounds", "bits_per_var"),
+        {"weight_ga": "continuous_minimize", "phase_ga": "sga_minimize"},
         masked=False,
     ),
 }
 KINDS = tuple(KIND_KEYS)
-_KIND_SPECIFIC = {key for k in KIND_KEYS.values() for key in (*k.sections, *k.keys)}
+_KIND_SPECIFIC = {key for k in KIND_KEYS.values() for key in (*k.sections, *k.ga, *k.keys)}
 
 
 def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConfig:
     """Parse and validate a config dict; every unknown key is an error."""
-    s = _Section(data, "config")
-    kind = s.take("kind", kind_override)
+    if not isinstance(data, dict):
+        raise ConfigError("'config' must be a JSON object")
+    kind = data.get("kind", kind_override)
     if kind is None:
         raise ConfigError("config needs a 'kind' (or pass one via the CLI subcommand)")
     if kind_override is not None and kind != kind_override:
@@ -235,95 +215,41 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
     if kind not in KINDS:
         raise ConfigError(f"unknown kind '{kind}'; expected one of {list(KINDS)}")
     reads = KIND_KEYS[kind]
-    unread = sorted(_KIND_SPECIFIC.intersection(data).difference(reads.sections, reads.keys))
+    unread = _KIND_SPECIFIC.intersection(data).difference(reads.sections, reads.ga, reads.keys)
+    for section, optimizer in reads.ga.items():
+        if isinstance(data.get(section), dict):
+            unread.update(
+                f"{section}.{key}"
+                for key in _GA_KEYS.intersection(data[section]).difference(GA_FIELDS[optimizer])
+            )
     if unread:
-        raise ConfigError(f"kind '{kind}' does not read {unread}")
+        raise ConfigError(f"kind '{kind}' does not read {sorted(unread)}")
 
-    runs = _as_int(s.take("runs", 1), "runs")
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
-    workers = _as_int(s.take("workers", 1), "workers")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-
-    baseline = s.take("baseline", "random")
-    if baseline not in BASELINES:
-        raise ConfigError(f"baseline must be one of {list(BASELINES)}")
-
-    alphabet = s.take("alphabet", None)
-    if alphabet is not None:
-        alphabet = _as_int(alphabet, "alphabet")
-        if alphabet < 2:
-            raise ConfigError("alphabet must be >= 2")
-
-    sparsity = _as_number(s.take("sparsity", 1.0), "sparsity")
-    if not 0 < sparsity <= 1:
-        raise ConfigError("sparsity must be in (0, 1]")
-
-    pmepr_max = s.take("pmepr_max", None)
-    if pmepr_max is not None:
-        pmepr_max = _as_number(pmepr_max, "pmepr_max")
+    cfg = _build(ExperimentConfig, {**data, "kind": kind}, "config")
+    v_l, v_u = cfg.weight_bounds
+    for ok, message in (
+        (cfg.runs >= 1, "runs must be >= 1"),
+        (cfg.workers >= 1, "workers must be >= 1"),
+        (cfg.baseline in BASELINES, f"baseline must be one of {list(BASELINES)}"),
+        # the generator draws alphabet indices as int64
+        (cfg.alphabet is None or 2 <= cfg.alphabet <= 2**63, "alphabet must be in 2..2**63"),
+        (0 < cfg.sparsity <= 1, "sparsity must be in (0, 1]"),
+        (0 < v_l < v_u, "weight_bounds must be [v_l, v_u] with 0 < v_l < v_u"),
+        (cfg.n_random is None or cfg.n_random >= 1, "n_random must be >= 1"),
+        (cfg.threshold_samples >= 0, "threshold_samples must be >= 0"),
+        (cfg.snapshot_every >= 1, "snapshot_every must be >= 1"),
+        (cfg.carrier_hz >= 0, "carrier_hz must be >= 0"),
+        (1 <= cfg.bits_per_var <= 30, "bits_per_var must be in 1..30"),
+    ):
+        if not ok:
+            raise ConfigError(message)
+    if cfg.pmepr_max is not None:
         try:
-            ConstraintSpec(pmepr_max)
+            ConstraintSpec(cfg.pmepr_max)
         except ValueError as exc:
             raise ConfigError(f"invalid pmepr_max: {exc}") from exc
 
-    bounds = s.take("weight_bounds", [0.01, 10.0])
-    if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
-        raise ConfigError("weight_bounds must be [v_l, v_u] with 0 < v_l < v_u")
-    bounds = tuple(_as_number(b, "weight_bounds") for b in bounds)
-    if not 0 < bounds[0] < bounds[1]:
-        raise ConfigError("weight_bounds must be [v_l, v_u] with 0 < v_l < v_u")
-
-    n_random = s.take("n_random", None)
-    if n_random is not None:
-        n_random = _as_int(n_random, "n_random")
-        if n_random < 1:
-            raise ConfigError("n_random must be >= 1")
-
-    threshold_samples = _as_int(s.take("threshold_samples", 1000), "threshold_samples")
-    if threshold_samples < 0:
-        raise ConfigError("threshold_samples must be >= 0")
-    snapshot_every = _as_int(s.take("snapshot_every", 100), "snapshot_every")
-    if snapshot_every < 1:
-        raise ConfigError("snapshot_every must be >= 1")
-    carrier_hz = _as_number(s.take("carrier_hz", 0.0), "carrier_hz")
-    if carrier_hz < 0:
-        raise ConfigError("carrier_hz must be >= 0")
-
-    pulse = s.take("pulse", None)
-    scenario = s.take("scenario", None)
-    ga = s.take("ga", None)
-    weight_ga = s.take("weight_ga", None)
-    phase_ga = s.take("phase_ga", None)
-    target = s.take("target", None)
-
-    cfg = ExperimentConfig(
-        kind=kind,
-        seed=_as_int(s.take("seed", 0), "seed"),
-        runs=runs,
-        workers=workers,
-        out_dir=str(s.take("out_dir", "results")),
-        pulse=_parse_pulse(pulse) if pulse is not None else None,
-        scenario=_parse_scenario(scenario) if scenario is not None else None,
-        ga=_parse_ga(ga, "ga") if ga is not None else None,
-        weight_ga=_parse_ga(weight_ga, "weight_ga") if weight_ga is not None else None,
-        phase_ga=_parse_ga(phase_ga, "phase_ga") if phase_ga is not None else None,
-        target=_parse_target(target) if target is not None else None,
-        baseline=baseline,
-        alphabet=alphabet,
-        bits_per_var=_as_int(s.take("bits_per_var", 18), "bits_per_var"),
-        sparsity=sparsity,
-        pmepr_max=pmepr_max,
-        threshold_samples=threshold_samples,
-        snapshot_every=snapshot_every,
-        n_random=n_random,
-        carrier_hz=carrier_hz,
-        weight_bounds=bounds,
-    )
-    s.finish()
-
-    for section in reads.sections:
+    for section in (*reads.sections, *reads.ga):
         if getattr(cfg, section) is None:
             raise ConfigError(f"kind '{kind}' requires a '{section}' section")
     if kind == "illuminate" and cfg.pulse.n_symbols != 1:
@@ -343,8 +269,6 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
             f"threshold_samples must be >= {MIN_THRESHOLD_SAMPLES} to derive "
             "pmepr_max from the random-code PMEPR distribution"
         )
-    if cfg.bits_per_var < 1 or cfg.bits_per_var > 30:
-        raise ConfigError("bits_per_var must be in 1..30")
     return cfg
 
 

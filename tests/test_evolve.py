@@ -10,6 +10,7 @@ from ofdmforge import (
     continuous_minimize,
     decode_phases,
     encode_phases,
+    nsga2,
     sga_minimize,
     sga_phases,
     uniform_weights,
@@ -73,7 +74,7 @@ class TestCodec:
 class TestGAConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GAConfig(population_size=3, generations=10)
+            GAConfig(population_size=1, generations=10)
         with pytest.raises(ValueError):
             GAConfig(population_size=12, generations=0)
         with pytest.raises(ValueError):
@@ -84,6 +85,22 @@ class TestGAConfig:
     def test_n_keep(self):
         assert GAConfig(population_size=12, generations=1).n_keep() == 6
         assert GAConfig(population_size=12, generations=1, elitism_fraction=0.25).n_keep() == 3
+
+    @pytest.mark.parametrize("pop", [3, 5, 7])
+    def test_odd_populations_run(self, pop):
+        # no optimizer needs an even population: a pair's dropped second
+        # child costs only its draws
+        cfg = GAConfig(population_size=pop, generations=6)
+        _, trace = sga_minimize(bit_count_fitness, 12, cfg, np.random.default_rng(pop))
+        assert len(trace) == 7 and np.all(np.diff(trace.best) <= 0)
+        _, trace = continuous_minimize(sphere, np.full(3, -1.0), np.full(3, 1.0), cfg,
+                                       np.random.default_rng(pop))
+        assert len(trace) == 7 and np.all(np.diff(trace.best) <= 0)
+        sizes = []
+        nsga2(lambda g: np.column_stack([np.cos(g).sum(1), np.sin(g).sum(1)]), 4, cfg,
+              np.random.default_rng(pop),
+              generation_hook=lambda gen, genomes, objs, carried: sizes.append(len(genomes)))
+        assert sizes == [pop] * 7
 
 
 def bit_count_fitness(bits: np.ndarray) -> np.ndarray:

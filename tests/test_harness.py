@@ -82,6 +82,29 @@ VALID_VALUES = {
     "weight_bounds": [0.01, 10.0],
 }
 
+# the GAConfig fields each optimizer reads, and the optimizer behind each
+# (kind, GA section)
+OPTIMIZER_READS = {
+    "nsga2": {"population_size", "generations"},
+    "sga_minimize": {
+        "population_size", "generations", "elitism_fraction", "mutation_every",
+        "mutation_per_offspring",
+    },
+    "continuous_minimize": {"population_size", "generations", "elitism_fraction", "mutation_rate"},
+}
+GA_SECTIONS = [
+    ("optimize-pmepr", "ga", "sga_minimize"),
+    ("optimize-moo", "ga", "nsga2"),
+    ("optimize-constrained", "ga", "nsga2"),
+    ("illuminate", "weight_ga", "continuous_minimize"),
+    ("illuminate", "phase_ga", "sga_minimize"),
+]
+# a value other than MINI_GA's or the default for every GAConfig field
+GA_CHANGES = {
+    "population_size": 6, "generations": 12, "elitism_fraction": 0.25,
+    "mutation_every": 3, "mutation_per_offspring": 0.3, "mutation_rate": 0.9,
+}
+
 
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
@@ -184,6 +207,12 @@ class TestConfigParsing:
         cfg = parse_config({"kind": "baseline", "pulse": MINI_PULSE})
         assert cfg.runs == 1 and cfg.seed == 0 and cfg.baseline == "random"
         assert cfg.pulse.oversampling == 4
+
+    def test_out_dir_must_be_a_string(self):
+        # --out replaces the field, so only a config document can get this wrong
+        for bad in (None, 5, ["results"]):
+            with pytest.raises(ConfigError, match="'out_dir' must be a string"):
+                parse_config({"kind": "baseline", "pulse": MINI_PULSE, "out_dir": bad})
 
     def test_kind_from_override(self):
         cfg = parse_config({"pulse": MINI_PULSE}, kind_override="baseline")
@@ -448,16 +477,20 @@ class TestCliErrors:
         ("illuminate", {"carrier_hz": float("nan")}),
         ("illuminate", {"carrier_hz": 10**400}),
         ("evaluate", {"pulse": {**MINI_PULSE, "subcarrier_spacing_hz": float("inf")}}),
+        ("evaluate", {"pulse": {**MINI_PULSE, "oversampling": 0}}),
         ("illuminate", {"target": {"extent_m": float("nan")}}),
         ("illuminate", {"target": {"scatterers": [[float("nan"), 1e4], [1.0, 1e4 + 1]]}}),
         ("illuminate", {"weight_bounds": [0.01, float("inf")]}),
         ("illuminate", {"target": {"seed": -1}}),
+        ("illuminate", {"target": {"scatterers": []}}),
         # the derived PMEPR cap needs 100 random-code samples
         ("optimize-constrained", {"threshold_samples": 0}),
         ("optimize-constrained", {"threshold_samples": 99, "pmepr_max": None}),
         # a mask keeps both extreme subcarriers, so it needs two of them
         ("baseline", {"sparsity": 0.1}),
         ("optimize-pmepr", {"sparsity": 0.1}),
+        # the generator draws alphabet indices as int64
+        ("baseline", {"alphabet": 2**70}),
         pytest.param("evaluate", {"pulse": {**MINI_PULSE, "n_subcarriers": 1}},
                      id="evaluate-n_subcarriers=1"),
         pytest.param("optimize-moo", {"pulse": {**MINI_PULSE, "n_subcarriers": 1}},
@@ -538,10 +571,38 @@ class TestConfigTable:
         assert f"kind '{kind}' does not read {sorted(fields)}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, section, key", [
+        (kind, section, key) for kind, section, optimizer in GA_SECTIONS
+        for key in sorted(set(GA_CHANGES) - OPTIMIZER_READS[optimizer])
+    ])
+    def test_unread_ga_key_exits_2(self, tmp_path, capsys, kind, section, key):
+        config = {**KIND_CONFIGS[kind], section: {**MINI_GA, key: GA_CHANGES[key]}}
+        out = tmp_path / "out"
+        assert main([kind, "--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"kind '{kind}' does not read ['{section}.{key}']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, section, key", [
+        (kind, section, key) for kind, section, optimizer in GA_SECTIONS
+        for key in sorted(OPTIMIZER_READS[optimizer])
+    ])
+    def test_every_ga_key_read_changes_the_run(self, tmp_path, kind, section, key):
+        csvs = []
+        for sub, ga in (("a", MINI_GA), ("b", {**MINI_GA, key: GA_CHANGES[key]})):
+            cfg = parse_config({**KIND_CONFIGS[kind], section: ga, "seed": 5,
+                                "out_dir": str(tmp_path / sub)}, kind_override=kind)
+            run_experiment(cfg)
+            csvs.append({p.relative_to(tmp_path / sub): p.read_bytes()
+                         for p in sorted((tmp_path / sub).rglob("*.csv"))})
+        assert csvs[0].keys() == csvs[1].keys()
+        assert csvs[0] != csvs[1]
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_kind_reads_its_keys_and_no_others(self, kind):
         reads = KIND_KEYS[kind]
-        mine = {*reads.sections, *reads.keys}
+        mine = {*reads.sections, *reads.ga, *reads.keys}
         cfg = parse_config({key: VALID_VALUES[key] for key in mine}, kind_override=kind)
         assert cfg.kind == kind
         for key in set(VALID_VALUES) - mine:
@@ -558,10 +619,17 @@ class TestConfigTable:
         fields = help_text.split("kind-specific fields:")[1]
         reads = KIND_KEYS[kind]
         missing = [
-            key for key in (*reads.sections, *reads.keys)
+            key for key in (*reads.sections, *reads.ga, *reads.keys)
             if not re.search(rf"(?<![\w-]){re.escape(key)}(?![\w-])", fields)
         ]
         assert missing == []
+        # each GA section lists exactly the fields its optimizer reads
+        blocks = re.findall(r"^(\w+) \((\w+)\) fields:\n((?:  .*\n)*)", fields, re.M)
+        assert {(section, optimizer): {line.split()[0] for line in body.splitlines()}
+                for section, optimizer, body in blocks} == {
+            (section, optimizer): OPTIMIZER_READS[optimizer]
+            for k, section, optimizer in GA_SECTIONS if k == kind
+        }
         assert ("--baseline" in help_text) == ("baseline" in reads.keys)
 
 

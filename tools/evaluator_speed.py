@@ -41,6 +41,8 @@ def main(argv=None) -> int:
     parser.add_argument("src", nargs="+")
     parser.add_argument("--rounds", type=int, default=30)
     args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be >= 2: the quartiles need two data points")
     trees = [load(src) for src in args.src]
     report = {}
     for n, k, ell in SHAPES:
