@@ -82,7 +82,10 @@ def max_subcarriers(bandwidth_hz: float, min_range_m: float) -> int:
     """
     if bandwidth_hz <= 0 or min_range_m <= 0:
         raise InvalidScenarioError("bandwidth and range must be positive")
-    n = math.floor(2.0 * bandwidth_hz * min_range_m / SPEED_OF_LIGHT)
+    ratio = 2.0 * bandwidth_hz * min_range_m / SPEED_OF_LIGHT
+    if not math.isfinite(ratio):
+        raise InvalidScenarioError("2*B*R_min/c is not finite")
+    n = math.floor(ratio)
     if n < 1:
         raise InvalidScenarioError(
             "scenario admits no subcarriers (2*B*R_min/c < 1)"

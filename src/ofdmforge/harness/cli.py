@@ -53,7 +53,7 @@ _KIND_FIELDS = {
 """,
     "optimize-moo": """\
   pulse, ga        NSGA-II on (PMEPR, PSLR); a population of 40 works well
-  snapshot_every   archive snapshot period in generations     (default %(snapshot_every)s)
+  snapshot_every   front.csv snapshot period in generations   (default %(snapshot_every)s)
   n_random         size of the random comparison cloud        (default pop)
             writes front.csv (pmepr, pslr_db, islr_db, run_id, generation),
             genome.json sidecar, pareto.csv plot data

@@ -5,10 +5,12 @@ stays outside the package.  Schemas:
 
 * convergence  -> convergence.csv   (generation, best, mean), runs averaged
 * pareto       -> pareto.csv        (pmepr, pslr_db, source in {optimized, random})
-* envelope     -> envelope.csv      (t_s, abs)
-* spectrum     -> spectrum.csv      (f_hz, magnitude)
+* envelope     -> envelope.csv      (t_s, abs), run 0
 * constrained  -> constrained.csv   (run_id, pmepr, pslr_db, islr_db, compliant)
-* illumination -> illumination.csv  (n, reflectivity_norm_abs, w_opt)
+
+The aggregate spectrum.csv (synthesize) and illumination.csv (illuminate)
+are not rendered here: the runner copies run 0's spectrum.csv and
+spectra.csv byte for byte.
 """
 from __future__ import annotations
 
@@ -22,14 +24,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..evolve import ConvergenceTrace
 
-PLOT_KINDS = (
-    "convergence",
-    "pareto",
-    "envelope",
-    "spectrum",
-    "constrained",
-    "illumination",
-)
+PLOT_KINDS = ("convergence", "pareto", "envelope", "constrained")
 
 
 @contextlib.contextmanager
@@ -106,16 +101,6 @@ def emit_plot_data(payloads: list[dict], kind: str, out_dir: Path | str) -> list
         )
         return [path]
 
-    if kind == "spectrum":
-        p = payloads[0]
-        path = out / "spectrum.csv"
-        write_csv(
-            path,
-            ("f_hz", "magnitude"),
-            zip(p["freqs_hz"].tolist(), p["spectrum"].tolist()),
-        )
-        return [path]
-
     if kind == "constrained":
         rows = []
         for p in payloads:
@@ -124,20 +109,6 @@ def emit_plot_data(payloads: list[dict], kind: str, out_dir: Path | str) -> list
                 rows.append((p["run_id"], pm, ps, il, flag))
         path = out / "constrained.csv"
         write_csv(path, ("run_id", "pmepr", "pslr_db", "islr_db", "compliant"), rows)
-        return [path]
-
-    if kind == "illumination":
-        p = payloads[0]
-        path = out / "illumination.csv"
-        write_csv(
-            path,
-            ("n", "reflectivity_norm_abs", "w_opt"),
-            zip(
-                range(len(p["w_opt"])),
-                p["reflectivity"].tolist(),
-                p["w_opt"].tolist(),
-            ),
-        )
         return [path]
 
     raise ConfigError(f"unknown plot kind '{kind}'; expected one of {list(PLOT_KINDS)}")

@@ -20,12 +20,8 @@ import numpy as np
 
 from ..design import dimension_pulse
 from ..evolve import sga_phases
-from ..illumination import (
-    TargetModel,
-    normalize_reflectivity,
-    reflectivity_spectrum,
-    two_step_pipeline,
-)
+from ..errors import ConfigError
+from ..illumination import TargetModel, two_step_pipeline
 from ..metrics import PhaseEvaluator
 from ..pareto import (
     ConstraintSpec,
@@ -45,6 +41,8 @@ from .config import ExperimentConfig
 from .plotdata import atomic_open, emit_plot_data, write_csv, write_trace
 
 _MASK64 = (1 << 64) - 1
+
+FRONT_HEADER = ("pmepr", "pslr_db", "islr_db", "run_id", "generation")
 
 
 def mix64(seed: int, run_id: int) -> int:
@@ -114,13 +112,7 @@ def _run_synthesize(config, run_id, run_dir, rng):
     freqs, mag = pulse_spectrum(pulse)
     write_csv(run_dir / "spectrum.csv", ("f_hz", "magnitude"), zip(freqs.tolist(), mag.tolist()))
     objectives = {"pmepr": float(evaluator.pmepr(codes.phases[None])[0])}
-    payload = {
-        "envelope": np.abs(pulse.samples),
-        "times_s": t,
-        "freqs_hz": freqs,
-        "spectrum": mag,
-    }
-    return objectives, payload
+    return objectives, {"envelope": np.abs(pulse.samples), "times_s": t}
 
 
 def _run_evaluate(config, run_id, run_dir, rng):
@@ -181,24 +173,22 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
     n_vars = spec.n_subcarriers * spec.n_symbols
     scores = _full_band_scores(config)
 
-    # objectives (pmepr, pslr_db), then islr_db carried into the fronts
-    archive, snapshots = nsga2(
-        scores, n_vars, config.ga, rng=rng, snapshot_every=config.snapshot_every
-    )
-
+    # the rank-0 front of every snapshot_every-th generation, and of the last
     front_rows = []
-    genome_map = []
-    for gen, snap in snapshots:
-        rows = np.column_stack([snap.objectives, snap.carried]).tolist()
-        for genome, (pm, ps, il) in zip(snap.genomes, rows):
-            front_rows.append((pm, ps, il, run_id, gen))
-            if gen == config.ga.generations:
-                genome_map.append(
-                    {"row": len(front_rows) - 1, "phases": genome.tolist()}
-                )
-    write_csv(
-        run_dir / "front.csv", ("pmepr", "pslr_db", "islr_db", "run_id", "generation"), front_rows
-    )
+
+    def snapshot(gen, genomes, values, rank):
+        if gen == config.ga.generations or (gen and gen % config.snapshot_every == 0):
+            front_rows.extend((*row, run_id, gen) for row in values[rank == 0].tolist())
+
+    # objectives (pmepr, pslr_db), then islr_db carried into the fronts
+    archive = nsga2(scores, n_vars, config.ga, rng=rng, generation_hook=snapshot)
+    write_csv(run_dir / "front.csv", FRONT_HEADER, front_rows)
+    # the last generation's front closes front.csv
+    first = len(front_rows) - len(archive)
+    genome_map = [
+        {"row": first + i, "phases": phases}
+        for i, phases in enumerate(archive.genomes.tolist())
+    ]
     _write_json(run_dir / "genome.json", {"rows": genome_map})
 
     n_random = config.ga.population_size if config.n_random is None else config.n_random
@@ -229,7 +219,14 @@ def _derived_pmepr_max(config: ExperimentConfig) -> float:
     mask = SparsityMask.full(spec.n_subcarriers)
     phases = _random_phase_block(config, config.threshold_samples, rng)
     samples = PhaseEvaluator(spec, uniform_weights(mask), mask).pmepr(phases)
-    return pmepr_threshold_from_distribution(samples)
+    pmepr_max = pmepr_threshold_from_distribution(samples)
+    try:
+        ConstraintSpec(pmepr_max)
+    except ValueError as exc:
+        raise ConfigError(
+            f"derived pmepr_max {pmepr_max} is invalid ({exc}); set pmepr_max explicitly"
+        ) from None
+    return pmepr_max
 
 
 def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
@@ -241,10 +238,10 @@ def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
     # later generations overwrite "final"
     pop_pmeprs = {}
 
-    def observe(gen, genomes, objs, carried):
-        pop_pmeprs["final" if gen else "initial"] = carried[:, 0]
+    def observe(gen, genomes, values, rank):
+        pop_pmeprs["final" if gen else "initial"] = values[:, 2]
 
-    archive, _ = nsga2(
+    archive = nsga2(
         # objectives (pslr_db, islr_db), then the constrained PMEPR
         lambda genomes: scores(genomes)[:, [1, 2, 0]],
         n_vars,
@@ -255,11 +252,10 @@ def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
     )
 
     front_arr = np.column_stack([archive.carried[:, 0], archive.objectives])
-    front_rows = [
-        (pm, ps, il, run_id, config.ga.generations) for pm, ps, il in front_arr.tolist()
-    ]
     write_csv(
-        run_dir / "front.csv", ("pmepr", "pslr_db", "islr_db", "run_id", "generation"), front_rows
+        run_dir / "front.csv",
+        FRONT_HEADER,
+        ((pm, ps, il, run_id, config.ga.generations) for pm, ps, il in front_arr.tolist()),
     )
 
     final_pmeprs = pop_pmeprs["final"]
@@ -271,8 +267,8 @@ def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
         "compliant": bool(violators == 0),
         "initial_violator_fraction": float(np.mean(pop_pmeprs["initial"] > pmepr_max)),
         "final_violator_fraction": float(np.mean(final_pmeprs > pmepr_max)),
-        "islr_min_db": float(front_arr[:, 2].min()) if len(front_arr) else float("nan"),
-        "islr_max_db": float(front_arr[:, 2].max()) if len(front_arr) else float("nan"),
+        "islr_min_db": float(front_arr[:, 2].min()),
+        "islr_max_db": float(front_arr[:, 2].max()),
     }
     return objectives, {"front": front_arr, "run_id": run_id, "compliant": objectives["compliant"]}
 
@@ -305,15 +301,12 @@ def _run_illuminate(config, run_id, run_dir, rng):
         bits_per_var=config.bits_per_var,
     )
 
-    norm = normalize_reflectivity(
-        reflectivity_spectrum(target, spec, config.carrier_hz)
-    )
     write_csv(
         run_dir / "spectra.csv",
         ("n", "reflectivity_norm_abs", "w_opt"),
         zip(
             range(spec.n_subcarriers),
-            np.abs(norm.values).tolist(),
+            np.abs(result.reflectivity.values).tolist(),
             result.w_opt.weights.tolist(),
         ),
     )
@@ -323,27 +316,28 @@ def _run_illuminate(config, run_id, run_dir, rng):
         "pmepr_initial": result.pmepr_initial,
         "pmepr_final": result.pmepr_final,
     }
-    payload = {
-        "trace": result.pmepr_trace,
-        "reflectivity": np.abs(norm.values),
-        "w_opt": result.w_opt.weights,
-    }
-    return objectives, payload
+    return objectives, {"trace": result.pmepr_trace}
 
 
 # --- orchestration ----------------------------------------------------------
 
 
-# kind -> (replica, per-run objectives file or None, plots of the aggregate)
+# kind -> (replica, per-run objectives file or None, plots of the aggregate,
+# (run-0 file, aggregate file) copies)
 _RUNNERS = {
-    "dimension": (_run_dimension, "dimensions.json", ()),
-    "synthesize": (_run_synthesize, None, ("envelope", "spectrum")),
-    "evaluate": (_run_evaluate, "report.json", ()),
-    "baseline": (_run_baseline, "summary.json", ()),
-    "optimize-pmepr": (_run_optimize_pmepr, "summary.json", ("convergence",)),
-    "optimize-moo": (_run_optimize_moo, "summary.json", ("pareto",)),
-    "optimize-constrained": (_run_optimize_constrained, "summary.json", ("constrained",)),
-    "illuminate": (_run_illuminate, "illumination.json", ("convergence", "illumination")),
+    "dimension": (_run_dimension, "dimensions.json", (), ()),
+    "synthesize": (_run_synthesize, None, ("envelope",), (("spectrum.csv", "spectrum.csv"),)),
+    "evaluate": (_run_evaluate, "report.json", (), ()),
+    "baseline": (_run_baseline, "summary.json", (), ()),
+    "optimize-pmepr": (_run_optimize_pmepr, "summary.json", ("convergence",), ()),
+    "optimize-moo": (_run_optimize_moo, "summary.json", ("pareto",), ()),
+    "optimize-constrained": (_run_optimize_constrained, "summary.json", ("constrained",), ()),
+    "illuminate": (
+        _run_illuminate,
+        "illumination.json",
+        ("convergence",),
+        (("spectra.csv", "illumination.csv"),),
+    ),
 }
 
 
@@ -353,7 +347,7 @@ def _execute_run(config: ExperimentConfig, run_id: int, extra: dict) -> tuple[Ru
     run_dir.mkdir(parents=True, exist_ok=True)
     seed = mix64(config.seed, run_id)
     rng = np.random.default_rng(seed)
-    replica, objectives_file, _ = _RUNNERS[config.kind]
+    replica, objectives_file, _, _ = _RUNNERS[config.kind]
     started = time.perf_counter()
     objectives, payload = replica(config, run_id, run_dir, rng, **extra)
     if objectives_file is not None:
@@ -364,14 +358,14 @@ def _execute_run(config: ExperimentConfig, run_id: int, extra: dict) -> tuple[Ru
 
 def run_experiment(config: ExperimentConfig) -> list[RunResult]:
     """Execute all replicas of one experiment and write the aggregate."""
-    out = config.out_path()
-    out.mkdir(parents=True, exist_ok=True)
-
+    # a derived cap no pulse can meet is a config error, raised before any output
     extra = {}
     if config.kind == "optimize-constrained":
         extra["pmepr_max"] = (
             config.pmepr_max if config.pmepr_max is not None else _derived_pmepr_max(config)
         )
+    out = config.out_path()
+    out.mkdir(parents=True, exist_ok=True)
 
     if config.workers > 1 and config.runs > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -430,6 +424,11 @@ def _write_aggregate(config, results, payloads, extra: dict, out: Path) -> None:
         summary[f"{key}_runs"] = sum(r.final_objectives[key] for r in results)
     _write_json(out / "summary.json", summary)
 
-    _, _, plots = _RUNNERS[config.kind]
+    _, _, plots, copies = _RUNNERS[config.kind]
     for plot in plots:
         emit_plot_data(payloads, plot, out)
+    # byte copies: newline="" on both sides keeps the csv module's \r\n
+    for run0_name, name in copies:
+        with open(out / "0" / run0_name, newline="") as src:
+            with atomic_open(out / name, newline="") as dst:
+                dst.write(src.read())

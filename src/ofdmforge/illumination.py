@@ -77,12 +77,14 @@ class ReflectivitySpectrum:
 
 @dataclass(frozen=True)
 class IlluminationResult:
-    """Output bundle of the two-step pipeline."""
+    """Output bundle of the two-step pipeline; ``reflectivity`` is the
+    normalized target spectrum the weights were matched to."""
 
     w_opt: WeightVector
     a_opt: PhaseCodeMatrix
     gain_db: float
     pmepr_trace: ConvergenceTrace = field(repr=False)
+    reflectivity: ReflectivitySpectrum = field(repr=False)
 
     @property
     def pmepr_initial(self) -> float:
@@ -212,5 +214,9 @@ def two_step_pipeline(
 
     phases, trace = sga_phases(PhaseEvaluator(spec, w_opt), bits_per_var, phase_config, rng)
     return IlluminationResult(
-        w_opt=w_opt, a_opt=PhaseCodeMatrix(phases), gain_db=gain, pmepr_trace=trace
+        w_opt=w_opt,
+        a_opt=PhaseCodeMatrix(phases),
+        gain_db=gain,
+        pmepr_trace=trace,
+        reflectivity=norm,
     )

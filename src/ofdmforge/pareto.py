@@ -27,7 +27,7 @@ from .waveform import TWO_PI
 # (P, n_vars) phase block -> (P, 2 + c) rows: two objectives, then c carried
 # columns, the first of which is the PMEPR under a constraint
 ObjectiveFn = Callable[[np.ndarray], np.ndarray]
-# (generation, genomes, (P, 2) objectives, (P, c) carried columns)
+# (generation, genomes, (P, 2 + c) rows as scored, (P,) front index)
 GenerationHook = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 
 SBX_ETA = 15.0
@@ -181,10 +181,9 @@ def nsga2(
     config: GAConfig,
     rng: np.random.Generator,
     constraint: ConstraintSpec | None = None,
-    snapshot_every: int = 100,
     generation_hook: GenerationHook | None = None,
-) -> tuple[ParetoArchive, list[tuple[int, ParetoArchive]]]:
-    """Run NSGA-II and return (final archive, periodic archive snapshots).
+) -> ParetoArchive:
+    """Run NSGA-II and return the final population's rank-0 archive.
 
     ``objective_fn`` is called once per generation with the (P, n_vars)
     block of phase vectors in [0, 2*pi)^n_vars to be scored and returns a
@@ -192,13 +191,13 @@ def nsga2(
     columns 2... are carried with each genome, unranked.  A ``constraint``
     caps column 2, which must then hold each genome's PMEPR.
 
-    ``generation_hook(gen, genomes, objectives, carried)`` observes the whole
-    population after every environmental selection (gen 0 = initial
-    population; carried is the (P, c) block), e.g. for compliance
+    ``generation_hook(gen, genomes, values, rank)`` observes the whole
+    population after every environmental selection, G + 1 times (gen 0 =
+    initial population): ``values`` holds the (P, 2 + c) rows as scored and
+    ``rank`` each genome's front index, 0 on the Pareto front.  It is the
+    only per-generation output, e.g. for periodic front records or compliance
     accounting.
     """
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
     pop = config.population_size
 
     genomes = rng.uniform(0.0, TWO_PI, size=(pop, n_vars))
@@ -210,18 +209,13 @@ def nsga2(
         )
     rank, crowd = _rank_and_crowd(values, constraint)
     if generation_hook is not None:
-        generation_hook(0, genomes, values[:, :2], values[:, 2:])
+        generation_hook(0, genomes, values, rank)
 
-    def archive() -> ParetoArchive:
-        front = rank == 0
-        return ParetoArchive(genomes[front], values[front, :2], crowd[front], values[front, 2:])
-
-    snapshots: list[tuple[int, ParetoArchive]] = []
     mut_rate = 1.0 / n_vars
-    for gen in range(config.generations):
+    for gen in range(1, config.generations + 1):
         kids = _offspring(genomes, rank, crowd, rng, mut_rate)
         all_genomes = np.concatenate([genomes, kids])
-        all_values = np.concatenate([values, score_batch(objective_fn, kids, gen + 1, ndim=2)])
+        all_values = np.concatenate([values, score_batch(objective_fn, kids, gen, ndim=2)])
         all_rank, all_crowd = _rank_and_crowd(all_values, constraint)
 
         # whole fronts in index order, then the front the budget cuts by
@@ -231,14 +225,10 @@ def nsga2(
         genomes, values = all_genomes[sel], all_values[sel]
         rank, crowd = all_rank[sel], all_crowd[sel]
         if generation_hook is not None:
-            generation_hook(gen + 1, genomes, values[:, :2], values[:, 2:])
+            generation_hook(gen, genomes, values, rank)
 
-        if (gen + 1) % snapshot_every == 0 and gen + 1 < config.generations:
-            snapshots.append((gen + 1, archive()))
-
-    final = archive()
-    snapshots.append((config.generations, final))
-    return final, snapshots
+    front = rank == 0
+    return ParetoArchive(genomes[front], values[front, :2], crowd[front], values[front, 2:])
 
 
 # Fewest random-code PMEPRs the threshold histogram is drawn from.

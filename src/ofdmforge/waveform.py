@@ -42,6 +42,11 @@ class PulseSpec:
             raise ValueError("subcarrier_spacing_hz must be > 0")
         if self.oversampling < 1:
             raise ValueError("oversampling must be >= 1")
+        if not (0 < self.bandwidth_hz < np.inf and 0 < self.sample_period_s < np.inf):
+            raise ValueError(
+                f"subcarrier_spacing_hz {self.subcarrier_spacing_hz} gives a bandwidth or"
+                " sample period that is not finite and > 0"
+            )
 
     @property
     def symbol_duration_s(self) -> float:

@@ -135,7 +135,7 @@ def test_criterion_06_nsga2_improvement():
     cloud = objective(np.array([random_phases(n, k, rng).phases.reshape(-1) for _ in range(40)]))
     mean_pmepr, mean_pslr = cloud[:, 0].mean(), cloud[:, 1].mean()
 
-    archive, _ = nsga2(
+    archive = nsga2(
         objective, n * k,
         GAConfig(population_size=40, generations=2000),
         rng=np.random.default_rng(21),
@@ -162,10 +162,10 @@ def test_criterion_07_constrained_nsga2():
     for run in range(runs):
         final_pm = {}
 
-        def hook(gen, genomes, objs, pmeprs, _store=final_pm):
-            _store["pm"] = pmeprs
+        def hook(gen, genomes, values, rank, _store=final_pm):
+            _store["pm"] = values[:, 2]
 
-        archive, _ = nsga2(
+        archive = nsga2(
             constrained, n, config,
             rng=np.random.default_rng(500 + run),
             constraint=ConstraintSpec(cap),
@@ -175,7 +175,7 @@ def test_criterion_07_constrained_nsga2():
             compliant += 1
             compliant_islr.extend(archive.objectives[:, 1].tolist())
     for run in range(4):
-        archive, _ = nsga2(
+        archive = nsga2(
             lambda g: constrained(g)[:, :2], n, config,
             rng=np.random.default_rng(900 + run),
         )
@@ -297,8 +297,8 @@ class TestCriterion11OracleSuites:
         evaluator = full_band_evaluator(8, oversampling=8)
         observed = []
 
-        def hook(gen, genomes, objs, pmeprs):
-            observed.append(objs.copy())
+        def hook(gen, genomes, values, rank):
+            observed.append(values.copy())
 
         nsga2(
             lambda g: evaluator.objectives(g.reshape(len(g), 8, 1))[:, 1:], 8,

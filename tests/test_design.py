@@ -79,6 +79,12 @@ class TestMaxSubcarriers:
         with pytest.raises(InvalidScenarioError):
             max_subcarriers(1e6, 0.0)
 
+    def test_overflowing_ratio(self):
+        # 2*B*R/c overflows to inf, which floor cannot turn into an integer
+        b = bandwidth_for_target(ScenarioSpec(1e-300, 0.0, 1e300))
+        with pytest.raises(InvalidScenarioError, match="not finite"):
+            max_subcarriers(b, 1e300)
+
 
 @given(
     extent=st.floats(0.1, 1e4),

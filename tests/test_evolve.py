@@ -99,7 +99,7 @@ class TestGAConfig:
         sizes = []
         nsga2(lambda g: np.column_stack([np.cos(g).sum(1), np.sin(g).sum(1)]), 4, cfg,
               np.random.default_rng(pop),
-              generation_hook=lambda gen, genomes, objs, carried: sizes.append(len(genomes)))
+              generation_hook=lambda gen, genomes, values, rank: sizes.append(len(genomes)))
         assert sizes == [pop] * 7
 
 

@@ -364,6 +364,19 @@ class TestCliRuns:
         sources = {row[2] for row in pareto[1:]}
         assert sources == {"optimized", "random"}
 
+    @pytest.mark.parametrize("every", [1, 4, 5, 12, 13])
+    def test_optimize_moo_snapshot_generations(self, tmp_path, every):
+        out = self.run_cli(tmp_path, "optimize-moo", {
+            "pulse": MINI_PULSE, "ga": {**MINI_GA, "generations": 12},
+            "snapshot_every": every, "seed": 7,
+        })
+        front = read_rows(out / "0" / "front.csv")[1:]
+        gens = {int(row[4]) for row in front}
+        assert gens == {g for g in range(1, 12) if g % every == 0} | {12}
+        # genome.json holds exactly the last generation's rows, in order
+        genome = json.loads((out / "0" / "genome.json").read_text())["rows"]
+        assert [g["row"] for g in genome] == [i for i, row in enumerate(front) if row[4] == "12"]
+
     def test_optimize_constrained(self, tmp_path):
         out = self.run_cli(tmp_path, "optimize-constrained", {
             "pulse": MINI_PULSE, "ga": MINI_GA, "pmepr_max": 4.0,
@@ -483,6 +496,19 @@ class TestCliErrors:
         ("illuminate", {"weight_bounds": [0.01, float("inf")]}),
         ("illuminate", {"target": {"seed": -1}}),
         ("illuminate", {"target": {"scatterers": []}}),
+        # TargetModel needs reflectivity >= 0 and every range > 0
+        ("illuminate", {"target": {"scatterers": [[-1.0, 100.0]]}}),
+        ("illuminate", {"target": {"scatterers": [[1.0, -5.0]]}}),
+        ("illuminate", {"target": {"reflectivity": -1.0}}),
+        ("illuminate", {"target": {"center_range_m": -100.0}}),
+        ("illuminate", {"target": {"extent_m": -1.0}}),
+        ("illuminate", {"target": {"center_range_m": 5.0, "extent_m": 10.0}}),
+        # the bandwidth, or the sample period, overflows to inf
+        ("evaluate", {"pulse": {**MINI_PULSE, "subcarrier_spacing_hz": 1e308}}),
+        ("evaluate", {"pulse": {**MINI_PULSE, "subcarrier_spacing_hz": 5e-324}}),
+        # two tones have PMEPR <= 2, so the derived cap is 1.0, which no pulse meets
+        pytest.param("optimize-constrained", {"pulse": {**MINI_PULSE, "n_subcarriers": 2}},
+                     id="optimize-constrained-derived-cap-n_subcarriers=2"),
         # the derived PMEPR cap needs 100 random-code samples
         ("optimize-constrained", {"threshold_samples": 0}),
         ("optimize-constrained", {"threshold_samples": 99, "pmepr_max": None}),
@@ -504,6 +530,13 @@ class TestCliErrors:
         assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any compute
+
+    def test_overflowing_scenario_exits_1(self, tmp_path, capsys):
+        # B = c / 2e-300 is finite, but 2*B*R_min/c overflows
+        path = write_config(tmp_path, {"scenario": {
+            "target_extent_m": 1e-300, "min_range_m": 1e300}})
+        assert main(["dimension", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestDeterminism:
@@ -650,6 +683,12 @@ RUN_FILES = {
     ),
 }
 
+# kind -> (run-0 file, aggregate file) byte copies
+RUN0_COPIES = {
+    "synthesize": [("spectrum.csv", "spectrum.csv")],
+    "illuminate": [("spectra.csv", "illumination.csv")],
+}
+
 
 class TestRunResults:
     @pytest.mark.parametrize("kind", KINDS)
@@ -671,6 +710,9 @@ class TestRunResults:
             if objectives_file is not None:
                 written = json.loads((run_dir / objectives_file).read_text())
                 assert written == res.final_objectives
+        # these aggregate files are byte copies of run 0's, \r\n line ends included
+        for run0_name, name in RUN0_COPIES.get(kind, ()):
+            assert (out / name).read_bytes() == (out / "0" / run0_name).read_bytes()
 
 
 def raising_rows():

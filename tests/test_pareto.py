@@ -151,7 +151,7 @@ class TestOffspring:
 class TestNsga2:
     def test_recovers_analytic_convex_front(self):
         cfg = GAConfig(population_size=40, generations=150)
-        archive, _ = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(3))
+        archive = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(3))
         objs = archive.objectives
         # points on the front satisfy sqrt(f1) + sqrt(f2) = 2 with v in [0, 2]
         dev = np.abs(np.sqrt(objs[:, 0]) + np.sqrt(objs[:, 1]) - 2.0)
@@ -163,30 +163,31 @@ class TestNsga2:
         objectives = sidelobe_objectives(6)
         seen = []
 
-        def hook(gen, genomes, objs, carried):
-            seen.append(objs.copy())
+        def hook(gen, genomes, values, rank):
+            seen.append((values.copy(), rank.copy()))
 
         cfg = GAConfig(population_size=8, generations=25)
-        archive, snapshots = nsga2(
+        archive = nsga2(
             lambda g: objectives(g)[:, :2], 6, cfg, np.random.default_rng(7),
             generation_hook=hook,
         )
         assert len(seen) == 26
-        for objs in seen:
+        for objs, rank in seen:
             front = nondominated_sort(objs)[0]
+            assert np.flatnonzero(rank == 0).tolist() == front
             for i in front:
                 for j in front:
                     assert not dominates(objs[i], objs[j])
         final = archive.objectives
+        assert np.array_equal(final, seen[-1][0][seen[-1][1] == 0])
         for i in range(len(final)):
             for j in range(len(final)):
                 assert not dominates(final[i], final[j])
-        assert snapshots[-1][0] == cfg.generations
 
     def test_environmental_selection_keeps_small_rank0(self):
         # when the rank-0 front fits in the budget it survives whole
         cfg = GAConfig(population_size=8, generations=10)
-        archive, _ = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(1))
+        archive = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(1))
         assert 1 <= len(archive) <= 8
 
     def test_per_objective_minima_never_regress(self):
@@ -196,8 +197,8 @@ class TestNsga2:
         objectives = sidelobe_objectives(8)
         minima = []
 
-        def hook(gen, genomes, objs, carried):
-            minima.append(objs.min(axis=0))
+        def hook(gen, genomes, values, rank):
+            minima.append(values.min(axis=0))
 
         cfg = GAConfig(population_size=8, generations=30)
         nsga2(lambda g: objectives(g)[:, :2], 8, cfg, np.random.default_rng(5),
@@ -208,15 +209,14 @@ class TestNsga2:
 
     def test_determinism(self):
         cfg = GAConfig(population_size=8, generations=15)
-        a1, s1 = nsga2(analytic_biobjective, 2, cfg, np.random.default_rng(11))
-        a2, s2 = nsga2(analytic_biobjective, 2, cfg, np.random.default_rng(11))
+        a1 = nsga2(analytic_biobjective, 2, cfg, np.random.default_rng(11))
+        a2 = nsga2(analytic_biobjective, 2, cfg, np.random.default_rng(11))
         assert np.array_equal(a1.objectives, a2.objectives)
         assert np.array_equal(a1.genomes, a2.genomes)
-        assert [g for g, _ in s1] == [g for g, _ in s2]
 
     def test_genomes_stay_wrapped(self):
         cfg = GAConfig(population_size=8, generations=20)
-        archive, _ = nsga2(analytic_biobjective, 3, cfg, np.random.default_rng(2))
+        archive = nsga2(analytic_biobjective, 3, cfg, np.random.default_rng(2))
         g = archive.genomes
         assert np.all((g >= 0) & (g < TWO_PI))
 
@@ -232,43 +232,33 @@ class TestNsga2:
         with pytest.raises(ValueError, match="two objective columns"):
             nsga2(lambda g: analytic_biobjective(g)[:, :1], 1, cfg, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("every", [0, -3])
-    def test_rejects_snapshot_every_below_one(self, every):
-        calls = []
-        cfg = GAConfig(population_size=8, generations=5)
-        with pytest.raises(ValueError, match="snapshot_every"):
-            nsga2(lambda g: calls.append(1) or analytic_biobjective(g), 1, cfg,
-                  np.random.default_rng(0),
-                  snapshot_every=every)
-        assert calls == []  # rejected before any scoring
-
     def test_carried_columns_travel_with_their_genomes(self):
-        # two carried columns, neither ranked: the archive, every snapshot
-        # and every hook call hold the objective's own columns 2...
+        # two carried columns, neither ranked: the archive and every hook
+        # call hold the objective's own columns 2...
         def objective(g):
             return np.column_stack([analytic_biobjective(g), g[:, 1], g.sum(axis=1)])
 
         hooked = []
 
-        def hook(gen, genomes, objs, carried):
-            hooked.append((genomes, objs, carried))
+        def hook(gen, genomes, values, rank):
+            hooked.append((genomes, values, rank))
 
         cfg = GAConfig(population_size=10, generations=12)
-        archive, snapshots = nsga2(objective, 3, cfg, np.random.default_rng(8), snapshot_every=5,
-                                   generation_hook=hook)
+        archive = nsga2(objective, 3, cfg, np.random.default_rng(8), generation_hook=hook)
         assert archive.carried.shape == (len(archive), 2)
         assert np.array_equal(archive.carried, objective(archive.genomes)[:, 2:])
-        assert [g for g, _ in snapshots] == [5, 10, 12]
-        for _, snap in snapshots:
-            assert np.array_equal(snap.objectives, objective(snap.genomes)[:, :2])
-            assert np.array_equal(snap.carried, objective(snap.genomes)[:, 2:])
         assert len(hooked) == 13
-        for genomes, objs, carried in hooked:
-            assert np.array_equal(np.column_stack([objs, carried]), objective(genomes))
+        for genomes, values, _ in hooked:
+            assert np.array_equal(values, objective(genomes))
+        # the archive is the last generation's rank-0 rows
+        genomes, values, rank = hooked[-1]
+        assert np.array_equal(archive.genomes, genomes[rank == 0])
+        assert np.array_equal(np.column_stack([archive.objectives, archive.carried]),
+                              values[rank == 0])
 
     def test_no_carried_columns_is_an_empty_block(self):
         cfg = GAConfig(population_size=8, generations=3)
-        archive, _ = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(1))
+        archive = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(1))
         assert archive.carried.shape == (len(archive), 0)
 
     def test_one_objective_call_per_generation(self):
@@ -315,8 +305,8 @@ class TestConstrainedVariant:
         for s in range(10):
             fractions = {}
 
-            def hook(gen, genomes, objs, carried):
-                fractions[gen] = float(np.mean(carried[:, 0] > threshold))
+            def hook(gen, genomes, values, rank):
+                fractions[gen] = float(np.mean(values[:, 2] > threshold))
 
             cfg = GAConfig(population_size=24, generations=400)
             nsga2(
@@ -334,7 +324,7 @@ class TestConstrainedVariant:
     def test_suppressed_crowding_loses_truncation(self):
         # all-violating population still works (pure rank selection)
         cfg = GAConfig(population_size=8, generations=10)
-        archive, _ = nsga2(
+        archive = nsga2(
             sidelobe_objectives(8),
             8,
             cfg,
@@ -355,19 +345,14 @@ def _reference_rank_and_crowd(objectives):
     return rank, crowd, fronts
 
 
-def _reference_archive(genomes, objectives, rank, crowd, pmeprs):
-    front = rank == 0
-    return (genomes[front], objectives[front], crowd[front],
-            None if pmeprs is None else pmeprs[front])
-
-
 def _reference_nsga2(objective_fn, n_vars, config, rng, constraint=None,
-                     snapshot_every=100, generation_hook=None, events=None):
+                     generation_hook=None, events=None):
     """NSGA-II as it selected survivors with a front-by-front refill loop.
 
-    Archives are (genomes, objectives, crowding, pmeprs) tuples.  ``events``
-    collects "exact" when whole fronts fill the budget exactly and "tie"
-    when the cut front's truncation meets equal crowding distances.
+    Returns the final archive as a (genomes, objectives, crowding, pmeprs)
+    tuple.  ``events`` collects "exact" when whole fronts fill the budget
+    exactly and "tie" when the cut front's truncation meets equal crowding
+    distances.
     """
     pop = config.population_size
 
@@ -377,15 +362,18 @@ def _reference_nsga2(objective_fn, n_vars, config, rng, constraint=None,
             return values, None
         return values[:, :-1], values[:, -1]
 
+    def observe(gen):
+        if generation_hook is not None:
+            rows = objs if pmeprs is None else np.column_stack([objs, pmeprs])
+            generation_hook(gen, genomes, rows, rank)
+
     genomes = rng.uniform(0.0, TWO_PI, size=(pop, n_vars))
     objs, pmeprs = evaluate(genomes, 0)
     rank, crowd, _ = _reference_rank_and_crowd(objs)
     if constraint is not None:
         crowd = np.where(pmeprs > constraint.pmepr_max, 0.0, crowd)
-    if generation_hook is not None:
-        generation_hook(0, genomes, objs, pmeprs)
+    observe(0)
 
-    snapshots = []
     mut_rate = 1.0 / n_vars
     for gen in range(config.generations):
         kid_genomes = _offspring(genomes, rank, crowd, rng, mut_rate)
@@ -418,17 +406,11 @@ def _reference_nsga2(objective_fn, n_vars, config, rng, constraint=None,
         rank, crowd = all_rank[sel], all_crowd[sel]
         if constraint is not None:
             pmeprs = all_pmeprs[sel]
-        if generation_hook is not None:
-            generation_hook(gen + 1, genomes, objs, pmeprs)
+        observe(gen + 1)
 
-        if (gen + 1) % snapshot_every == 0 and gen + 1 < config.generations:
-            snapshots.append(
-                (gen + 1, _reference_archive(genomes, objs, rank, crowd, pmeprs))
-            )
-
-    final = _reference_archive(genomes, objs, rank, crowd, pmeprs)
-    snapshots.append((config.generations, final))
-    return final, snapshots
+    front = rank == 0
+    return (genomes[front], objs[front], crowd[front],
+            None if pmeprs is None else pmeprs[front])
 
 
 def coarse_objectives(g):
@@ -452,17 +434,15 @@ def _oracle_pair(pop, constrained, seed, events=None):
         rng = np.random.default_rng(seed)
         hooked = []
 
-        def hook(gen, genomes, objs, extra, _hooked=hooked):
-            _hooked.append((gen, genomes.copy(), objs.copy(),
-                            None if extra is None else np.array(extra).reshape(-1)))
+        def hook(gen, genomes, values, rank, _hooked=hooked):
+            _hooked.append((gen, genomes.copy(), values.copy(), rank.copy()))
 
         # the reference splits off a last PMEPR column, the new contract
         # carries every column after the two objectives
         objective = coarse_objectives if constrained else (lambda g: coarse_objectives(g)[:, :2])
         kwargs = {"events": events} if run is _reference_nsga2 else {}
-        final, snaps = run(objective, 3, cfg, rng, constraint=constraint,
-                           snapshot_every=7, generation_hook=hook, **kwargs)
-        runs.append((final, snaps, hooked, rng.bit_generator.state))
+        final = run(objective, 3, cfg, rng, constraint=constraint, generation_hook=hook, **kwargs)
+        runs.append((final, hooked, rng.bit_generator.state))
     return runs
 
 
@@ -471,29 +451,25 @@ class TestSelectionOracle:
     @pytest.mark.parametrize("pop", ORACLE_POPS)
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_front_by_front_refill(self, pop, constrained, seed):
-        (final, snaps, hooked, state), (ref_final, ref_snaps, ref_hooked, ref_state) = (
+        (final, hooked, state), (ref_final, ref_hooked, ref_state) = (
             _oracle_pair(pop, constrained, seed)
         )
         assert len(hooked) == len(ref_hooked) == 31
-        for (gen, genomes, objs, carried), (ref_gen, ref_genomes, ref_objs, ref_pm) in zip(
+        for (gen, genomes, values, rank), (ref_gen, ref_genomes, ref_values, ref_rank) in zip(
             hooked, ref_hooked
         ):
             assert gen == ref_gen
             assert np.array_equal(genomes, ref_genomes)
-            assert np.array_equal(objs, ref_objs)
-            if constrained:
-                assert np.array_equal(carried, ref_pm)
-            else:
-                assert carried.size == 0 and ref_pm is None
-        assert [g for g, _ in snaps] == [g for g, _ in ref_snaps] == [7, 14, 21, 28, 30]
-        for (_, snap), (_, (ref_genomes, ref_objs, ref_crowd, ref_pm)) in zip(snaps, ref_snaps):
-            assert np.array_equal(snap.genomes, ref_genomes)
-            assert np.array_equal(snap.objectives, ref_objs)
-            assert np.array_equal(snap.crowding, ref_crowd)
-            if constrained:
-                assert np.array_equal(snap.carried[:, 0], ref_pm)
-        assert np.array_equal(final.genomes, ref_final[0])
-        assert np.array_equal(final.crowding, ref_final[2])
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(rank, ref_rank)
+        ref_genomes, ref_objs, ref_crowd, ref_pm = ref_final
+        assert np.array_equal(final.genomes, ref_genomes)
+        assert np.array_equal(final.objectives, ref_objs)
+        assert np.array_equal(final.crowding, ref_crowd)
+        if constrained:
+            assert np.array_equal(final.carried[:, 0], ref_pm)
+        else:
+            assert final.carried.size == 0 and ref_pm is None
         assert state == ref_state
 
     def test_oracle_cases_meet_ties_and_exact_fills(self):

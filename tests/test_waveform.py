@@ -44,6 +44,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             PulseSpec(4, 1, 1e5, 0)
 
+    @pytest.mark.parametrize("spacing", [1e308, 5e-324])
+    def test_pulse_spec_rejects_overflowing_spacing(self, spacing):
+        # B = N * df overflows to inf; 1 / df overflows, so the sample period is inf
+        with pytest.raises(ValueError, match="not finite and > 0"):
+            PulseSpec(8, 1, spacing, 20)
+
     def test_phase_matrix_wraps(self):
         m = PhaseCodeMatrix(np.array([[-np.pi, 3 * np.pi]]))
         assert np.all(m.phases >= 0) and np.all(m.phases < TWO_PI)
