@@ -39,6 +39,10 @@ class ScenarioSpec:
             raise InvalidScenarioError("margin_m must be >= 0")
         if self.min_range_m <= 0:
             raise InvalidScenarioError("min_range_m must be > 0")
+        # the ratio max_subcarriers floors; inf also when B itself overflows
+        bandwidth = bandwidth_for_target(self)
+        if not math.isfinite(2.0 * bandwidth * self.min_range_m / SPEED_OF_LIGHT):
+            raise InvalidScenarioError("2*B*R_min/c is not finite")
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,10 @@ class TargetSection:
         if self.scatterers is not None:
             if any(refl < 0 or range_m <= 0 for refl, range_m in self.scatterers):
                 raise ValueError("each scatterer needs reflectivity >= 0 and range_m > 0")
-        elif self.reflectivity < 0 or self.extent_m < 0:
-            raise ValueError("reflectivity and extent_m must be >= 0")
+            if sum(refl for refl, _ in self.scatterers) <= 0:
+                raise ValueError("the scatterers' reflectivities must sum to > 0")
+        elif self.reflectivity <= 0 or self.extent_m < 0:
+            raise ValueError("reflectivity must be > 0 and extent_m >= 0")
         elif self.center_range_m - self.extent_m / 2 <= 0:
             raise ValueError("the box's nearest range, center_range_m - extent_m / 2, must be > 0")
 

@@ -6,6 +6,11 @@ mutation, then environmental selection of the combined parent+offspring
 population front by front, truncating the last front by crowding distance.
 Phases are circular, so both variation operators wrap results mod 2*pi.
 
+``nsga2`` ranks its two objective columns with one sorted pass per front
+and crowds every front at once (``_rank_and_crowd``, O(P log P) to sort).
+``nondominated_sort`` and ``crowding_distance`` are the general-m
+definitions, kept as the reference that pass must reproduce exactly.
+
 Each genome is scored once, into two ranked objectives followed by carried
 columns that travel with it, unranked, into the hook and the archive.  The
 constrained variant caps column 2, the first carried one, which holds the
@@ -72,8 +77,10 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
 def nondominated_sort(objectives: np.ndarray | Sequence[Sequence[float]]) -> list[list[int]]:
     """Partition a population into non-domination fronts (front 0 first).
 
-    Uses the vectorized pairwise dominance matrix; fine for the population
-    sizes used here (tens of individuals).
+    The general reference for any m >= 2 objectives, from the vectorized
+    pairwise dominance matrix (O(m P^2) memory and time).  ``nsga2`` does
+    not call it: its two columns go through the sorted pass of
+    ``_rank_and_crowd``, which must give the same fronts.
     """
     f = np.asarray(objectives, dtype=float)
     if f.ndim != 2 or f.shape[1] < 2:
@@ -122,14 +129,55 @@ def crowding_distance(front_objectives: np.ndarray) -> np.ndarray:
 def _rank_and_crowd(
     values: np.ndarray, constraint: ConstraintSpec | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Front index and crowding distance of each row, ranked on columns 0-1."""
-    objectives = values[:, :2]
-    rank = np.empty(len(values), dtype=int)
-    crowd = np.empty(len(values))
-    for r, front in enumerate(nondominated_sort(objectives)):
-        idx = np.array(front)
-        rank[idx] = r
-        crowd[idx] = crowding_distance(objectives[idx])
+    """Front index and crowding distance of each row, ranked on columns 0-1.
+
+    The same ranks and bit-identical distances as ``nondominated_sort``
+    followed by ``crowding_distance`` on each front, without the pairwise
+    dominance matrix (Jensen, IEEE TEVC 7(5), 2003).  Among the distinct
+    (f0, f1) rows in lexsorted order, a row is dominated exactly when an
+    earlier remaining row has an f1 <= its own, so each front is the rows
+    whose f1 lies strictly below the running minimum of the rows before
+    them; an exact duplicate shares its row's front.  Crowding sorts every
+    front at once by (rank, f_j), breaking ties by row index as the stable
+    per-front argsort does, and adds objective 0's gaps before objective 1's.
+    """
+    f = values[:, :2]
+    by_point = np.lexsort((f[:, 1], f[:, 0]))
+    rows = f[by_point]
+    distinct = np.ones(len(f), dtype=bool)
+    distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    f1 = rows[distinct, 1]
+    row_rank = np.empty(len(f1), dtype=int)
+    left = np.arange(len(f1))
+    n_fronts = 0
+    while len(left):
+        y = f1[left]
+        front = np.ones(len(y), dtype=bool)
+        front[1:] = y[1:] < np.minimum.accumulate(y)[:-1]
+        row_rank[left[front]] = n_fronts
+        left = left[~front]
+        n_fronts += 1
+    rank = np.empty(len(f), dtype=int)
+    rank[by_point] = row_rank[np.cumsum(distinct) - 1]
+
+    # sorted by rank, front r fills positions first[r]..last[r]; its two
+    # ends get the infinity sentinel and the rest their neighbour gap
+    size = np.bincount(rank)
+    last = np.cumsum(size) - 1
+    first = last - size + 1
+    inner = np.ones(len(f), dtype=bool)
+    inner[first] = inner[last] = False
+    inner = np.flatnonzero(inner)
+    inner_rank = np.repeat(np.arange(n_fronts), size)[inner]
+    crowd = np.zeros(len(f))
+    for j in range(2):
+        order = np.lexsort((f[:, j], rank))
+        v = f[order, j]
+        span = (v[last] - v[first])[inner_rank]
+        spread = span > 0  # a front with no range in f_j gains nothing
+        i = inner[spread]
+        crowd[order[i]] += (v[i + 1] - v[i - 1]) / span[spread]
+        crowd[order[first]] = crowd[order[last]] = np.inf
     if constraint is not None:
         crowd[values[:, 2] > constraint.pmepr_max] = 0.0
     return rank, crowd

@@ -40,6 +40,15 @@ class TestBandwidth:
         with pytest.raises(InvalidScenarioError):
             ScenarioSpec(float("inf"), 0.0, 100.0)
 
+    @pytest.mark.parametrize("extent, min_range", [
+        (1e-300, 1e300),  # B is finite, 2*B*R/c overflows
+        (1.0, 1e300),     # R / (extent + margin) is finite, 2*B*R/c is not
+        (5e-324, 1.0),    # B itself overflows
+    ])
+    def test_overflowing_ratio_rejected(self, extent, min_range):
+        with pytest.raises(InvalidScenarioError, match="not finite"):
+            ScenarioSpec(extent, 0.0, min_range)
+
 
 class TestPulseLength:
     def test_eclipsed_zone_1500m(self):
@@ -81,7 +90,7 @@ class TestMaxSubcarriers:
 
     def test_overflowing_ratio(self):
         # 2*B*R/c overflows to inf, which floor cannot turn into an integer
-        b = bandwidth_for_target(ScenarioSpec(1e-300, 0.0, 1e300))
+        b = SPEED_OF_LIGHT / 2e-300
         with pytest.raises(InvalidScenarioError, match="not finite"):
             max_subcarriers(b, 1e300)
 

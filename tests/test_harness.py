@@ -503,6 +503,15 @@ class TestCliErrors:
         ("illuminate", {"target": {"center_range_m": -100.0}}),
         ("illuminate", {"target": {"extent_m": -1.0}}),
         ("illuminate", {"target": {"center_range_m": 5.0, "extent_m": 10.0}}),
+        # a target that reflects nothing has no spectrum to match
+        pytest.param("illuminate", {"target": {"reflectivity": 0.0}},
+                     id="illuminate-target-reflectivity=0"),
+        pytest.param("illuminate", {"target": {"scatterers": [[0.0, 100.0]]}},
+                     id="illuminate-target-scatterers-reflectivity-sum=0"),
+        # B = c / 2e-300 is finite, but 2*B*R_min/c overflows
+        pytest.param("dimension", {"scenario": {
+            "target_extent_m": 1e-300, "margin_m": 0.0, "min_range_m": 1e300}},
+            id="dimension-scenario-2BR/c-overflows"),
         # the bandwidth, or the sample period, overflows to inf
         ("evaluate", {"pulse": {**MINI_PULSE, "subcarrier_spacing_hz": 1e308}}),
         ("evaluate", {"pulse": {**MINI_PULSE, "subcarrier_spacing_hz": 5e-324}}),
@@ -530,13 +539,6 @@ class TestCliErrors:
         assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any compute
-
-    def test_overflowing_scenario_exits_1(self, tmp_path, capsys):
-        # B = c / 2e-300 is finite, but 2*B*R_min/c overflows
-        path = write_config(tmp_path, {"scenario": {
-            "target_extent_m": 1e-300, "min_range_m": 1e300}})
-        assert main(["dimension", "--config", path, "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestDeterminism:

@@ -17,7 +17,7 @@ from ofdmforge import (
 )
 from ofdmforge.errors import InsufficientDataError, NonFiniteFitnessError
 from ofdmforge.evolve import score_batch
-from ofdmforge.pareto import _offspring, dominates
+from ofdmforge.pareto import _offspring, _rank_and_crowd, dominates
 
 TWO_PI = 2 * np.pi
 
@@ -479,3 +479,59 @@ class TestSelectionOracle:
             for constrained in (False, True):
                 _oracle_pair(pop, constrained, 0, events)
         assert events == {"exact", "tie"}
+
+
+def _assert_matches_reference(values, constraints=(None,)):
+    ref_rank, ref_crowd, _ = _reference_rank_and_crowd(values[:, :2])
+    for constraint in constraints:
+        rank, crowd = _rank_and_crowd(values, constraint)
+        expected = ref_crowd if constraint is None else np.where(
+            values[:, 2] > constraint.pmepr_max, 0.0, ref_crowd)
+        assert np.array_equal(rank, ref_rank)
+        assert np.array_equal(crowd, expected)
+    return rank, crowd
+
+
+class TestRankAndCrowd:
+    """The two-column sorted pass against nondominated_sort plus per-front
+    crowding_distance: equal ranks and bit-identical distances."""
+
+    def test_random_populations_match_reference_exactly(self):
+        rng = np.random.default_rng(2003)
+        cap = ConstraintSpec(3.5)
+        for trial in range(3000):
+            pop = int(rng.integers(1, 90))
+            if trial % 2:  # many ties and exact duplicates
+                values = rng.integers(0, 6, size=(pop, 3)).astype(float)
+            else:
+                values = np.column_stack([rng.normal(size=(pop, 2)), rng.uniform(1, 6, pop)])
+            _assert_matches_reference(values, (None, cap))
+
+    def test_one_row(self):
+        rank, crowd = _assert_matches_reference(np.array([[0.3, 0.7]]))
+        assert rank.tolist() == [0] and np.isinf(crowd).all()
+
+    @pytest.mark.parametrize("values, ranks", [
+        ([[0.0, 1.0], [1.0, 0.0]], [0, 0]),
+        ([[1.0, 1.0], [0.0, 1.0]], [1, 0]),
+    ])
+    def test_two_rows(self, values, ranks):
+        rank, crowd = _assert_matches_reference(np.array(values))
+        assert rank.tolist() == ranks and np.isinf(crowd).all()
+
+    def test_all_rows_identical(self):
+        # one front; the stable sort puts the first and last row at its ends
+        rank, crowd = _assert_matches_reference(np.tile([2.0, -1.0], (5, 1)))
+        assert rank.tolist() == [0] * 5
+        assert crowd.tolist() == [np.inf, 0.0, 0.0, 0.0, np.inf]
+
+    def test_collinear_front(self):
+        f0 = np.array([3.0, 0.0, 4.0, 1.0, 2.0])
+        rank, crowd = _assert_matches_reference(np.column_stack([f0, 4.0 - f0]))
+        assert rank.tolist() == [0] * 5
+        assert crowd.tolist() == [1.0, np.inf, np.inf, 1.0, 1.0]
+
+    def test_signed_zeros_are_one_point(self):
+        rank, _ = _assert_matches_reference(
+            np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [1.0, 1.0]]))
+        assert rank.tolist() == [0, 0, 0, 0, 1]
