@@ -11,7 +11,12 @@ of ``lead`` (its own-index parent) with row i of ``tail`` (the pair's other).
 * ``sga_minimize`` works on bit strings (single-point crossover at a random
   bit boundary, single-bit flip mutation).  ``decode_phases`` turns a block
   of bit strings into phases: a b-bit word v maps to phi = 2*pi*v / 2**b.
-  ``sga_phases`` is the binary PMEPR phase search built from the two.
+  ``sga_phases`` is the binary PMEPR phase search built from the two.  With
+  a sparse mask it scores each distinct pulse once: a memo keyed by the
+  bits of the live (nonzero-weight) subcarriers, bounded to twice the
+  population and least recently used out, serves offspring that differ
+  from a scored pulse only in masked-off words.  Full-band searches skip
+  it, since there only bit-identical genomes share a pulse.
 * ``continuous_minimize`` works on real vectors in box bounds (blend
   crossover, per-gene uniform-replacement mutation).
 
@@ -44,7 +49,8 @@ class GAConfig:
 
     ``nsga2`` reads ``population_size`` and ``generations`` only (its SBX and
     mutation constants are fixed).  Both elitist GAs also keep the best
-    ``elitism_fraction`` of each generation.  ``sga_minimize`` reads
+    ``elitism_fraction`` of each generation: at least one genome, and never
+    the whole population, or nothing would be bred.  ``sga_minimize`` reads
     ``mutation_every``/``mutation_per_offspring``, its bit-flip schedule: on
     every ``mutation_every``-th generation each offspring receives one
     uniformly random bit flip with probability ``mutation_per_offspring``.
@@ -66,6 +72,11 @@ class GAConfig:
             raise ValueError("generations must be >= 1")
         if not 0 < self.elitism_fraction < 1:
             raise ValueError("elitism_fraction must be in (0, 1)")
+        if self.n_keep() >= self.population_size:
+            raise ValueError(
+                f"elitism_fraction {self.elitism_fraction} of population_size "
+                f"{self.population_size} keeps every genome, so none is bred"
+            )
         if self.mutation_every < 1:
             raise ValueError("mutation_every must be >= 1")
         if not 0 <= self.mutation_per_offspring <= 1:
@@ -221,6 +232,40 @@ def sga_minimize(
     return _elitist_minimize(fitness, genomes, config, vary)
 
 
+def _live_bit_memo(score: Fitness, live: np.ndarray, capacity: int) -> Fitness:
+    """``score`` behind a memo keyed by each genome's ``live`` bits.
+
+    Genomes that agree on the live bits get the value of the first of them
+    scored; each call scores only the first row of every key it has not
+    seen, in one batch.  The memo holds at most ``capacity`` keys and drops
+    the least recently used one (dict order: a hit moves its key to the
+    end).  A call's own keys are the newest, so none it returns is dropped
+    while it holds at most ``capacity`` distinct keys.
+    """
+    memo: dict[bytes, float] = {}
+
+    def fitness(bits: np.ndarray) -> np.ndarray:
+        values = np.empty(len(bits))
+        unseen: dict[bytes, list[int]] = {}
+        # packing the masked block is several times cheaper than bits[:, live]
+        for i, row in enumerate(np.packbits(bits & live, axis=1)):
+            key = row.tobytes()
+            value = memo.pop(key, None)
+            if value is None:
+                unseen.setdefault(key, []).append(i)
+            else:
+                memo[key] = values[i] = value
+        if unseen:
+            firsts = [rows[0] for rows in unseen.values()]
+            for (key, rows), value in zip(unseen.items(), score(bits[firsts])):
+                memo[key] = values[rows] = value
+            while len(memo) > capacity:
+                del memo[next(iter(memo))]
+        return values
+
+    return fitness
+
+
 def sga_phases(
     evaluator: PhaseEvaluator,
     bits_per_var: int,
@@ -231,14 +276,26 @@ def sga_phases(
     ``bits_per_var`` bits, one per (subcarrier, symbol) of the evaluator's
     pulse, scored by ``evaluator.pmepr``.  Returns the best (N, K) phases
     and the PMEPR trace.
+
+    The words of subcarriers outside ``evaluator.active`` never reach the
+    pulse, so with a sparse mask many offspring differ from a pulse already
+    scored only there.  Such a search scores through ``_live_bit_memo``,
+    keyed by the live bits and holding at most ``2 * population_size``
+    pulses: only first-seen pulses reach ``evaluator.pmepr``, and every
+    value, the trace and the generator stream are exactly those of the
+    unmemoized search.  A full-band search scores directly, since there
+    only bit-identical genomes share a pulse and the memo would cost more
+    than it saves.
     """
     n, k = evaluator.spec.n_subcarriers, evaluator.spec.n_symbols
-    best, trace = sga_minimize(
-        lambda bits: evaluator.pmepr(decode_phases(bits, bits_per_var, n, k)),
-        n * k * bits_per_var,
-        config,
-        rng,
-    )
+
+    def score(bits: np.ndarray) -> np.ndarray:
+        return evaluator.pmepr(decode_phases(bits, bits_per_var, n, k))
+
+    # words fill (N, K) row-major: subcarrier n owns k * bits_per_var bits
+    live = np.repeat(evaluator.active, k * bits_per_var)
+    fitness = score if live.all() else _live_bit_memo(score, live, 2 * config.population_size)
+    best, trace = sga_minimize(fitness, n * k * bits_per_var, config, rng)
     return decode_phases(best[None], bits_per_var, n, k)[0], trace
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -368,6 +367,10 @@ def run_experiment(config: ExperimentConfig) -> list[RunResult]:
     out.mkdir(parents=True, exist_ok=True)
 
     if config.workers > 1 and config.runs > 1:
+        # imported here: the pool pulls in multiprocessing, which a serial
+        # run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(
                 pool.map(

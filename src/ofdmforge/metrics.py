@@ -248,6 +248,8 @@ class PhaseEvaluator:
             raise DegeneratePulseError(f"effective weights have energy {energy}")
         self.spec = spec
         self._w = w
+        self._active = w != 0
+        self._active.flags.writeable = False
         self._energy = energy
         self._min_lag = _mainlobe_lags(spec)
         n, k, ell = spec.n_subcarriers, spec.n_symbols, spec.oversampling
@@ -285,6 +287,13 @@ class PhaseEvaluator:
         self._half = np.empty((_BLOCK, half), dtype=complex)
         self._diff = np.empty((_BLOCK, half), dtype=complex)
         self._mag = np.empty((_BLOCK, m))
+
+    @property
+    def active(self) -> np.ndarray:
+        """Read-only (N,) bool array, True where the effective weight is
+        nonzero.  A subcarrier that is not active has code +-0 whatever its
+        phase, so its phases never change a score, bit for bit."""
+        return self._active
 
     def _blocks(self, phases: np.ndarray):
         """Codes (B, K, N) of each block of at most _BLOCK genomes."""

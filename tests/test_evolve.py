@@ -11,6 +11,7 @@ from ofdmforge import (
     decode_phases,
     encode_phases,
     nsga2,
+    random_mask,
     sga_minimize,
     sga_phases,
     uniform_weights,
@@ -85,6 +86,13 @@ class TestGAConfig:
     def test_n_keep(self):
         assert GAConfig(population_size=12, generations=1).n_keep() == 6
         assert GAConfig(population_size=12, generations=1, elitism_fraction=0.25).n_keep() == 3
+
+    @pytest.mark.parametrize("pop, elitism", [(3, 0.9), (2, 0.75), (12, 0.99)])
+    def test_elitism_that_keeps_everyone_is_rejected(self, pop, elitism):
+        # round(pop * elitism) == pop would leave no slot for offspring
+        with pytest.raises(ValueError, match=f"elitism_fraction {elitism} of population_size {pop}"):
+            GAConfig(population_size=pop, generations=5, elitism_fraction=elitism)
+        assert GAConfig(population_size=pop, generations=5).n_keep() < pop
 
     @pytest.mark.parametrize("pop", [3, 5, 7])
     def test_odd_populations_run(self, pop):
@@ -196,11 +204,37 @@ class TestSGA:
                          np.random.default_rng(0))
 
 
+def phase_evaluator(n: int, k: int, sparse: bool) -> PhaseEvaluator:
+    """A uniform-weight evaluator, full band or on a seeded half mask."""
+    mask = random_mask(n, 0.5, np.random.default_rng(n)) if sparse else SparsityMask.full(n)
+    return PhaseEvaluator(PulseSpec(n, k, 1e5, 4), uniform_weights(mask), mask)
+
+
+def spy_on_pmepr(evaluator: PhaseEvaluator) -> list[np.ndarray]:
+    """Record the phase block of every ``evaluator.pmepr`` call."""
+    calls = []
+    pmepr = evaluator.pmepr
+
+    def spy(phases):
+        calls.append(np.array(phases))
+        return pmepr(phases)
+
+    evaluator.pmepr = spy
+    return calls
+
+
+def live_keys(evaluator: PhaseEvaluator, phases: np.ndarray) -> list[bytes]:
+    """Each genome's phases on the active subcarriers: equal keys, equal pulse."""
+    return [row.tobytes() for row in phases[:, evaluator.active]]
+
+
 class TestSgaPhases:
-    @pytest.mark.parametrize("n, k, b", [(8, 1, 4), (5, 3, 2), (2, 1, 18)])
-    def test_is_the_decoded_bit_search(self, n, k, b):
-        mask = SparsityMask.full(n)
-        evaluator = PhaseEvaluator(PulseSpec(n, k, 1e5, 4), uniform_weights(mask), mask)
+    @pytest.mark.parametrize("n, k, b, sparse", [
+        (8, 1, 4, False), (5, 3, 2, False), (2, 1, 18, False), (8, 1, 4, True), (5, 3, 2, True),
+    ])
+    def test_is_the_decoded_bit_search(self, n, k, b, sparse):
+        evaluator = phase_evaluator(n, k, sparse)
+        assert evaluator.active.all() != sparse
         cfg = GAConfig(population_size=10, generations=15, elitism_fraction=0.3)
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
         phases, trace = sga_phases(evaluator, b, cfg, rng)
@@ -214,6 +248,60 @@ class TestSgaPhases:
         assert np.array_equal(trace.mean, ref_trace.mean)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert evaluator.pmepr(phases[None])[0] == trace.best[-1]
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_scores_each_distinct_pulse_once_per_call(self, sparse):
+        n, k, b = 8, 1, 2
+        evaluator = phase_evaluator(n, k, sparse)
+        calls = spy_on_pmepr(evaluator)
+        cfg = GAConfig(population_size=10, generations=30)
+        sga_phases(evaluator, b, cfg, np.random.default_rng(2))
+        demanded = cfg.population_size + cfg.generations * (cfg.population_size - cfg.n_keep())
+        rows = sum(map(len, calls))
+        if sparse:
+            assert rows < demanded
+            for phases in calls:
+                keys = live_keys(evaluator, phases)
+                assert len(set(keys)) == len(keys)
+        else:
+            assert rows == demanded
+
+    def test_memo_holds_the_2p_most_recently_used_pulses(self):
+        # the search meets more distinct pulses than the memo's 2P = 8, so
+        # some are evicted and come back
+        n, k, b = 8, 1, 2
+        evaluator = phase_evaluator(n, k, sparse=True)
+        cfg = GAConfig(population_size=4, generations=40)
+        demanded = []
+
+        def record(bits):
+            phases = decode_phases(bits, b, n, k)
+            demanded.append(live_keys(evaluator, phases))
+            return evaluator.pmepr(phases)
+
+        sga_minimize(record, n * k * b, cfg, np.random.default_rng(5))
+        # the unseen keys of each call under a least-recently-used memo of
+        # 2P keys (a hit moves its key to the newest end)
+        memo, expected = {}, []
+        for keys in demanded:
+            unseen = []
+            for key in keys:
+                if key in memo:
+                    memo[key] = memo.pop(key)
+                elif key not in unseen:
+                    unseen.append(key)
+            memo.update(dict.fromkeys(unseen))
+            while len(memo) > 2 * cfg.population_size:
+                del memo[next(iter(memo))]
+            if unseen:
+                expected.append(unseen)
+        calls = spy_on_pmepr(evaluator)
+        sga_phases(evaluator, b, cfg, np.random.default_rng(5))
+        scored = [live_keys(evaluator, phases) for phases in calls]
+        assert scored == expected
+        # some pulse was evicted and scored again
+        flat = [key for keys in scored for key in keys]
+        assert len(set(flat)) < len(flat)
 
 
 def sphere(v: np.ndarray) -> np.ndarray:

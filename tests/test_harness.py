@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,6 +536,12 @@ class TestCliErrors:
                      id="optimize-moo-n_subcarriers=1"),
         pytest.param("evaluate", {"baseline": "newman", "pulse": {**MINI_PULSE, "n_symbols": 3}},
                      id="evaluate-newman-n_symbols=3"),
+        # an elite of round(P * f) == P genomes leaves no slot for offspring
+        pytest.param("optimize-pmepr", {"ga": {**MINI_GA, "population_size": 3,
+                                               "elitism_fraction": 0.9}},
+                     id="optimize-pmepr-ga-elitism_fraction=0.9-of-3"),
+        pytest.param("illuminate", {"weight_ga": {**MINI_GA, "elitism_fraction": 0.95}},
+                     id="illuminate-weight_ga-elitism_fraction=0.95-of-8"),
     ], ids=lambda v: v if isinstance(v, str) else next(iter(v)) + "=" + json.dumps(
         next(iter(v.values())))[:14])
     def test_nonsense_values_exit_2(self, tmp_path, capsys, kind, fields):
@@ -570,6 +580,16 @@ class TestDeterminism:
             outs.append(tmp_path / sub / "optimize-pmepr")
         for rel in ("0/trace.csv", "1/trace.csv", "2/trace.csv", "convergence.csv"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+    def test_serial_import_leaves_out_the_process_pool(self):
+        # the pool is imported only when a run fans out over workers
+        code = ("import sys, numpy, ofdmforge.harness; "
+                "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_seed_override_changes_results(self, tmp_path):
         config = {"pulse": MINI_PULSE, "baseline": "random", "seed": 1}

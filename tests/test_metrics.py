@@ -286,6 +286,22 @@ class TestPhaseEvaluator:
         assert_same_pmepr(evaluator.pmepr(phases), want[:, 0])
         assert_same_sidelobes(got[:, 1:], want[:, 1:])
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_inactive_phases_change_no_bit(self, k):
+        # ``active`` marks the nonzero effective weights; the other codes are
+        # +-0 whatever their phase, so every score is the same bits
+        rng = np.random.default_rng(k)
+        spec = PulseSpec(12, k, 1e5, 4)
+        mask = random_mask(12, 0.5, rng)
+        evaluator = PhaseEvaluator(spec, WeightVector(rng.uniform(0.05, 2.0, 12)), mask)
+        assert np.array_equal(evaluator.active, mask.active)
+        assert not evaluator.active.flags.writeable
+        phases = rng.uniform(0, TWO_PI, (10, 12, k))
+        moved = phases.copy()
+        moved[:, ~mask.active] = rng.uniform(0, TWO_PI, (10, 12 - mask.n_active, k))
+        assert np.array_equal(evaluator.pmepr(moved), evaluator.pmepr(phases))
+        assert np.array_equal(evaluator.objectives(moved), evaluator.objectives(phases))
+
     @pytest.mark.parametrize("n, k", [(2, 1), (5, 1), (1, 2), (3, 3)])
     def test_unit_oversampling_mainlobe_edge(self, n, k):
         # L = 1: the mainlobe exclusion is just lag 0, and lag 1 is a sidelobe

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TOOLS = ["evaluator_speed.py", "nsga2_speed.py"]
+TOOLS = ["evaluator_speed.py", "nsga2_speed.py", "sga_speed.py"]
 
 
 def run_tool(tool: str, *args: str) -> subprocess.CompletedProcess:
@@ -24,8 +24,13 @@ def test_two_rounds_report_quartiles(tool):
     report = json.loads(done.stdout)[str(ROOT / "src")]
     timings = report.values() if tool == "evaluator_speed.py" else [report]
     for timing in timings:
-        assert set(timing) == {"median_us", "q1_us", "q3_us"}
+        # sga_speed.py also counts the evaluator rows each generation scores
+        extra = {"rows_per_generation"} if tool == "sga_speed.py" else set()
+        assert set(timing) == {"median_us", "q1_us", "q3_us"} | extra
         assert 0 < timing["median_us"]
+    if tool == "sga_speed.py":
+        # P = 12 keeps 6, so at most 6 offspring rows reach the evaluator
+        assert 0 < report["rows_per_generation"] <= 6
 
 
 @pytest.mark.parametrize("tool", TOOLS)
