@@ -133,11 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         data = read_config(args.config)
         data.update((k, v) for k, v in overrides.items() if v is not None)
         config = parse_config(data, kind_override=args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         results = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

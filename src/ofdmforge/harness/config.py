@@ -20,9 +20,10 @@ from ..design import ScenarioSpec
 from ..errors import ConfigError
 from ..evolve import GAConfig
 from ..pareto import MIN_THRESHOLD_SAMPLES, ConstraintSpec
+from ..phasing import BaselineKind
 from ..waveform import PulseSpec
 
-BASELINES = ("noncoded", "random", "newman")
+BASELINES = tuple(k.value for k in BaselineKind)
 
 # the GAConfig fields each optimizer reads (nsga2's SBX and mutation
 # constants are fixed)

@@ -480,6 +480,27 @@ class TestCliErrors:
         assert main(["evaluate", "--config", path, "--out", str(out)]) == 0
         capsys.readouterr()
 
+    def test_invalid_derived_pmepr_max_exits_2(self, tmp_path, capsys):
+        # two subcarriers at L = 4 give a random-code PMEPR threshold of 1.0
+        config = {**KIND_CONFIGS["optimize-constrained"], "threshold_samples": 100,
+                  "pulse": {**MINI_PULSE, "n_subcarriers": 2}}
+        out = tmp_path / "out"
+        assert main(["optimize-constrained", "--config", write_config(tmp_path, config),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: derived pmepr_max 1.0 is invalid")
+        assert err.rstrip().endswith("set pmepr_max explicitly")
+        assert not (out / "optimize-constrained").exists()
+
+    def test_out_that_is_a_file_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, KIND_CONFIGS["optimize-constrained"])
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["optimize-constrained", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:")
+        assert "Not a directory" in err
+
     @pytest.mark.parametrize("kind, fields", [
         ("optimize-moo", {"snapshot_every": 0}),
         ("optimize-moo", {"n_random": 0}),

@@ -1,4 +1,4 @@
-"""The timing tools run end to end on this tree and print their JSON."""
+"""The layer-timing tool runs end to end on this tree and prints its JSON."""
 import json
 import subprocess
 import sys
@@ -7,34 +7,45 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TOOLS = ["evaluator_speed.py", "nsga2_speed.py", "sga_speed.py"]
+PROBES = [
+    "pmepr N=100 K=1 L=20", "objectives N=100 K=1 L=20",
+    "pmepr N=125 K=4 L=20", "objectives N=125 K=4 L=20", "nsga2", "sga_phases",
+]
 
 
-def run_tool(tool: str, *args: str) -> subprocess.CompletedProcess:
+def run_tool(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / tool), str(ROOT / "src"), *args],
+        [sys.executable, str(ROOT / "tools" / "layer_speed.py"), str(ROOT / "src"), *args],
         capture_output=True, text=True, timeout=120,
     )
 
 
-@pytest.mark.parametrize("tool", TOOLS)
-def test_two_rounds_report_quartiles(tool):
-    done = run_tool(tool, "--rounds", "2")
+@pytest.fixture(scope="module")
+def report() -> dict:
+    done = run_tool("--rounds", "2")
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)[str(ROOT / "src")]
-    timings = report.values() if tool == "evaluator_speed.py" else [report]
-    for timing in timings:
-        # sga_speed.py also counts the evaluator rows each generation scores
-        extra = {"rows_per_generation"} if tool == "sga_speed.py" else set()
-        assert set(timing) == {"median_us", "q1_us", "q3_us"} | extra
-        assert 0 < timing["median_us"]
-    if tool == "sga_speed.py":
-        # P = 12 keeps 6, so at most 6 offspring rows reach the evaluator
-        assert 0 < report["rows_per_generation"] <= 6
+    return json.loads(done.stdout)[str(ROOT / "src")]
 
 
-@pytest.mark.parametrize("tool", TOOLS)
-def test_one_round_is_a_usage_error(tool):
-    done = run_tool(tool, "--rounds", "1")
+def test_two_rounds_report_every_probe(report):
+    assert list(report) == PROBES
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_two_rounds_report_quartiles(report, probe):
+    timing = {k: v for k, v in report[probe].items() if k != "rows_per_generation"}
+    assert set(timing) == {"median_us", "q1_us", "q3_us"}
+    assert 0 < timing["median_us"]
+    assert timing["q1_us"] <= timing["median_us"] <= timing["q3_us"]
+
+
+def test_sga_phases_counts_rows_per_generation(report):
+    assert [p for p in PROBES if "rows_per_generation" in report[p]] == ["sga_phases"]
+    # P = 12 keeps 6, so at most 6 offspring rows reach the evaluator
+    assert 0 < report["sga_phases"]["rows_per_generation"] <= 6
+
+
+def test_one_round_is_a_usage_error():
+    done = run_tool("--rounds", "1")
     assert done.returncode == 2
     assert "--rounds must be >= 2" in done.stderr

@@ -1,0 +1,149 @@
+"""Layer costs of one or more source trees, interleaved in one process.
+
+    python3 tools/layer_speed.py SRC [SRC ...] [--rounds 20]
+
+Each SRC is a checkout's ``src`` directory; its ``ofdmforge`` is imported
+under its own module namespace, so two revisions can be timed side by side.
+The probes:
+
+* ``pmepr``/``objectives N= K= L=``: ``PhaseEvaluator`` on a full-band,
+  uniform-weight pulse, ``REPS`` calls on a block of ``GENOMES`` random
+  genomes; microseconds per genome.
+* ``nsga2``: one capped NSGA-II (P = 40, n = 100) on an objective that costs
+  next to nothing, so the time is the optimizer's own: ranking, crowding,
+  variation and survivor selection; microseconds per generation.
+* ``sga_phases``: the binary PMEPR search on the ``pmepr-sga`` benchmark
+  shape (N = 100, K = 1, L = 20, 18-bit words, a seeded half mask, P = 12,
+  200 generations); microseconds per generation.  ``rows_per_generation``
+  is the offspring rows that reached ``PhaseEvaluator.pmepr`` per
+  generation, counted on an untimed run.
+
+Every round runs each probe once per tree, trees in order on even rounds and
+in reverse on odd ones, so drifting machine load and going first hit every
+tree alike.  Prints one JSON object ``{src: {probe: {median_us, q1_us,
+q3_us}}}``: median and quartiles over the rounds.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+
+import numpy as np
+
+GENOMES, REPS = 40, 10
+GENERATIONS = 50  # nsga2
+# the share of offspring that repeat a scored pulse grows as the population
+# converges, so a search shorter than the workload's would understate it
+SGA_GENERATIONS = 200
+
+
+def load(src: str):
+    """Import ``ofdmforge`` from ``src``, leaving no trace in sys.modules."""
+    sys.path.insert(0, src)
+    try:
+        import ofdmforge
+    finally:
+        sys.path.remove(src)
+        for name in [m for m in sys.modules if m.split(".")[0] == "ofdmforge"]:
+            del sys.modules[name]
+    return ofdmforge
+
+
+def evaluator_probe(method: str, n: int, k: int, ell: int):
+    def build(forge):
+        mask = forge.SparsityMask.full(n)
+        spec = forge.PulseSpec(n, k, 1e5, ell)
+        call = getattr(forge.PhaseEvaluator(spec, forge.uniform_weights(mask), mask), method)
+        phases = np.random.default_rng(0).uniform(0, 2 * np.pi, (GENOMES, n, k))
+
+        def run():
+            for _ in range(REPS):
+                call(phases)
+
+        return run, REPS * GENOMES, {}
+
+    return f"{method} N={n} K={k} L={ell}", build
+
+
+def cheap_objective(g: np.ndarray) -> np.ndarray:
+    # the third column averages 3 over uniform phases, so about half violate the cap
+    return np.column_stack([
+        np.cos(g).mean(axis=1), np.sin(g).mean(axis=1), 1.0 + 2.0 * g.mean(axis=1) / np.pi,
+    ])
+
+
+def nsga2_probe(forge):
+    config = forge.GAConfig(population_size=40, generations=GENERATIONS)
+    constraint = forge.ConstraintSpec(3.0)
+
+    def run():
+        forge.nsga2(cheap_objective, 100, config, np.random.default_rng(1), constraint=constraint)
+
+    return run, GENERATIONS, {}
+
+
+def sga_probe(forge):
+    mask = forge.random_mask(100, 0.5, np.random.default_rng(1))
+    spec = forge.PulseSpec(100, 1, 1e5, 20)
+    evaluator = forge.PhaseEvaluator(spec, forge.uniform_weights(mask), mask)
+    config = forge.GAConfig(population_size=12, generations=SGA_GENERATIONS)
+
+    def run():
+        forge.sga_phases(evaluator, 18, config, np.random.default_rng(1))
+
+    scored, pmepr = [], evaluator.pmepr
+    evaluator.pmepr = lambda phases: scored.append(len(phases)) or pmepr(phases)
+    run()  # untimed, counting the rows each call scores
+    del evaluator.pmepr
+    # the first call scores the initial population
+    rows = round(sum(scored[1:]) / SGA_GENERATIONS, 2)
+    return run, SGA_GENERATIONS, {"rows_per_generation": rows}
+
+
+PROBES = [
+    *(evaluator_probe(method, *shape)
+      for shape in [(100, 1, 20), (125, 4, 20)] for method in ("pmepr", "objectives")),
+    ("nsga2", nsga2_probe),
+    ("sga_phases", sga_probe),
+]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="+")
+    parser.add_argument("--rounds", type=int, default=20)
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be >= 2: the quartiles need two data points")
+    trees = [load(src) for src in args.src]
+    # built[p][t]: probe p's (call, units, extra) on tree t
+    built = [[build(forge) for forge in trees] for _, build in PROBES]
+    for row in built:
+        for run, _, _ in row:
+            run()  # warm-up
+    times = [[[] for _ in trees] for _ in PROBES]
+    for r in range(args.rounds):
+        order = list(range(len(trees)))[:: 1 if r % 2 == 0 else -1]
+        for row, seen in zip(built, times):
+            for t in order:
+                run, units, _ = row[t]
+                start = time.perf_counter()
+                run()
+                seen[t].append((time.perf_counter() - start) / units * 1e6)
+    report = {src: {} for src in args.src}
+    for (name, _), row, seen in zip(PROBES, built, times):
+        for src, (_, _, extra), samples in zip(args.src, row, seen):
+            q1, median, q3 = statistics.quantiles(samples, n=4)
+            report[src][name] = {
+                "median_us": round(median, 2), "q1_us": round(q1, 2), "q3_us": round(q3, 2),
+                **extra,
+            }
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
