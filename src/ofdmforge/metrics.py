@@ -189,9 +189,13 @@ def islr(acf: CorrelationSeries, spec: PulseSpec) -> float:
     return float(_islr_db(*_sidelobe_magnitudes(acf, spec)))
 
 
-# Genomes per batched transform.  A block of a few pulses already amortizes
-# numpy's per-call overhead; larger blocks only grow peak memory.
-_BLOCK = 8
+# Bytes of one block's ``_bins`` buffer, K*L*N complex values a genome; a
+# block holds as many genomes as fit, and at least one.  That is 40 genomes at
+# N = 100, K = 1, L = 20, a whole NSGA-II generation of that shape in one
+# pass, and 8 at N = 125, K = 4, L = 20.  Single-symbol blocks get cheaper per
+# genome the more they hold; the K > 1 ACF's temporaries grow with the block,
+# and there blocks much past 8 genomes are slower.
+_BLOCK_BYTES = 5 * 2**18
 
 
 class PhaseEvaluator:
@@ -199,8 +203,14 @@ class PhaseEvaluator:
 
     Phases come as a (P, N, K) array, genome p holding the phase matrix of
     ``PhaseCodeMatrix``.  They may be any finite values: exp(1j*phi) is
-    2*pi-periodic, so no block is wrapped.  Genomes are scored in blocks of
-    ``_BLOCK``, and each block's codes are formed once.
+    2*pi-periodic, so no block is wrapped.  A block is as many genomes as
+    fit in ``_BLOCK_BYTES`` at K*L*N complex values each (at least one), and
+    each block's codes are formed once.  Every genome of a block has one
+    complex row in ``_bins`` (PMEPR's polyphase bins) and one float row of
+    K*S values in ``_envelope`` (the power).
+    With one symbol the sidelobe kernel reuses both once PMEPR is taken:
+    y and then |r| in ``_envelope``, the half spectrum of y and the upper-lag
+    differences in ``_bins``.  Its only rows of its own are two of 2N points.
 
     PMEPR comes from the codes c = w * exp(1j*phi) by the polyphase identity
     of the module docstring: per block one multiply by a precomputed (L, N)
@@ -213,8 +223,9 @@ class PhaseEvaluator:
     ``autocorrelation`` to rounding.
 
     With K > 1 symbols ``objectives`` forms the unscaled samples (one
-    batched S-point IFFT per block, norm="forward") and takes PMEPR and the
-    batched sample-domain ACF (``_acf_half``) from them.  Their mean power is
+    batched S-point IFFT per block, norm="forward") and takes the batched
+    sample-domain ACF (``_acf_half``) and then PMEPR, which squares the
+    samples in place, from them.  Their mean power is
     sum(w^2) by Parseval, so PMEPR is their peak power divided by sum(w^2),
     and the sidelobe ratios do not depend on scale either: no unit-energy pass
     runs.  With one symbol the sidelobes come from the codes alone.  With
@@ -258,13 +269,13 @@ class PhaseEvaluator:
         self._polyphase = np.exp(-2j * np.pi * (np.outer(np.arange(ell), np.arange(n)) % s) / s)
         # block buffers the kernels write into (numpy >= 2.0 ``out=``):
         # fresh temporaries of this size come back as new pages every block
-        self._bins = np.empty((_BLOCK, k, ell, n), dtype=complex)
-        self._envelope = np.empty((_BLOCK, k * s))
-        self._envelope_imag = np.empty((_BLOCK, k * s))
+        rows = max(1, _BLOCK_BYTES // (16 * k * s))
+        self._bins = np.empty((rows, k, ell, n), dtype=complex)
+        self._envelope = np.empty((rows, k * s))
         m = spec.n_samples
         if k > 1:
             # zero-padded spectra, reused by every block
-            self._spectra = np.zeros((_BLOCK, k, s), dtype=complex)
+            self._spectra = np.zeros((rows, k, s), dtype=complex)
             self._twiddle = _twiddle(m)
             return
         half = m // 2 + 1
@@ -281,12 +292,8 @@ class PhaseEvaluator:
         diagonal = (m - np.arange(m)) * np.fft.ifft(w**2, n=m) * m
         self._lower = -1j * diagonal[:half].conj()
         self._upper = 1j * diagonal[half:]
-        self._conj_codes = np.zeros((_BLOCK, 2 * n), dtype=complex)
-        self._conv = np.empty((_BLOCK, 2 * n), dtype=complex)
-        self._y = np.zeros((_BLOCK, m))
-        self._half = np.empty((_BLOCK, half), dtype=complex)
-        self._diff = np.empty((_BLOCK, half), dtype=complex)
-        self._mag = np.empty((_BLOCK, m))
+        self._conj_codes = np.zeros((rows, 2 * n), dtype=complex)
+        self._conv = np.empty((rows, 2 * n), dtype=complex)
 
     @property
     def active(self) -> np.ndarray:
@@ -296,22 +303,21 @@ class PhaseEvaluator:
         return self._active
 
     def _blocks(self, phases: np.ndarray):
-        """Codes (B, K, N) of each block of at most _BLOCK genomes."""
+        """Codes (B, K, N) of each block of at most len(_bins) genomes."""
         phases = np.asarray(phases, dtype=float)
         if not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite")
-        for start in range(0, len(phases), _BLOCK):
-            yield subcarrier_codes(self.spec, self._w, phases[start:start + _BLOCK])
+        rows = len(self._bins)
+        for start in range(0, len(phases), rows):
+            yield subcarrier_codes(self.spec, self._w, phases[start:start + rows])
 
     def _peak_ratio(self, z: np.ndarray) -> np.ndarray:
-        """max |z|^2 over each row of the block z (B, ...) divided by sum(w^2),
-        the mean power of every pulse's unscaled samples (Parseval)."""
-        count = len(z)
-        power = self._envelope[:count]
-        imag = self._envelope_imag[:count]
-        np.multiply(z.real, z.real, out=power.reshape(z.shape))
-        np.multiply(z.imag, z.imag, out=imag.reshape(z.shape))
-        power += imag
+        """max |z|^2 over each row of the contiguous block z (B, ...) divided
+        by sum(w^2), the mean power of every pulse's unscaled samples
+        (Parseval).  Squares z's re/im lanes in place, so z is consumed."""
+        lanes = z.reshape(len(z), -1).view(float)
+        np.multiply(lanes, lanes, out=lanes)
+        power = np.add(lanes[:, 0::2], lanes[:, 1::2], out=self._envelope[:len(z)])
         return power.max(axis=1) / self._energy
 
     def _pmepr_codes(self, codes: np.ndarray) -> np.ndarray:
@@ -323,7 +329,8 @@ class PhaseEvaluator:
 
     def _code_acf_magnitudes(self, codes: np.ndarray) -> np.ndarray:
         """|r[m]|, m = 0..M-1, of the single-symbol pulses with codes (B, N);
-        unnormalized (peak M * sum(w^2))."""
+        unnormalized (peak M * sum(w^2)).  Overwrites ``_bins`` and
+        ``_envelope``, and returns a view of the latter."""
         count = len(codes)
         n, m = self.spec.n_subcarriers, self.spec.n_samples
         half = self._lower.shape[-1]
@@ -333,16 +340,16 @@ class PhaseEvaluator:
         spectrum *= self._g_spectrum
         u = np.fft.ifft(spectrum, axis=-1, out=spectrum)[:, :n]
         u *= codes
-        y = self._y[:count]
+        y = self._envelope[:count]
         y[:, :n] = u.imag
-        r = np.fft.rfft(y, axis=-1, out=self._half[:count])
-        diff = self._diff[:count]
-        mag = self._mag[:count]
-        np.subtract(r, self._lower, out=diff)
-        np.abs(diff, out=mag[:, :half])
-        diff = diff[:, :m - half]
-        np.subtract(r[:, m - half:0:-1], self._upper, out=diff)
-        np.abs(diff, out=mag[:, half:])
+        y[:, n:] = 0.0
+        spectra = self._bins[:count].reshape(count, m)
+        r = np.fft.rfft(y, axis=-1, out=spectra[:, :half])
+        upper = np.subtract(r[:, m - half:0:-1], self._upper, out=spectra[:, half:])
+        r -= self._lower
+        mag = y  # the transform has read y
+        np.abs(r, out=mag[:, :half])
+        np.abs(upper, out=mag[:, half:])
         return mag
 
     def pmepr(self, phases: np.ndarray) -> np.ndarray:
@@ -363,8 +370,9 @@ class PhaseEvaluator:
                 spectra = self._spectra[:count]
                 spectra[:, :, :n] = codes
                 x = np.fft.ifft(spectra, axis=-1, norm="forward").reshape(count, -1)
-                pmeprs = self._peak_ratio(x)
+                # the ACF first: the peak ratio squares x in place
                 mag = np.abs(_acf_half(x, self._twiddle))
+                pmeprs = self._peak_ratio(x)
             side, peak = _split_sidelobes(mag, self._min_lag)
             rows.append(np.column_stack([
                 pmeprs, _pslr_db(side, peak), _islr_db(side, peak, wings=2),

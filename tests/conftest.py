@@ -49,6 +49,14 @@ def brute_force_fronts(objectives: np.ndarray) -> list[list[int]]:
     return fronts
 
 
+def brute_force_rank(objectives: np.ndarray) -> np.ndarray:
+    """Each row's front index under ``brute_force_fronts``, 0 for the first."""
+    rank = np.empty(len(objectives), dtype=int)
+    for r, front in enumerate(brute_force_fronts(objectives)):
+        rank[front] = r
+    return rank
+
+
 def random_pulse(rng: np.random.Generator, n=None, k=None, oversampling=None):
     """A random full-band pulse with small random dimensions."""
     n = n or int(rng.integers(2, 12))

@@ -22,6 +22,7 @@ from ofdmforge import (
     synthesize,
     uniform_weights,
 )
+from ofdmforge import metrics
 from ofdmforge.errors import DegeneratePulseError, UndefinedSidelobesError
 from ofdmforge.metrics import _real_idft
 
@@ -232,6 +233,13 @@ def direct_objectives(spec, phases, weights, mask):
     return direct_pmepr(spec, phases, weights, mask), pslr(acf, spec), islr(acf, spec)
 
 
+def budget_rows(monkeypatch, spec, rows):
+    """Shrink the evaluator's block budget to ``rows`` genomes of ``spec``,
+    so that small batches span several blocks."""
+    genome_bytes = 16 * spec.n_symbols * spec.samples_per_symbol
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", rows * genome_bytes)
+
+
 def assert_same_pmepr(got, want):
     """PMEPRs agree with the direct-sum oracle to 1e-12 relative."""
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -245,12 +253,13 @@ def assert_same_sidelobes(got_db, want_db):
 @pytest.mark.parametrize("n", [1, 2, 7, 100])
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("oversampling", [1, 4, 20])
-def test_pmepr_matches_direct_sum(n, k, oversampling):
+def test_pmepr_matches_direct_sum(monkeypatch, n, k, oversampling):
     # the evaluator's polyphase kernel (pmepr, and the objectives column) and
     # the per-pulse pmepr(synthesize(...)) against the direct sum; 10 genomes
-    # cross _BLOCK, and from N = 7 on the mask is sparse
+    # span three 4-genome blocks, and from N = 7 on the mask is sparse
     rng = np.random.default_rng(100 * n + 10 * k + oversampling)
     spec = PulseSpec(n, k, 1e5, oversampling)
+    budget_rows(monkeypatch, spec, 4)
     mask = random_mask(n, 0.5, rng) if n >= 7 else None
     weights = WeightVector(rng.uniform(0.05, 2.0, n))
     phases = rng.uniform(-TWO_PI, 2 * TWO_PI, (10, n, k))
@@ -334,10 +343,12 @@ class TestPhaseEvaluator:
         (100, 20, 11, False),
         (500, 20, 9, False),
     ])
-    def test_single_symbol_closed_form(self, n, oversampling, count, sparse):
-        # K = 1 scores the sidelobes from the codes; batch sizes cross _BLOCK
+    def test_single_symbol_closed_form(self, monkeypatch, n, oversampling, count, sparse):
+        # K = 1 scores the sidelobes from the codes; batches of more than 4
+        # genomes span two or more blocks
         rng = np.random.default_rng(n * oversampling)
         spec = PulseSpec(n, 1, 1e5, oversampling)
+        budget_rows(monkeypatch, spec, 4)
         mask = random_mask(n, 0.5, rng) if sparse else None
         weights = WeightVector(rng.uniform(0.05, 2.0, n) if sparse else np.ones(n))
         phases = rng.uniform(0, TWO_PI, (count, n, 1))
@@ -354,23 +365,64 @@ class TestPhaseEvaluator:
         # one S-point synthesis ifft and the ACF's two M-point fft + rfft pairs
         spec = PulseSpec(16, k, 1e5, 4)
         s, m = spec.samples_per_symbol, spec.n_samples
+        budget_rows(monkeypatch, spec, 5)
         evaluator = PhaseEvaluator(spec, WeightVector(np.ones(16)))
+        blocks = -(-11 // len(evaluator._bins))
+        assert blocks > 1
         lengths = {"fft": [], "ifft": [], "rfft": []}
         for name in lengths:
             def counted(a, *args, _fn=getattr(np.fft, name), _seen=lengths[name], **kwargs):
                 _seen.append(a.shape[-1])
                 return _fn(a, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
-        evaluator.pmepr(np.zeros((11, 16, k)))  # two blocks
-        assert lengths == {"fft": [16, 16], "ifft": [], "rfft": []}
+        evaluator.pmepr(np.zeros((11, 16, k)))
+        assert lengths == {"fft": [16] * blocks, "ifft": [], "rfft": []}
         for seen in lengths.values():
             seen.clear()
         evaluator.objectives(np.zeros((11, 16, k)))
         if k == 1:
             assert m not in lengths["fft"] + lengths["ifft"]
-            assert lengths["rfft"] == [m, m]
+            assert lengths["rfft"] == [m] * blocks
         else:
-            assert lengths == {"fft": [m] * 4, "ifft": [s, s], "rfft": [m] * 4}
+            assert lengths == {
+                "fft": [m] * 2 * blocks, "ifft": [s] * blocks, "rfft": [m] * 2 * blocks,
+            }
+
+    @pytest.mark.parametrize("n, k, oversampling, rows", [(100, 1, 20, 40), (125, 4, 20, 8)])
+    def test_blocks_fill_the_byte_budget(self, n, k, oversampling, rows):
+        # K*L*N complex values a genome: a P = 40 generation at (100, 1, 20)
+        # is one block, and (125, 4, 20) keeps blocks of 8
+        evaluator = PhaseEvaluator(PulseSpec(n, k, 1e5, oversampling), WeightVector(np.ones(n)))
+        assert len(evaluator._bins) == rows
+        assert evaluator._bins.nbytes <= metrics._BLOCK_BYTES
+
+    def test_genome_over_the_budget_gets_a_block_of_one(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1)
+        evaluator = PhaseEvaluator(PulseSpec(4, 2, 1e5, 2), WeightVector(np.ones(4)))
+        assert len(evaluator._bins) == 1
+        assert evaluator.objectives(np.zeros((3, 4, 2))).shape == (3, 3)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_block_boundaries_change_no_bit(self, monkeypatch, k, sparse):
+        # a batch scored in one call gives the same bits as its genomes scored
+        # one by one, and as one default-budget block, wherever it is split
+        rng = np.random.default_rng(10 * k + sparse)
+        spec = PulseSpec(20, k, 1e5, 4)
+        mask = random_mask(20, 0.5, rng) if sparse else None
+        weights = WeightVector(rng.uniform(0.05, 2.0, 20))
+        whole = PhaseEvaluator(spec, weights, mask)
+        budget_rows(monkeypatch, spec, 4)
+        evaluator = PhaseEvaluator(spec, weights, mask)
+        rows = len(evaluator._bins)
+        assert rows == 4 and len(whole._bins) > 2 * rows + 3
+        for count in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            phases = rng.uniform(0, TWO_PI, (count, 20, k))
+            for method in ("pmepr", "objectives"):
+                score = getattr(evaluator, method)
+                got = score(phases)
+                assert np.array_equal(got, np.concatenate([score(p[None]) for p in phases]))
+                assert np.array_equal(got, getattr(whole, method)(phases))
 
     @pytest.mark.parametrize("oversampling", [1, 5])
     def test_undefined_sidelobes_as_per_pulse(self, oversampling):

@@ -7,10 +7,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-PROBES = [
-    "pmepr N=100 K=1 L=20", "objectives N=100 K=1 L=20",
-    "pmepr N=125 K=4 L=20", "objectives N=125 K=4 L=20", "nsga2", "sga_phases",
-]
+# evaluator probes and the genomes per block each reports
+BLOCK_ROWS = {
+    "pmepr N=100 K=1 L=20": 40, "objectives N=100 K=1 L=20": 40,
+    "pmepr N=100 K=1 L=20 P=1000": 40,
+    "pmepr N=125 K=4 L=20": 8, "objectives N=125 K=4 L=20": 8,
+}
+PROBES = [*BLOCK_ROWS, "nsga2", "sga_phases"]
 
 
 def run_tool(*args: str) -> subprocess.CompletedProcess:
@@ -33,7 +36,9 @@ def test_two_rounds_report_every_probe(report):
 
 @pytest.mark.parametrize("probe", PROBES)
 def test_two_rounds_report_quartiles(report, probe):
-    timing = {k: v for k, v in report[probe].items() if k != "rows_per_generation"}
+    timing = {
+        k: v for k, v in report[probe].items() if k not in ("rows_per_generation", "block_rows")
+    }
     assert set(timing) == {"median_us", "q1_us", "q3_us"}
     assert 0 < timing["median_us"]
     assert timing["q1_us"] <= timing["median_us"] <= timing["q3_us"]
@@ -43,6 +48,10 @@ def test_sga_phases_counts_rows_per_generation(report):
     assert [p for p in PROBES if "rows_per_generation" in report[p]] == ["sga_phases"]
     # P = 12 keeps 6, so at most 6 offspring rows reach the evaluator
     assert 0 < report["sga_phases"]["rows_per_generation"] <= 6
+
+
+def test_evaluator_probes_report_block_rows(report):
+    assert {p: report[p]["block_rows"] for p in PROBES if "block_rows" in report[p]} == BLOCK_ROWS
 
 
 def test_one_round_is_a_usage_error():

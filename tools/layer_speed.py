@@ -7,8 +7,11 @@ under its own module namespace, so two revisions can be timed side by side.
 The probes:
 
 * ``pmepr``/``objectives N= K= L=``: ``PhaseEvaluator`` on a full-band,
-  uniform-weight pulse, ``REPS`` calls on a block of ``GENOMES`` random
-  genomes; microseconds per genome.
+  uniform-weight pulse, ``REPS`` calls on a batch of ``GENOMES`` random
+  genomes; microseconds per genome.  ``block_rows`` is the genomes the
+  evaluator scores per block.
+* ``pmepr N=100 K=1 L=20 P=1000``: the same on one batch of 1000 genomes,
+  the random-code sample a derived PMEPR cap is drawn from.
 * ``nsga2``: one capped NSGA-II (P = 40, n = 100) on an objective that costs
   next to nothing, so the time is the optimizer's own: ranking, crowding,
   variation and survivor selection; microseconds per generation.
@@ -52,20 +55,25 @@ def load(src: str):
     return ofdmforge
 
 
-def evaluator_probe(method: str, n: int, k: int, ell: int):
+def evaluator_probe(method: str, n: int, k: int, ell: int, genomes: int = GENOMES):
+    reps = max(1, REPS * GENOMES // genomes)
+
     def build(forge):
         mask = forge.SparsityMask.full(n)
         spec = forge.PulseSpec(n, k, 1e5, ell)
-        call = getattr(forge.PhaseEvaluator(spec, forge.uniform_weights(mask), mask), method)
-        phases = np.random.default_rng(0).uniform(0, 2 * np.pi, (GENOMES, n, k))
+        evaluator = forge.PhaseEvaluator(spec, forge.uniform_weights(mask), mask)
+        call = getattr(evaluator, method)
+        phases = np.random.default_rng(0).uniform(0, 2 * np.pi, (genomes, n, k))
 
         def run():
-            for _ in range(REPS):
+            for _ in range(reps):
                 call(phases)
 
-        return run, REPS * GENOMES, {}
+        # genomes per block: the rows of the evaluator's block buffer
+        return run, reps * genomes, {"block_rows": len(evaluator._bins)}
 
-    return f"{method} N={n} K={k} L={ell}", build
+    name = f"{method} N={n} K={k} L={ell}"
+    return (name if genomes == GENOMES else f"{name} P={genomes}"), build
 
 
 def cheap_objective(g: np.ndarray) -> np.ndarray:
@@ -104,8 +112,11 @@ def sga_probe(forge):
 
 
 PROBES = [
-    *(evaluator_probe(method, *shape)
-      for shape in [(100, 1, 20), (125, 4, 20)] for method in ("pmepr", "objectives")),
+    evaluator_probe("pmepr", 100, 1, 20),
+    evaluator_probe("objectives", 100, 1, 20),
+    evaluator_probe("pmepr", 100, 1, 20, genomes=1000),
+    evaluator_probe("pmepr", 125, 4, 20),
+    evaluator_probe("objectives", 125, 4, 20),
     ("nsga2", nsga2_probe),
     ("sga_phases", sga_probe),
 ]
