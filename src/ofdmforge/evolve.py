@@ -1,12 +1,14 @@
 """Single-objective genetic algorithms.
 
 One elitist loop (``_elitist_minimize``) drives both minimizers: rank the
-population, keep the top ``elitism_fraction`` as-is, and refill the rest
-with offspring of rank-ordered parent pairs (pair j mates kept parents 2j
-and 2j + 1, cycling, and has children 2j and 2j + 1).  Each minimizer
-supplies only its variation operator, ``vary(lead, tail, generation) ->
+population, keep the best half, round(P / 2) genomes (half to even, so
+P = 5 keeps 2), as-is, and refill the rest with offspring of rank-ordered
+parent pairs (pair j mates kept parents 2j and 2j + 1, cycling through the
+elite with indices mod n_keep, and has children 2j and 2j + 1).  Each
+minimizer supplies only its variation operator, ``vary(lead, tail) ->
 kids``, which breeds the whole offspring block at once: child i mixes row i
-of ``lead`` (its own-index parent) with row i of ``tail`` (the pair's other).
+of ``lead`` (its own-index parent) with row i of ``tail`` (the pair's
+other).
 
 * ``sga_minimize`` works on bit strings (single-point crossover at a random
   bit boundary, single-bit flip mutation).  ``decode_phases`` turns a block
@@ -48,20 +50,16 @@ class GAConfig:
     """Knobs of the three evolutionary searches; each reads some of them.
 
     ``nsga2`` reads ``population_size`` and ``generations`` only (its SBX and
-    mutation constants are fixed).  Both elitist GAs also keep the best
-    ``elitism_fraction`` of each generation: at least one genome, and never
-    the whole population, or nothing would be bred.  ``sga_minimize`` reads
-    ``mutation_every``/``mutation_per_offspring``, its bit-flip schedule: on
-    every ``mutation_every``-th generation each offspring receives one
-    uniformly random bit flip with probability ``mutation_per_offspring``.
-    ``continuous_minimize`` reads ``mutation_rate``, its per-gene
-    replacement probability.
+    mutation constants are fixed).  Both elitist GAs keep the best half of
+    each generation, ``n_keep()`` genomes, and breed the rest.
+    ``sga_minimize`` reads ``mutation_per_offspring``: on every generation
+    each offspring receives one uniformly random bit flip with that
+    probability.  ``continuous_minimize`` reads ``mutation_rate``, its
+    per-gene replacement probability.
     """
 
     population_size: int
     generations: int
-    elitism_fraction: float = 0.5
-    mutation_every: int = 1
     mutation_per_offspring: float = 1.0
     mutation_rate: float = 0.2
 
@@ -70,22 +68,15 @@ class GAConfig:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        if not 0 < self.elitism_fraction < 1:
-            raise ValueError("elitism_fraction must be in (0, 1)")
-        if self.n_keep() >= self.population_size:
-            raise ValueError(
-                f"elitism_fraction {self.elitism_fraction} of population_size "
-                f"{self.population_size} keeps every genome, so none is bred"
-            )
-        if self.mutation_every < 1:
-            raise ValueError("mutation_every must be >= 1")
         if not 0 <= self.mutation_per_offspring <= 1:
             raise ValueError("mutation_per_offspring must be in [0, 1]")
         if not 0 <= self.mutation_rate <= 1:
             raise ValueError("mutation_rate must be in [0, 1]")
 
     def n_keep(self) -> int:
-        return max(1, int(round(self.population_size * self.elitism_fraction)))
+        """The elite: round(P / 2) genomes, half to even (P = 5 keeps 2), so
+        1 <= n_keep < P for P >= 2."""
+        return round(self.population_size / 2)
 
 
 @dataclass
@@ -161,8 +152,8 @@ def encode_phases(phases: np.ndarray, bits_per_var: int) -> np.ndarray:
     return bits.reshape(-1).astype(bool)
 
 
-# (lead parents, tail parents, generation) -> kids, all (n_offspring, n)
-Variation = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+# (lead parents, tail parents) -> kids, all (n_offspring, n)
+Variation = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _elitist_minimize(
@@ -189,7 +180,7 @@ def _elitist_minimize(
     fit = fits[0] = score_batch(fitness, genomes, 0)
     for gen in range(config.generations):
         keep = np.argsort(fit, kind="stable")[:n_keep]
-        kids = vary(genomes[keep[lead]], genomes[keep[tail]], gen)
+        kids = vary(genomes[keep[lead]], genomes[keep[tail]])
         kid_fit = score_batch(fitness, kids, gen + 1)
         genomes = np.concatenate([genomes[keep], kids])
         fit = fits[gen + 1] = np.concatenate([fit[keep], kid_fit])
@@ -212,7 +203,7 @@ def sga_minimize(
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
 
-    def vary(lead, tail, gen):
+    def vary(lead, tail):
         # one cut per pair, drawn even when the pair's second child is dropped
         n_pairs = (len(lead) + 1) // 2
         cuts = rng.integers(1, n_bits, size=n_pairs).tolist() if n_bits > 1 else [0] * n_pairs
@@ -222,7 +213,7 @@ def sga_minimize(
             kids[i, :cut] = lead[i, :cut]
         # per child: its coin draw and bit index interleave in the stream,
         # which one population-wide draw of each would reorder
-        if gen % config.mutation_every == 0 and config.mutation_per_offspring > 0:
+        if config.mutation_per_offspring > 0:
             for child in kids:
                 if rng.random() < config.mutation_per_offspring:
                     child[rng.integers(n_bits)] ^= True
@@ -340,7 +331,7 @@ def continuous_minimize(
     fill = lower + span * rng.random((pop - len(init), n_vars))
     genomes = np.concatenate([np.reshape(init, (len(init), n_vars)), fill])
 
-    def vary(lead, tail, gen):
+    def vary(lead, tail):
         # one beta per child, drawn pair by pair; a dropped second child's
         # beta is drawn all the same
         beta = rng.uniform(-0.1, 1.1, size=((len(lead) + 1) // 2, 2))

@@ -29,11 +29,8 @@ BASELINES = tuple(k.value for k in BaselineKind)
 # constants are fixed)
 GA_FIELDS = {
     "nsga2": ("population_size", "generations"),
-    "sga_minimize": (
-        "population_size", "generations", "elitism_fraction", "mutation_every",
-        "mutation_per_offspring",
-    ),
-    "continuous_minimize": ("population_size", "generations", "elitism_fraction", "mutation_rate"),
+    "sga_minimize": ("population_size", "generations", "mutation_per_offspring"),
+    "continuous_minimize": ("population_size", "generations", "mutation_rate"),
 }
 _GA_KEYS = {f.name for f in fields(GAConfig)}
 

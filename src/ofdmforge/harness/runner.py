@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -228,8 +228,9 @@ def _derived_pmepr_max(config: ExperimentConfig) -> float:
     return pmepr_max
 
 
-def _run_optimize_constrained(config, run_id, run_dir, rng, *, pmepr_max):
+def _run_optimize_constrained(config, run_id, run_dir, rng):
     spec = config.pulse
+    pmepr_max = config.pmepr_max
     n_vars = spec.n_subcarriers * spec.n_symbols
     scores = _full_band_scores(config)
 
@@ -340,15 +341,15 @@ _RUNNERS = {
 }
 
 
-def _execute_run(config: ExperimentConfig, run_id: int, extra: dict) -> tuple[RunResult, dict]:
-    """One replica; ``extra`` holds the kind's experiment-wide keyword arguments."""
+def _execute_run(config: ExperimentConfig, run_id: int) -> tuple[RunResult, dict]:
+    """One replica."""
     run_dir = config.out_path() / str(run_id)
     run_dir.mkdir(parents=True, exist_ok=True)
     seed = mix64(config.seed, run_id)
     rng = np.random.default_rng(seed)
     replica, objectives_file, _, _ = _RUNNERS[config.kind]
     started = time.perf_counter()
-    objectives, payload = replica(config, run_id, run_dir, rng, **extra)
+    objectives, payload = replica(config, run_id, run_dir, rng)
     if objectives_file is not None:
         _write_json(run_dir / objectives_file, objectives)
     wall = time.perf_counter() - started
@@ -358,11 +359,8 @@ def _execute_run(config: ExperimentConfig, run_id: int, extra: dict) -> tuple[Ru
 def run_experiment(config: ExperimentConfig) -> list[RunResult]:
     """Execute all replicas of one experiment and write the aggregate."""
     # a derived cap no pulse can meet is a config error, raised before any output
-    extra = {}
-    if config.kind == "optimize-constrained":
-        extra["pmepr_max"] = (
-            config.pmepr_max if config.pmepr_max is not None else _derived_pmepr_max(config)
-        )
+    if config.kind == "optimize-constrained" and config.pmepr_max is None:
+        config = replace(config, pmepr_max=_derived_pmepr_max(config))
     out = config.out_path()
     out.mkdir(parents=True, exist_ok=True)
 
@@ -373,18 +371,15 @@ def run_experiment(config: ExperimentConfig) -> list[RunResult]:
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(
-                pool.map(
-                    functools.partial(_execute_run, config, extra=extra),
-                    range(config.runs),
-                )
+                pool.map(functools.partial(_execute_run, config), range(config.runs))
             )
     else:
-        outcomes = [_execute_run(config, r, extra) for r in range(config.runs)]
+        outcomes = [_execute_run(config, r) for r in range(config.runs)]
 
     results = [res for res, _ in outcomes]
     payloads = [pay for _, pay in outcomes]
 
-    _write_aggregate(config, results, payloads, extra, out)
+    _write_aggregate(config, results, payloads, out)
     return results
 
 
@@ -413,15 +408,16 @@ def _summaries(results: list[RunResult]) -> dict:
     return stats
 
 
-def _write_aggregate(config, results, payloads, extra: dict, out: Path) -> None:
+def _write_aggregate(config, results, payloads, out: Path) -> None:
     summary = {
         "kind": config.kind,
         "seed": config.seed,
         "runs": config.runs,
         "objectives": _summaries(results),
         "wall_time_s": {str(r.run_id): r.wall_time_s for r in results},
-        **extra,  # optimize-constrained's pmepr_max
     }
+    if config.pmepr_max is not None:  # only optimize-constrained reads it
+        summary["pmepr_max"] = config.pmepr_max
     # a boolean objective counts the runs in which it holds
     for key in {k for r in results for k, v in r.final_objectives.items() if isinstance(v, bool)}:
         summary[f"{key}_runs"] = sum(r.final_objectives[key] for r in results)

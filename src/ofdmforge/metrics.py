@@ -59,10 +59,6 @@ class CorrelationSeries:
     lags: np.ndarray
     values: np.ndarray
 
-    @property
-    def zero_lag(self) -> float:
-        return float(np.abs(self.values[len(self.values) // 2]))
-
 
 def _power(z: np.ndarray) -> np.ndarray:
     """|z|^2 as re^2 + im^2, accumulated in place: one temporary fewer, which

@@ -69,13 +69,6 @@ class PulseSpec:
         return self.symbol_duration_s / self.samples_per_symbol
 
 
-def wrap_phases(phases: np.ndarray) -> np.ndarray:
-    """Finite phase arguments wrapped into [0, 2*pi)."""
-    if not np.all(np.isfinite(phases)):
-        raise ValueError("phases must be finite")
-    return np.mod(phases, TWO_PI)
-
-
 @dataclass(frozen=True)
 class PhaseCodeMatrix:
     """N x K matrix of phase arguments; code (n, k) is exp(1j * phases[n, k]).
@@ -89,7 +82,9 @@ class PhaseCodeMatrix:
         p = np.asarray(self.phases, dtype=float)
         if p.ndim != 2:
             raise ValueError("phases must be a 2-D (N, K) array")
-        object.__setattr__(self, "phases", wrap_phases(p))
+        if not np.all(np.isfinite(p)):
+            raise ValueError("phases must be finite")
+        object.__setattr__(self, "phases", np.mod(p, TWO_PI))
 
     @property
     def n_subcarriers(self) -> int:

@@ -79,20 +79,16 @@ class TestGAConfig:
         with pytest.raises(ValueError):
             GAConfig(population_size=12, generations=0)
         with pytest.raises(ValueError):
-            GAConfig(population_size=12, generations=1, elitism_fraction=1.0)
+            GAConfig(population_size=12, generations=1, mutation_per_offspring=-0.1)
         with pytest.raises(ValueError):
             GAConfig(population_size=12, generations=1, mutation_rate=1.5)
 
-    def test_n_keep(self):
-        assert GAConfig(population_size=12, generations=1).n_keep() == 6
-        assert GAConfig(population_size=12, generations=1, elitism_fraction=0.25).n_keep() == 3
-
-    @pytest.mark.parametrize("pop, elitism", [(3, 0.9), (2, 0.75), (12, 0.99)])
-    def test_elitism_that_keeps_everyone_is_rejected(self, pop, elitism):
-        # round(pop * elitism) == pop would leave no slot for offspring
-        with pytest.raises(ValueError, match=f"elitism_fraction {elitism} of population_size {pop}"):
-            GAConfig(population_size=pop, generations=5, elitism_fraction=elitism)
-        assert GAConfig(population_size=pop, generations=5).n_keep() < pop
+    @pytest.mark.parametrize("pop", range(2, 42))
+    def test_n_keep_is_half_the_population(self, pop):
+        # round half to even: P = 2 keeps 1, P = 3 keeps 2, P = 5 keeps 2
+        n_keep = GAConfig(population_size=pop, generations=1).n_keep()
+        assert n_keep == round(pop / 2)
+        assert type(n_keep) is int and 1 <= n_keep < pop
 
     @pytest.mark.parametrize("pop", [3, 5, 7])
     def test_odd_populations_run(self, pop):
@@ -235,7 +231,8 @@ class TestSgaPhases:
     def test_is_the_decoded_bit_search(self, n, k, b, sparse):
         evaluator = phase_evaluator(n, k, sparse)
         assert evaluator.active.all() != sparse
-        cfg = GAConfig(population_size=10, generations=15, elitism_fraction=0.3)
+        # P = 7: an elite of 4 and an odd count of 3 offspring
+        cfg = GAConfig(population_size=7, generations=15)
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
         phases, trace = sga_phases(evaluator, b, cfg, rng)
         ref_bits, ref_trace = sga_minimize(
@@ -374,9 +371,9 @@ class TestContinuousGA:
             continuous_minimize(poisoned(sphere, 4, 0, np.inf), lower, upper, cfg,
                                 np.random.default_rng(0))
 
-    @pytest.mark.parametrize("pop, elitism", [(10, 0.5), (8, 0.5), (10, 0.3)])
-    def test_one_fitness_call_per_generation(self, pop, elitism):
-        cfg = GAConfig(population_size=pop, generations=25, elitism_fraction=elitism)
+    @pytest.mark.parametrize("pop", [10, 8, 7, 5, 9])
+    def test_one_fitness_call_per_generation(self, pop):
+        cfg = GAConfig(population_size=pop, generations=25)
         calls = []
 
         def fitness(v):
@@ -437,7 +434,7 @@ def _reference_sga_minimize(fitness, n_bits, config, rng):
         genomes, fit = genomes[order], fit[order]
         kids = _reference_rank_pairs_refill(genomes[:n_keep], pop - n_keep, crossover_pair)
         kids = np.array(kids)
-        if gen % config.mutation_every == 0 and config.mutation_per_offspring > 0:
+        if config.mutation_per_offspring > 0:
             for child in kids:
                 if rng.random() < config.mutation_per_offspring:
                     child[rng.integers(n_bits)] ^= True
@@ -497,13 +494,26 @@ def weighted_bits(bits: np.ndarray) -> np.ndarray:
     return bits @ np.cos(np.arange(bits.shape[1]))
 
 
+# The elite is round(P / 2) genomes, so the population size sets the shape
+# of each generation's pairing.
 STREAM_CONFIGS = {
-    "odd-offspring": dict(population_size=10, elitism_fraction=0.3),
-    "single-parent": dict(population_size=8, elitism_fraction=0.1),
-    "mutation-every-3": dict(population_size=8, mutation_every=3),
-    "half-mutation": dict(population_size=12, mutation_per_offspring=0.5, elitism_fraction=0.25),
+    # an elite of 4 and 3 offspring: the second pair drops its second child
+    "odd-offspring": dict(population_size=7),
+    # an elite of 1, mated with itself
+    "single-parent": dict(population_size=2),
+    # round half to even keeps 2 of 5, so 3 offspring: the second pair
+    # cycles back to parents 0 and 1 and drops its second child
+    "cycling-elite": dict(population_size=5),
+    # an elite of 4 and 5 offspring: the third pair re-mates parents 0 and 1
+    "cycling-elite-wide": dict(population_size=9),
+    # an elite of 2 and 1 offspring: one parent pair, which drops its second child
+    "one-pair": dict(population_size=3),
+    # a coin that mostly skips the bit flip
+    "rare-mutation": dict(population_size=8, mutation_per_offspring=0.25),
+    # an elite of 5 whose last pair wraps to parent 0
+    "half-mutation": dict(population_size=10, mutation_per_offspring=0.5),
     "no-mutation": dict(population_size=6, mutation_rate=0.0, mutation_per_offspring=0.0),
-    "wide": dict(population_size=40, elitism_fraction=0.5),
+    "wide": dict(population_size=40),
 }
 
 

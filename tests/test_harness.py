@@ -90,11 +90,8 @@ VALID_VALUES = {
 # (kind, GA section)
 OPTIMIZER_READS = {
     "nsga2": {"population_size", "generations"},
-    "sga_minimize": {
-        "population_size", "generations", "elitism_fraction", "mutation_every",
-        "mutation_per_offspring",
-    },
-    "continuous_minimize": {"population_size", "generations", "elitism_fraction", "mutation_rate"},
+    "sga_minimize": {"population_size", "generations", "mutation_per_offspring"},
+    "continuous_minimize": {"population_size", "generations", "mutation_rate"},
 }
 GA_SECTIONS = [
     ("optimize-pmepr", "ga", "sga_minimize"),
@@ -105,8 +102,7 @@ GA_SECTIONS = [
 ]
 # a value other than MINI_GA's or the default for every GAConfig field
 GA_CHANGES = {
-    "population_size": 6, "generations": 12, "elitism_fraction": 0.25,
-    "mutation_every": 3, "mutation_per_offspring": 0.3, "mutation_rate": 0.9,
+    "population_size": 6, "generations": 12, "mutation_per_offspring": 0.3, "mutation_rate": 0.9,
 }
 
 
@@ -393,13 +389,18 @@ class TestCliRuns:
         assert rows[0] == ["run_id", "pmepr", "pslr_db", "islr_db", "compliant"]
         assert {row[4] for row in rows[1:]} <= {"0", "1"}
 
-    def test_optimize_constrained_derived_threshold(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_optimize_constrained_derived_threshold(self, tmp_path, workers):
+        # the derived cap reaches every replica, in the pool too, and the aggregate
         out = self.run_cli(tmp_path, "optimize-constrained", {
-            "pulse": MINI_PULSE, "ga": MINI_GA,
-            "threshold_samples": 150, "seed": 9,
+            "pulse": MINI_PULSE, "ga": {**MINI_GA, "generations": 3},
+            "threshold_samples": 150, "seed": 9, "runs": 3, "workers": workers,
         })
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pmepr_max"] > 1.0
+        for run_id in range(3):
+            run = json.loads((out / str(run_id) / "summary.json").read_text())
+            assert run["pmepr_max"] == summary["pmepr_max"]
 
     def test_derived_threshold_matches_per_sample_draws(self, tmp_path):
         cfg = parse_config({
@@ -557,12 +558,6 @@ class TestCliErrors:
                      id="optimize-moo-n_subcarriers=1"),
         pytest.param("evaluate", {"baseline": "newman", "pulse": {**MINI_PULSE, "n_symbols": 3}},
                      id="evaluate-newman-n_symbols=3"),
-        # an elite of round(P * f) == P genomes leaves no slot for offspring
-        pytest.param("optimize-pmepr", {"ga": {**MINI_GA, "population_size": 3,
-                                               "elitism_fraction": 0.9}},
-                     id="optimize-pmepr-ga-elitism_fraction=0.9-of-3"),
-        pytest.param("illuminate", {"weight_ga": {**MINI_GA, "elitism_fraction": 0.95}},
-                     id="illuminate-weight_ga-elitism_fraction=0.95-of-8"),
     ], ids=lambda v: v if isinstance(v, str) else next(iter(v)) + "=" + json.dumps(
         next(iter(v.values())))[:14])
     def test_nonsense_values_exit_2(self, tmp_path, capsys, kind, fields):
@@ -658,6 +653,21 @@ class TestConfigTable:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert f"kind '{kind}' does not read ['{section}.{key}']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, section", [
+        ("optimize-pmepr", "ga"), ("illuminate", "phase_ga"), ("illuminate", "weight_ga"),
+    ])
+    @pytest.mark.parametrize("key, value", [("elitism_fraction", 0.5), ("mutation_every", 1)])
+    def test_fixed_ga_schedule_keys_are_unknown(self, tmp_path, capsys, kind, section, key,
+                                                value):
+        # both elitist GAs keep round(P / 2) genomes and mutate every generation
+        config = {**KIND_CONFIGS[kind], section: {**MINI_GA, key: value}}
+        out = tmp_path / "out"
+        assert main([kind, "--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"unknown keys in {section}: ['{key}']" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, section, key", [
