@@ -17,6 +17,7 @@ from .design import (
 from .evolve import (
     ConvergenceTrace,
     GAConfig,
+    GASchedule,
     continuous_minimize,
     decode_phases,
     encode_phases,

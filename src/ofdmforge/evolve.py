@@ -46,37 +46,36 @@ Fitness = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
-class GAConfig:
-    """Knobs of the three evolutionary searches; each reads some of them.
-
-    ``nsga2`` reads ``population_size`` and ``generations`` only (its SBX and
-    mutation constants are fixed).  Both elitist GAs keep the best half of
-    each generation, ``n_keep()`` genomes, and breed the rest.
-    ``sga_minimize`` reads ``mutation_per_offspring``: on every generation
-    each offspring receives one uniformly random bit flip with that
-    probability.  ``continuous_minimize`` reads ``mutation_rate``, its
-    per-gene replacement probability.
-    """
+class GASchedule:
+    """Population size and generation count, all that ``nsga2`` and
+    ``sga_minimize`` read.  Both elitist GAs keep the best ``n_keep()``
+    genomes of each generation and breed the rest."""
 
     population_size: int
     generations: int
-    mutation_per_offspring: float = 1.0
-    mutation_rate: float = 0.2
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        if not 0 <= self.mutation_per_offspring <= 1:
-            raise ValueError("mutation_per_offspring must be in [0, 1]")
-        if not 0 <= self.mutation_rate <= 1:
-            raise ValueError("mutation_rate must be in [0, 1]")
 
     def n_keep(self) -> int:
         """The elite: round(P / 2) genomes, half to even (P = 5 keeps 2), so
         1 <= n_keep < P for P >= 2."""
         return round(self.population_size / 2)
+
+
+@dataclass(frozen=True)
+class GAConfig(GASchedule):
+    """A schedule plus ``continuous_minimize``'s per-gene mutation rate."""
+
+    mutation_rate: float = 0.2
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0 <= self.mutation_rate <= 1:
+            raise ValueError("mutation_rate must be in [0, 1]")
 
 
 @dataclass
@@ -159,7 +158,7 @@ Variation = Callable[[np.ndarray, np.ndarray], np.ndarray]
 def _elitist_minimize(
     fitness: Fitness,
     genomes: np.ndarray,
-    config: GAConfig,
+    config: GASchedule,
     vary: Variation,
 ) -> tuple[np.ndarray, ConvergenceTrace]:
     """The generation loop both GAs share.
@@ -191,7 +190,7 @@ def _elitist_minimize(
 def sga_minimize(
     fitness: Fitness,
     n_bits: int,
-    config: GAConfig,
+    config: GASchedule,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Binary-encoded elitist GA; returns the best (n_bits,) bool genome
@@ -211,12 +210,11 @@ def sga_minimize(
         for i in range(len(kids)):
             cut = cuts[i // 2]
             kids[i, :cut] = lead[i, :cut]
-        # per child: its coin draw and bit index interleave in the stream,
-        # which one population-wide draw of each would reorder
-        if config.mutation_per_offspring > 0:
-            for child in kids:
-                if rng.random() < config.mutation_per_offspring:
-                    child[rng.integers(n_bits)] ^= True
+        # each child draws a coin, outcome unused, before its one bit flip:
+        # the draw keeps every design's generator stream
+        for child in kids:
+            rng.random()
+            child[rng.integers(n_bits)] ^= True
         return kids
 
     genomes = rng.integers(0, 2, size=(config.population_size, n_bits)).astype(bool)
@@ -260,7 +258,7 @@ def _live_bit_memo(score: Fitness, live: np.ndarray, capacity: int) -> Fitness:
 def sga_phases(
     evaluator: PhaseEvaluator,
     bits_per_var: int,
-    config: GAConfig,
+    config: GASchedule,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, ConvergenceTrace]:
     """The binary PMEPR phase search: ``sga_minimize`` over words of

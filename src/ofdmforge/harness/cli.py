@@ -8,14 +8,16 @@ import argparse
 import json
 import sys
 from dataclasses import MISSING, fields
+from typing import get_args, get_type_hints
 
 from ..errors import ConfigError, ForgeError
-from ..evolve import GAConfig
-from .config import BASELINES, GA_FIELDS, KIND_KEYS, ExperimentConfig, parse_config, read_config
+from ..evolve import GASchedule
+from .config import BASELINES, KIND_KEYS, ExperimentConfig, parse_config, read_config
 from .runner import run_experiment
 
 # the help's "%(key)s" defaults come from the dataclass fields
-_DEFAULTS = {f.name: f.default for f in (*fields(ExperimentConfig), *fields(GAConfig))}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_HINTS = get_type_hints(ExperimentConfig)
 
 _COMMON_FIELDS = """\
 common config fields:
@@ -23,7 +25,7 @@ common config fields:
   runs      number of independent replicas                    (default %(runs)s)
   workers   parallel replica processes                        (default %(workers)s)
   out_dir   output root; results land in <out_dir>/<kind>/    (default %(out_dir)s)
-a key that only other kinds or optimizers read is a config error
+a key that only other kinds read is a config error
 """
 
 _KIND_FIELDS = {
@@ -80,12 +82,15 @@ _KIND_FIELDS = {
 }
 
 
-def _ga_fields(section: str, optimizer: str) -> str:
-    """The help lines of one GA section: the fields its optimizer reads."""
-    lines = [f"{section} ({optimizer}) fields:\n"]
-    for key in GA_FIELDS[optimizer]:
-        default = _DEFAULTS[key]
-        lines.append(f"  {key:<24}{'required' if default is MISSING else f'default {default}'}\n")
+def _ga_fields(section: str) -> str:
+    """The help lines of a GA section: its dataclass's fields ("" if not a GA)."""
+    cls = get_args(_HINTS[section])[0]  # the X of "X | None"
+    if not issubclass(cls, GASchedule):
+        return ""
+    lines = [f"{section} ({cls.__name__}) fields:\n"]
+    for f in fields(cls):
+        default = "required" if f.default is MISSING else f"default {f.default}"
+        lines.append(f"  {f.name:<24}{default}\n")
     return "".join(lines)
 
 
@@ -101,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=_KIND_FIELDS[kind].splitlines()[0].strip(),
             description=f"Run the '{kind}' experiment.",
             epilog=(_COMMON_FIELDS + "kind-specific fields:\n" + _KIND_FIELDS[kind]) % _DEFAULTS
-            + "".join(_ga_fields(*ga) for ga in reads.ga.items()),
+            + "".join(_ga_fields(section) for section in reads.sections),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", required=True, help="JSON experiment config")

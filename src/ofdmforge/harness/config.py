@@ -1,38 +1,30 @@
 """Experiment configuration: one strict JSON document per experiment.
 
-Unknown keys are rejected everywhere.  ``KIND_KEYS`` declares what each
-experiment kind reads, down to the optimizer behind each GA section, and
-``GA_FIELDS`` the ``GAConfig`` fields each optimizer reads: a key that only
-other kinds or optimizers read is rejected too, and the kind's required
-sections must be present, all before any compute starts.  Every default is
-its dataclass field's: the parsers pass on only the keys that are present,
-then range-check the result.
+Unknown keys are rejected everywhere: a section takes the fields of its
+dataclass (a GA section those of ``GASchedule``, or of ``GAConfig`` for the
+weight GA), and ``KIND_KEYS`` declares what each kind reads, so a key that
+only other kinds read is rejected too.  The kind's required sections must be
+present, all before any compute starts.  Every default is its dataclass
+field's: the parsers pass on only the keys that are present, then
+range-check the result.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
-from ..design import ScenarioSpec
+from ..design import SPEED_OF_LIGHT, ScenarioSpec
 from ..errors import ConfigError
-from ..evolve import GAConfig
+from ..evolve import GAConfig, GASchedule
 from ..pareto import MIN_THRESHOLD_SAMPLES, ConstraintSpec
 from ..phasing import BaselineKind
 from ..waveform import PulseSpec
 
 BASELINES = tuple(k.value for k in BaselineKind)
-
-# the GAConfig fields each optimizer reads (nsga2's SBX and mutation
-# constants are fixed)
-GA_FIELDS = {
-    "nsga2": ("population_size", "generations"),
-    "sga_minimize": ("population_size", "generations", "mutation_per_offspring"),
-    "continuous_minimize": ("population_size", "generations", "mutation_rate"),
-}
-_GA_KEYS = {f.name for f in fields(GAConfig)}
 
 
 def _as_int(value: object, name: str) -> int:
@@ -139,11 +131,10 @@ _CASTS = {
     "str": _as_str,
     "tuple[float, float]": _as_pair,
     "tuple[tuple[float, float], ...]": _as_pairs,
-    "PulseSpec": lambda value, name: _build(PulseSpec, value, name),
+    **{cls.__name__: partial(_build, cls)
+       for cls in (PulseSpec, TargetSection, GASchedule, GAConfig)},
     # margin_m sits between ScenarioSpec's required fields, so has no field default
     "ScenarioSpec": lambda value, name: _build(ScenarioSpec, value, name, margin_m=0.0),
-    "TargetSection": lambda value, name: _build(TargetSection, value, name),
-    "GAConfig": lambda value, name: _build(GAConfig, value, name),
 }
 
 
@@ -158,9 +149,9 @@ class ExperimentConfig:
     out_dir: str = "results"
     pulse: PulseSpec | None = None
     scenario: ScenarioSpec | None = None
-    ga: GAConfig | None = None
+    ga: GASchedule | None = None
     weight_ga: GAConfig | None = None
-    phase_ga: GAConfig | None = None
+    phase_ga: GASchedule | None = None
     target: TargetSection | None = None
     baseline: str = "random"
     alphabet: int | None = None
@@ -183,7 +174,6 @@ class KindKeys(NamedTuple):
 
     sections: tuple[str, ...]  # required
     keys: tuple[str, ...] = ()  # optional
-    ga: dict[str, str] = {}  # required GA section -> its optimizer in GA_FIELDS
     masked: bool = True  # replicas score pulses over a SparsityMask (N >= 2)
 
 
@@ -192,20 +182,17 @@ KIND_KEYS = {
     "synthesize": KindKeys(("pulse",), ("baseline", "alphabet", "sparsity")),
     "evaluate": KindKeys(("pulse",), ("baseline", "alphabet", "sparsity")),
     "baseline": KindKeys(("pulse",), ("baseline", "alphabet", "sparsity")),
-    "optimize-pmepr": KindKeys(("pulse",), ("sparsity", "bits_per_var"), {"ga": "sga_minimize"}),
-    "optimize-moo": KindKeys(("pulse",), ("snapshot_every", "n_random"), {"ga": "nsga2"}),
-    "optimize-constrained": KindKeys(
-        ("pulse",), ("pmepr_max", "threshold_samples"), {"ga": "nsga2"}
-    ),
+    "optimize-pmepr": KindKeys(("pulse", "ga"), ("sparsity", "bits_per_var")),
+    "optimize-moo": KindKeys(("pulse", "ga"), ("snapshot_every", "n_random")),
+    "optimize-constrained": KindKeys(("pulse", "ga"), ("pmepr_max", "threshold_samples")),
     "illuminate": KindKeys(
-        ("pulse", "target"),
+        ("pulse", "target", "weight_ga", "phase_ga"),
         ("carrier_hz", "weight_bounds", "bits_per_var"),
-        {"weight_ga": "continuous_minimize", "phase_ga": "sga_minimize"},
         masked=False,
     ),
 }
 KINDS = tuple(KIND_KEYS)
-_KIND_SPECIFIC = {key for k in KIND_KEYS.values() for key in (*k.sections, *k.ga, *k.keys)}
+_KIND_SPECIFIC = {key for k in KIND_KEYS.values() for key in (*k.sections, *k.keys)}
 
 
 def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConfig:
@@ -222,13 +209,7 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
     if kind not in KINDS:
         raise ConfigError(f"unknown kind '{kind}'; expected one of {list(KINDS)}")
     reads = KIND_KEYS[kind]
-    unread = _KIND_SPECIFIC.intersection(data).difference(reads.sections, reads.ga, reads.keys)
-    for section, optimizer in reads.ga.items():
-        if isinstance(data.get(section), dict):
-            unread.update(
-                f"{section}.{key}"
-                for key in _GA_KEYS.intersection(data[section]).difference(GA_FIELDS[optimizer])
-            )
+    unread = _KIND_SPECIFIC.intersection(data).difference(reads.sections, reads.keys)
     if unread:
         raise ConfigError(f"kind '{kind}' does not read {sorted(unread)}")
 
@@ -256,11 +237,22 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
         except ValueError as exc:
             raise ConfigError(f"invalid pmepr_max: {exc}") from exc
 
-    for section in (*reads.sections, *reads.ga):
+    for section in reads.sections:
         if getattr(cfg, section) is None:
             raise ConfigError(f"kind '{kind}' requires a '{section}' section")
-    if kind == "illuminate" and cfg.pulse.n_symbols != 1:
-        raise ConfigError("kind 'illuminate' designs single-symbol pulses (n_symbols 1)")
+    if kind == "illuminate":
+        if cfg.pulse.n_symbols != 1:
+            raise ConfigError("kind 'illuminate' designs single-symbol pulses (n_symbols 1)")
+        n, t = cfg.pulse.n_subcarriers, cfg.target
+        # the weight GA sums v^2 g over genes v in [v_l, v_u], and sum g = N^2
+        if not math.isfinite(n * n * v_u * v_u) or v_l * v_l == 0:
+            raise ConfigError(f"weight_bounds {[v_l, v_u]} overflow or underflow when squared")
+        # the largest target phase 4*pi*f*R/c: top subcarrier, farthest
+        # scatterer (the far edge of a random box)
+        r_max = max(r for _, r in t.scatterers or [(0, t.center_range_m + t.extent_m / 2)])
+        f_max = cfg.carrier_hz + n * cfg.pulse.subcarrier_spacing_hz
+        if not math.isfinite(4 * math.pi * f_max * r_max / SPEED_OF_LIGHT):
+            raise ConfigError(f"carrier_hz {cfg.carrier_hz} overflows the phase 4*pi*f*R/c")
     # a sparsity mask keeps both extreme subcarriers
     if reads.masked and cfg.pulse.n_subcarriers < 2:
         raise ConfigError(f"kind '{kind}' needs pulse.n_subcarriers >= 2")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .design import SPEED_OF_LIGHT
 from .errors import ContractViolationError, DegenerateTargetError
-from .evolve import ConvergenceTrace, GAConfig, continuous_minimize, sga_phases
+from .evolve import ConvergenceTrace, GAConfig, GASchedule, continuous_minimize, sga_phases
 from .metrics import PhaseEvaluator
 from .waveform import PhaseCodeMatrix, PulseSpec, WeightVector
 
@@ -116,7 +116,10 @@ def normalize_reflectivity(spectrum: ReflectivitySpectrum) -> ReflectivitySpectr
     With N bins the factor is N / sqrt(sum |s[n]|^2); the normalized spectrum
     satisfies (1/N) sum (1/N) |s_norm[n]|^2 = 1.  Idempotent.
     """
-    power = float(np.sum(np.abs(spectrum.values) ** 2))
+    with np.errstate(over="ignore"):  # reported as not finite below
+        power = float(np.sum(np.abs(spectrum.values) ** 2))
+    if not np.isfinite(power):
+        raise DegenerateTargetError(f"reflectivity spectrum is not finite (power {power})")
     if not power > 0:
         raise DegenerateTargetError("reflectivity spectrum is identically zero")
     n = len(spectrum)
@@ -194,7 +197,7 @@ def two_step_pipeline(
     spec: PulseSpec,
     carrier_hz: float,
     weight_config: GAConfig,
-    phase_config: GAConfig,
+    phase_config: GASchedule,
     rng: np.random.Generator,
     v_l: float = 0.01,
     v_u: float = 10.0,

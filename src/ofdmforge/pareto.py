@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .evolve import GAConfig, score_batch
+from .evolve import GASchedule, score_batch
 from .waveform import TWO_PI
 
 # (P, n_vars) phase block -> (P, 2 + c) rows: two objectives, then c carried
@@ -226,7 +226,7 @@ def _offspring(
 def nsga2(
     objective_fn: ObjectiveFn,
     n_vars: int,
-    config: GAConfig,
+    config: GASchedule,
     rng: np.random.Generator,
     constraint: ConstraintSpec | None = None,
     generation_hook: GenerationHook | None = None,

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ofdmforge import (
     GAConfig,
+    GASchedule,
     PhaseEvaluator,
     PulseSpec,
     SparsityMask,
@@ -74,12 +75,13 @@ class TestCodec:
 
 class TestGAConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GAConfig(population_size=1, generations=10)
-        with pytest.raises(ValueError):
-            GAConfig(population_size=12, generations=0)
-        with pytest.raises(ValueError):
-            GAConfig(population_size=12, generations=1, mutation_per_offspring=-0.1)
+        for cls in (GASchedule, GAConfig):
+            with pytest.raises(ValueError):
+                cls(population_size=1, generations=10)
+            with pytest.raises(ValueError):
+                cls(population_size=12, generations=0)
+        with pytest.raises(TypeError):
+            GASchedule(population_size=12, generations=1, mutation_rate=0.2)
         with pytest.raises(ValueError):
             GAConfig(population_size=12, generations=1, mutation_rate=1.5)
 
@@ -434,10 +436,9 @@ def _reference_sga_minimize(fitness, n_bits, config, rng):
         genomes, fit = genomes[order], fit[order]
         kids = _reference_rank_pairs_refill(genomes[:n_keep], pop - n_keep, crossover_pair)
         kids = np.array(kids)
-        if config.mutation_per_offspring > 0:
-            for child in kids:
-                if rng.random() < config.mutation_per_offspring:
-                    child[rng.integers(n_bits)] ^= True
+        for child in kids:
+            rng.random()  # the coin, outcome unused
+            child[rng.integers(n_bits)] ^= True
         kid_fit = score_batch(fitness, kids, gen + 1)
         genomes = np.concatenate([genomes[:n_keep], kids])
         fit = np.concatenate([fit[:n_keep], kid_fit])
@@ -508,11 +509,12 @@ STREAM_CONFIGS = {
     "cycling-elite-wide": dict(population_size=9),
     # an elite of 2 and 1 offspring: one parent pair, which drops its second child
     "one-pair": dict(population_size=3),
-    # a coin that mostly skips the bit flip
-    "rare-mutation": dict(population_size=8, mutation_per_offspring=0.25),
+    # an elite of 4 and 4 offspring: two whole pairs
+    "two-pairs": dict(population_size=8),
     # an elite of 5 whose last pair wraps to parent 0
-    "half-mutation": dict(population_size=10, mutation_per_offspring=0.5),
-    "no-mutation": dict(population_size=6, mutation_rate=0.0, mutation_per_offspring=0.0),
+    "wrapping-pair": dict(population_size=10),
+    # the real-coded GA copies its blended children unmutated
+    "no-mutation": dict(population_size=6, mutation_rate=0.0),
     "wide": dict(population_size=40),
 }
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from ofdmforge import (
+    GAConfig,
+    GASchedule,
     PhaseEvaluator,
     PulseSpec,
     SparsityMask,
@@ -86,24 +89,21 @@ VALID_VALUES = {
     "weight_bounds": [0.01, 10.0],
 }
 
-# the GAConfig fields each optimizer reads, and the optimizer behind each
-# (kind, GA section)
-OPTIMIZER_READS = {
-    "nsga2": {"population_size", "generations"},
-    "sga_minimize": {"population_size", "generations", "mutation_per_offspring"},
-    "continuous_minimize": {"population_size", "generations", "mutation_rate"},
-}
+# each (kind, GA section) and the dataclass it parses into; only the
+# real-coded weight GA reads mutation_rate
 GA_SECTIONS = [
-    ("optimize-pmepr", "ga", "sga_minimize"),
-    ("optimize-moo", "ga", "nsga2"),
-    ("optimize-constrained", "ga", "nsga2"),
-    ("illuminate", "weight_ga", "continuous_minimize"),
-    ("illuminate", "phase_ga", "sga_minimize"),
+    ("optimize-pmepr", "ga", GASchedule),
+    ("optimize-moo", "ga", GASchedule),
+    ("optimize-constrained", "ga", GASchedule),
+    ("illuminate", "weight_ga", GAConfig),
+    ("illuminate", "phase_ga", GASchedule),
 ]
-# a value other than MINI_GA's or the default for every GAConfig field
-GA_CHANGES = {
-    "population_size": 6, "generations": 12, "mutation_per_offspring": 0.3, "mutation_rate": 0.9,
-}
+# a value other than MINI_GA's or the default for every GA field
+GA_CHANGES = {"population_size": 6, "generations": 12, "mutation_rate": 0.9}
+
+
+def field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -520,6 +520,12 @@ class TestCliErrors:
         ("illuminate", {"target": {"extent_m": float("nan")}}),
         ("illuminate", {"target": {"scatterers": [[float("nan"), 1e4], [1.0, 1e4 + 1]]}}),
         ("illuminate", {"weight_bounds": [0.01, float("inf")]}),
+        # the weight GA's N^2 v_u^2 overflows, or v_l^2 underflows to 0
+        ("illuminate", {"weight_bounds": [0.01, 1e200]}),
+        ("illuminate", {"weight_bounds": [1e-300, 1e-200]}),
+        # the target phase 4*pi*f*R/c overflows, at the box's or a scatterer's range
+        ("illuminate", {"carrier_hz": 1e306}),
+        ("illuminate", {"target": {"scatterers": [[1.0, 1e300]]}}),
         ("illuminate", {"target": {"seed": -1}}),
         ("illuminate", {"target": {"scatterers": []}}),
         # TargetModel needs reflectivity >= 0 and every range > 0
@@ -642,26 +648,21 @@ class TestConfigTable:
         assert f"kind '{kind}' does not read {sorted(fields)}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind, section, key", [
-        (kind, section, key) for kind, section, optimizer in GA_SECTIONS
-        for key in sorted(set(GA_CHANGES) - OPTIMIZER_READS[optimizer])
+    @pytest.mark.parametrize("key, value, kind, section", [
+        # both elitist GAs keep round(P / 2) genomes and mutate every generation
+        *[(key, value, kind, section) for key, value in [
+            ("elitism_fraction", 0.5), ("mutation_every", 1)
+        ] for kind, section in [
+            ("optimize-pmepr", "ga"), ("illuminate", "phase_ga"), ("illuminate", "weight_ga"),
+        ]],
+        # no section takes it: the binary GA flips one bit in every offspring
+        *[("mutation_per_offspring", 0.3, kind, section) for kind, section, _ in GA_SECTIONS],
+        # a section takes only the fields of its dataclass
+        *[(key, GA_CHANGES[key], kind, section) for kind, section, cls in GA_SECTIONS
+          for key in sorted(set(GA_CHANGES) - set(field_names(cls)))],
     ])
-    def test_unread_ga_key_exits_2(self, tmp_path, capsys, kind, section, key):
-        config = {**KIND_CONFIGS[kind], section: {**MINI_GA, key: GA_CHANGES[key]}}
-        out = tmp_path / "out"
-        assert main([kind, "--config", write_config(tmp_path, config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert f"kind '{kind}' does not read ['{section}.{key}']" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("kind, section", [
-        ("optimize-pmepr", "ga"), ("illuminate", "phase_ga"), ("illuminate", "weight_ga"),
-    ])
-    @pytest.mark.parametrize("key, value", [("elitism_fraction", 0.5), ("mutation_every", 1)])
     def test_fixed_ga_schedule_keys_are_unknown(self, tmp_path, capsys, kind, section, key,
                                                 value):
-        # both elitist GAs keep round(P / 2) genomes and mutate every generation
         config = {**KIND_CONFIGS[kind], section: {**MINI_GA, key: value}}
         out = tmp_path / "out"
         assert main([kind, "--config", write_config(tmp_path, config), "--out", str(out)]) == 2
@@ -671,8 +672,8 @@ class TestConfigTable:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, section, key", [
-        (kind, section, key) for kind, section, optimizer in GA_SECTIONS
-        for key in sorted(OPTIMIZER_READS[optimizer])
+        (kind, section, key) for kind, section, cls in GA_SECTIONS
+        for key in sorted(field_names(cls))
     ])
     def test_every_ga_key_read_changes_the_run(self, tmp_path, kind, section, key):
         csvs = []
@@ -688,7 +689,7 @@ class TestConfigTable:
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_kind_reads_its_keys_and_no_others(self, kind):
         reads = KIND_KEYS[kind]
-        mine = {*reads.sections, *reads.ga, *reads.keys}
+        mine = {*reads.sections, *reads.keys}
         cfg = parse_config({key: VALID_VALUES[key] for key in mine}, kind_override=kind)
         assert cfg.kind == kind
         for key in set(VALID_VALUES) - mine:
@@ -705,16 +706,16 @@ class TestConfigTable:
         fields = help_text.split("kind-specific fields:")[1]
         reads = KIND_KEYS[kind]
         missing = [
-            key for key in (*reads.sections, *reads.ga, *reads.keys)
+            key for key in (*reads.sections, *reads.keys)
             if not re.search(rf"(?<![\w-]){re.escape(key)}(?![\w-])", fields)
         ]
         assert missing == []
-        # each GA section lists exactly the fields its optimizer reads
+        # each GA section lists exactly the fields of its section's dataclass
         blocks = re.findall(r"^(\w+) \((\w+)\) fields:\n((?:  .*\n)*)", fields, re.M)
-        assert {(section, optimizer): {line.split()[0] for line in body.splitlines()}
-                for section, optimizer, body in blocks} == {
-            (section, optimizer): OPTIMIZER_READS[optimizer]
-            for k, section, optimizer in GA_SECTIONS if k == kind
+        assert {(section, type_name): [line.split()[0] for line in body.splitlines()]
+                for section, type_name, body in blocks} == {
+            (section, cls.__name__): field_names(cls)
+            for k, section, cls in GA_SECTIONS if k == kind
         }
         assert ("--baseline" in help_text) == ("baseline" in reads.keys)
 

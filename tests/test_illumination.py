@@ -120,10 +120,19 @@ class TestNormalization:
         n2 = normalize_reflectivity(reflectivity_spectrum(t2, CASE_SPEC, CASE_CARRIER))
         assert np.allclose(n1.values, n2.values, rtol=1e-12)
 
-    def test_degenerate_target(self):
-        spec = ReflectivitySpectrum(np.zeros(10, dtype=complex), CASE_CARRIER)
-        with pytest.raises(DegenerateTargetError):
-            normalize_reflectivity(spec)
+    @pytest.mark.parametrize("reflectivity, carrier_hz, message", [
+        (0.0, CASE_CARRIER, "identically zero"),
+        # the phases 4*pi*f*R/c overflow, and the spectrum is NaN
+        (1.0, 1e306, "not finite"),
+        # the spectrum is finite, but its power overflows
+        (1e308, CASE_CARRIER, "not finite"),
+    ])
+    def test_degenerate_target(self, reflectivity, carrier_hz, message):
+        target = TargetModel(np.array([reflectivity]), np.array([1e4]))
+        with np.errstate(all="ignore"):
+            spectrum = reflectivity_spectrum(target, CASE_SPEC, carrier_hz)
+        with pytest.raises(DegenerateTargetError, match=message):
+            normalize_reflectivity(spectrum)
 
 
 class TestSnrGain:

@@ -20,6 +20,11 @@ The probes:
   200 generations); microseconds per generation.  ``rows_per_generation``
   is the offspring rows that reached ``PhaseEvaluator.pmepr`` per
   generation, counted on an untimed run.
+* ``continuous_minimize``: the real-coded weight GA of the ``illuminate``
+  benchmark shape (N = 100, P = 20, 500 generations) through
+  ``optimize_weights`` on one fixed normalized target spectrum; its fitness
+  is cheap, so the time is the loop's and the variation step's;
+  microseconds per generation.
 
 Every round runs each probe once per tree, trees in order on even rounds and
 in reverse on odd ones, so drifting machine load and going first hit every
@@ -41,6 +46,7 @@ GENERATIONS = 50  # nsga2
 # the share of offspring that repeat a scored pulse grows as the population
 # converges, so a search shorter than the workload's would understate it
 SGA_GENERATIONS = 200
+WEIGHT_GENERATIONS = 500  # continuous_minimize
 
 
 def load(src: str):
@@ -111,6 +117,19 @@ def sga_probe(forge):
     return run, SGA_GENERATIONS, {"rows_per_generation": rows}
 
 
+def weight_ga_probe(forge):
+    # the illuminate workload's pulse and target: a 50-scatterer box at 10 km
+    spec = forge.PulseSpec(100, 1, 2e7, 20)
+    target = forge.TargetModel.random_box(50, 10_000.0, 10.0, np.random.default_rng(77))
+    spectrum = forge.normalize_reflectivity(forge.reflectivity_spectrum(target, spec, 9e9))
+    config = forge.GAConfig(population_size=20, generations=WEIGHT_GENERATIONS)
+
+    def run():
+        forge.optimize_weights(spectrum, 0.01, 10.0, config, np.random.default_rng(1))
+
+    return run, WEIGHT_GENERATIONS, {}
+
+
 PROBES = [
     evaluator_probe("pmepr", 100, 1, 20),
     evaluator_probe("objectives", 100, 1, 20),
@@ -119,6 +138,7 @@ PROBES = [
     evaluator_probe("objectives", 125, 4, 20),
     ("nsga2", nsga2_probe),
     ("sga_phases", sga_probe),
+    ("continuous_minimize", weight_ga_probe),
 ]
 
 
