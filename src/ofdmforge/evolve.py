@@ -8,7 +8,9 @@ elite with indices mod n_keep, and has children 2j and 2j + 1).  Each
 minimizer supplies only its variation operator, ``vary(lead, tail) ->
 kids``, which breeds the whole offspring block at once: child i mixes row i
 of ``lead`` (its own-index parent) with row i of ``tail`` (the pair's
-other).
+other).  The loop hands ``vary`` fresh copies of the parents, so ``vary``
+may overwrite ``lead`` and ``tail`` and return one of them as the kids;
+no block handed to a fitness is written to afterwards.
 
 * ``sga_minimize`` works on bit strings (single-point crossover at a random
   bit boundary, single-bit flip mutation).  ``decode_phases`` turns a block
@@ -151,7 +153,8 @@ def encode_phases(phases: np.ndarray, bits_per_var: int) -> np.ndarray:
     return bits.reshape(-1).astype(bool)
 
 
-# (lead parents, tail parents) -> kids, all (n_offspring, n)
+# (lead parents, tail parents) -> kids, all (n_offspring, n); both parent
+# blocks are fresh copies that vary may overwrite, and the kids may be one
 Variation = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -178,11 +181,13 @@ def _elitist_minimize(
     fits = np.empty((config.generations + 1, pop))
     fit = fits[0] = score_batch(fitness, genomes, 0)
     for gen in range(config.generations):
-        keep = np.argsort(fit, kind="stable")[:n_keep]
-        kids = vary(genomes[keep[lead]], genomes[keep[tail]])
-        kid_fit = score_batch(fitness, kids, gen + 1)
-        genomes = np.concatenate([genomes[keep], kids])
-        fit = fits[gen + 1] = np.concatenate([fit[keep], kid_fit])
+        keep = fit.argsort(kind="stable")[:n_keep]
+        elite = genomes.take(keep, axis=0)
+        kids = vary(elite.take(lead, axis=0), elite.take(tail, axis=0))
+        row = fits[gen + 1]
+        fit.take(keep, out=row[:n_keep])
+        row[n_keep:] = score_batch(fitness, kids, gen + 1)
+        genomes, fit = np.concatenate([elite, kids]), row
     best = genomes[int(np.argmin(fit))].copy()
     return best, ConvergenceTrace(best=fits.min(axis=1), mean=fits.mean(axis=1))
 
@@ -206,7 +211,7 @@ def sga_minimize(
         # one cut per pair, drawn even when the pair's second child is dropped
         n_pairs = (len(lead) + 1) // 2
         cuts = rng.integers(1, n_bits, size=n_pairs).tolist() if n_bits > 1 else [0] * n_pairs
-        kids = tail.copy()
+        kids = tail
         for i in range(len(kids)):
             cut = cuts[i // 2]
             kids[i, :cut] = lead[i, :cut]
@@ -329,18 +334,32 @@ def continuous_minimize(
     fill = lower + span * rng.random((pop - len(init), n_vars))
     genomes = np.concatenate([np.reshape(init, (len(init), n_vars)), fill])
 
+    rate = config.mutation_rate
+
     def vary(lead, tail):
-        # one beta per child, drawn pair by pair; a dropped second child's
-        # beta is drawn all the same
-        beta = rng.uniform(-0.1, 1.1, size=((len(lead) + 1) // 2, 2))
-        beta = beta.reshape(-1, 1)[:len(lead)]
-        kids = beta * lead + (1 - beta) * tail
+        # one draw a generation: one beta per child, drawn pair by pair (a
+        # dropped second child's beta is drawn all the same), then, with
+        # mutation, the flip draw of every gene, then its replacement draw
+        n_kids = len(lead)
+        n_beta = 2 * ((n_kids + 1) // 2)
+        n_genes = n_kids * n_vars
+        u = rng.random(n_beta + 2 * n_genes if rate > 0 else n_beta)
+        # the bits of rng.uniform(-0.1, 1.1)
+        beta = u[:n_kids, None] * (1.1 - -0.1) + -0.1
+        # beta * lead + (1 - beta) * tail, in place on the parents
+        lead *= beta
+        tail *= 1 - beta
+        lead += tail
         # same bits as np.clip(kids, lower, upper), at a fraction of its cost
-        kids = np.minimum(np.maximum(kids, lower), upper)
-        if config.mutation_rate > 0:
-            # the flip draws for every gene, then the replacement draws
-            u = rng.random((2, *kids.shape))
-            kids = np.where(u[0] < config.mutation_rate, lower + span * u[1], kids)
-        return kids
+        np.maximum(lead, lower, out=lead)
+        np.minimum(lead, upper, out=lead)
+        if rate > 0:
+            flip = u[n_beta:n_beta + n_genes].reshape(lead.shape)
+            fresh = u[n_beta + n_genes:].reshape(lead.shape)
+            # lower + span * fresh, the bits of rng.uniform(lower, upper)
+            fresh *= span
+            fresh += lower
+            np.copyto(lead, fresh, where=flip < rate)
+        return lead
 
     return _elitist_minimize(fitness, genomes, config, vary)

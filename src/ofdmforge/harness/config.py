@@ -253,6 +253,15 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
         f_max = cfg.carrier_hz + n * cfg.pulse.subcarrier_spacing_hz
         if not math.isfinite(4 * math.pi * f_max * r_max / SPEED_OF_LIGHT):
             raise ConfigError(f"carrier_hz {cfg.carrier_hz} overflows the phase 4*pi*f*R/c")
+        # the spectrum's power sum |s_n|^2 is at most N (sum_i sqrt(sigma_i))^2
+        try:
+            amp = (sum(math.sqrt(refl) for refl, _ in t.scatterers) if t.scatterers
+                   else t.n_scatterers * math.sqrt(t.reflectivity))
+            power = n * amp * amp
+        except OverflowError:  # an n_scatterers beyond the float range
+            power = math.inf
+        if not math.isfinite(power):
+            raise ConfigError("the target's reflectivity spectrum power overflows")
     # a sparsity mask keeps both extreme subcarriers
     if reads.masked and cfg.pulse.n_subcarriers < 2:
         raise ConfigError(f"kind '{kind}' needs pulse.n_subcarriers >= 2")

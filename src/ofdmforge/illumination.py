@@ -176,9 +176,13 @@ def optimize_weights(
     gains = np.abs(spectrum.values) ** 2
 
     def neg_gain(raw: np.ndarray) -> np.ndarray:
-        # sum w^2 * g with w = raw / |raw|, without forming w
+        # sum w^2 * g with w = raw / |raw|, without forming w; np.add.reduce
+        # is np.sum's reduction, and -(a / b) has the bits of (-a) / b
         sq = raw * raw
-        return -np.sum(sq * gains, axis=1) / np.sum(sq, axis=1)
+        energy = np.add.reduce(sq, axis=1)
+        gain = np.add.reduce(np.multiply(sq, gains, out=sq), axis=1)
+        gain /= energy
+        return np.negative(gain, out=gain)
 
     seed = np.clip(np.abs(spectrum.values), v_l, v_u)
     best, _ = continuous_minimize(

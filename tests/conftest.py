@@ -57,6 +57,24 @@ def brute_force_rank(objectives: np.ndarray) -> np.ndarray:
     return rank
 
 
+def max_weight_gain(gains: np.ndarray, v_l: float, v_u: float) -> float:
+    """The exact maximum of sum s*g / sum s over s in [v_l^2, v_u^2]^N: the
+    largest gain sum w^2*g any raw weights in [v_l, v_u] reach once scaled
+    to unit energy (s = raw^2).
+
+    A linear-fractional objective on a box peaks at a vertex, and raising
+    s_n pulls the ratio toward g_n, so the best vertex puts v_u^2 on the k
+    largest gains and v_l^2 on the rest (Charnes & Cooper 1962).  One scan
+    over the gains in descending order tries every k = 0..N.
+    """
+    g = np.sort(np.asarray(gains, dtype=float))[::-1]
+    lo, hi = v_l * v_l, v_u * v_u
+    k = np.arange(len(g) + 1)
+    top = np.concatenate([[0.0], np.cumsum(g)])  # the sum of the k largest gains
+    rest = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])  # the others' sum
+    return float(np.max((hi * top + lo * rest) / (hi * k + lo * (len(g) - k))))
+
+
 def random_pulse(rng: np.random.Generator, n=None, k=None, oversampling=None):
     """A random full-band pulse with small random dimensions."""
     n = n or int(rng.integers(2, 12))

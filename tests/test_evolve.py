@@ -335,6 +335,26 @@ class TestContinuousGA:
         )
         assert np.all(best >= lower) and np.all(best <= upper)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_every_scored_genome_in_box(self, rate):
+        # the optimum lies beyond the box, below it in the first half of the
+        # genes and above it in the second, so blends press on both faces;
+        # the illuminate weight GA's shape, P = 20 and n = 100
+        lower, upper = np.full(100, 0.2), np.full(100, 0.9)
+        target = np.repeat([0.0, 1.1], 50)
+        blocks = []
+
+        def fitness(v):
+            blocks.append(v.copy())
+            return np.sum((v - target) ** 2, axis=1)
+
+        continuous_minimize(fitness, lower, upper, GAConfig(20, 100, mutation_rate=rate),
+                            np.random.default_rng(2))
+        scored = np.concatenate(blocks)
+        assert np.all(scored >= lower) and np.all(scored <= upper)
+        # both faces are reached, so a missing clamp on either would show
+        assert np.any(scored == lower) and np.any(scored == upper)
+
     def test_invalid_seed(self):
         cfg = GAConfig(population_size=10, generations=5)
         with pytest.raises(InvalidSeedError):
@@ -515,6 +535,9 @@ STREAM_CONFIGS = {
     "wrapping-pair": dict(population_size=10),
     # the real-coded GA copies its blended children unmutated
     "no-mutation": dict(population_size=6, mutation_rate=0.0),
+    # every gene of every child is a fresh draw, so each gene checks where
+    # the flip draws end and the replacement draws begin
+    "full-mutation": dict(population_size=7, mutation_rate=1.0),
     "wide": dict(population_size=40),
 }
 
@@ -556,3 +579,39 @@ class TestStreamIdentity:
         assert np.array_equal(trace.best, ref_trace.best)
         assert np.array_equal(trace.mean, ref_trace.mean)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def keeping(fitness):
+    """``fitness`` that also keeps every block it receives, with a copy."""
+    kept = []
+
+    def wrapped(genomes):
+        kept.append((genomes, genomes.copy()))
+        return fitness(genomes)
+
+    return wrapped, kept
+
+
+class TestScoredBlocksStay:
+    """``vary`` may overwrite the parent blocks the elitist loop hands it,
+    and returns one of them as the kids, but no block a fitness has received
+    is written to afterwards."""
+
+    @pytest.mark.parametrize("pop", [2, 7, 12])
+    def test_sga(self, pop):
+        fitness, kept = keeping(weighted_bits)
+        sga_minimize(fitness, 21, GASchedule(pop, 30), np.random.default_rng(3))
+        assert len(kept) == 31
+        for genomes, copy in kept:
+            assert np.array_equal(genomes, copy)
+
+    @pytest.mark.parametrize("pop", [2, 7, 20])
+    @pytest.mark.parametrize("rate", [0.0, 0.2, 1.0])
+    def test_continuous(self, pop, rate):
+        fitness, kept = keeping(sphere)
+        continuous_minimize(fitness, np.full(9, -1.0), np.full(9, 2.0),
+                            GAConfig(pop, 30, mutation_rate=rate), np.random.default_rng(3),
+                            seeds=[np.zeros(9)])
+        assert len(kept) == 31
+        for genomes, copy in kept:
+            assert np.array_equal(genomes, copy)

@@ -540,6 +540,13 @@ class TestCliErrors:
                      id="illuminate-target-reflectivity=0"),
         pytest.param("illuminate", {"target": {"scatterers": [[0.0, 100.0]]}},
                      id="illuminate-target-scatterers-reflectivity-sum=0"),
+        # the spectrum power bound N (sum sqrt(sigma))^2 overflows
+        pytest.param("illuminate", {"target": {"reflectivity": 1e308}},
+                     id="illuminate-target-reflectivity-power-overflows"),
+        pytest.param("illuminate", {"target": {"scatterers": [[1e308, 100.0], [1e308, 101.0]]}},
+                     id="illuminate-target-scatterers-power-overflows"),
+        pytest.param("illuminate", {"target": {"n_scatterers": 10**400}},
+                     id="illuminate-target-n_scatterers-beyond-float"),
         # B = c / 2e-300 is finite, but 2*B*R_min/c overflows
         pytest.param("dimension", {"scenario": {
             "target_extent_m": 1e-300, "margin_m": 0.0, "min_range_m": 1e300}},

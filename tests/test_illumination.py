@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofdmforge import (
     GAConfig,
@@ -19,6 +22,8 @@ from ofdmforge.design import SPEED_OF_LIGHT
 from ofdmforge.errors import ContractViolationError, DegenerateTargetError
 from ofdmforge.metrics import pmepr
 from ofdmforge.waveform import SparsityMask
+
+from conftest import max_weight_gain
 
 CASE_SPEC = PulseSpec(100, 1, 2e7, 20)  # 2 GHz band, 20 MHz spacing
 CASE_CARRIER = 9e9
@@ -211,6 +216,57 @@ class TestOptimizeWeights:
             optimize_weights(norm, 0.0, 10.0, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
             optimize_weights(norm, 2.0, 1.0, cfg, np.random.default_rng(0))
+
+
+def brute_force_max_weight_gain(gains, v_l, v_u):
+    """max sum s*g / sum s over all 2**N vertices of [v_l^2, v_u^2]^N."""
+    gains = np.asarray(gains, dtype=float)
+    return max(
+        float(s @ gains / s.sum())
+        for s in map(np.array, itertools.product((v_l * v_l, v_u * v_u), repeat=len(gains)))
+    )
+
+
+class TestWeightGainBound:
+    """``max_weight_gain``, the exact optimum of the weight step, bounds what
+    ``optimize_weights`` reaches."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        gains=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=10),
+        v_l=st.floats(0.01, 1.0),
+        ratio=st.floats(1.01, 100.0),
+    )
+    def test_scan_matches_vertex_enumeration(self, gains, v_l, ratio):
+        v_u = v_l * ratio
+        assert max_weight_gain(gains, v_l, v_u) == pytest.approx(
+            brute_force_max_weight_gain(gains, v_l, v_u), rel=1e-12, abs=1e-300)
+
+    def test_known_optimum(self):
+        # v_u^2 = 4 on the dominant gain alone: (4*9 + 1 + 1) / (4 + 1 + 1)
+        # beats 11/3 (k = 0 or 3) and (4*9 + 4 + 1) / (4 + 4 + 1) (k = 2)
+        assert max_weight_gain([1.0, 9.0, 1.0], 1.0, 2.0) == pytest.approx(38 / 6, rel=1e-15)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        scatterers=st.lists(st.tuples(st.floats(0.01, 10.0), st.floats(100.0, 1e4)),
+                            min_size=1, max_size=6),
+        n=st.integers(2, 12),
+        v_l=st.floats(0.01, 1.0),
+        ratio=st.floats(1.01, 20.0),
+        rate=st.sampled_from([0.0, 0.2, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_optimize_weights_never_beats_the_bound(self, scatterers, n, v_l, ratio, rate,
+                                                     seed):
+        refl, ranges = np.array(scatterers).T
+        spectrum = normalize_reflectivity(reflectivity_spectrum(
+            TargetModel(refl, ranges), PulseSpec(n, 1, 2e7, 1), CASE_CARRIER))
+        gains = np.abs(spectrum.values) ** 2
+        v_u = v_l * ratio
+        cfg = GAConfig(population_size=10, generations=60, mutation_rate=rate)
+        w = optimize_weights(spectrum, v_l, v_u, cfg, np.random.default_rng(seed)).weights
+        assert np.sum(w**2 * gains) <= max_weight_gain(gains, v_l, v_u) * (1 + 1e-12)
 
 
 class TestTwoStepPipeline:
