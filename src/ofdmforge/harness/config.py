@@ -17,8 +17,8 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
-from ..design import SPEED_OF_LIGHT, ScenarioSpec
-from ..errors import ConfigError
+from ..design import SPEED_OF_LIGHT, ScenarioSpec, dimension_pulse
+from ..errors import ConfigError, InvalidScenarioError
 from ..evolve import GAConfig, GASchedule
 from ..pareto import MIN_THRESHOLD_SAMPLES, ConstraintSpec
 from ..phasing import BaselineKind
@@ -240,6 +240,11 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
     for section in reads.sections:
         if getattr(cfg, section) is None:
             raise ConfigError(f"kind '{kind}' requires a '{section}' section")
+    if kind == "dimension":
+        try:  # cheap arithmetic: a scenario that admits no subcarriers fails here
+            dimension_pulse(cfg.scenario)
+        except InvalidScenarioError as exc:
+            raise ConfigError(f"invalid scenario: {exc}") from exc
     if kind == "illuminate":
         if cfg.pulse.n_symbols != 1:
             raise ConfigError("kind 'illuminate' designs single-symbol pulses (n_symbols 1)")

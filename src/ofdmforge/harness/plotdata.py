@@ -1,30 +1,25 @@
-"""Plot-data emission: turn run payloads into flat CSV files.
+"""Plot-data emission: the experiments' cross-run CSV files.
 
 Every figure-style output of the experiments is a plain CSV so plotting
-stays outside the package.  Schemas:
-
-* convergence  -> convergence.csv   (generation, best, mean), runs averaged
-* pareto       -> pareto.csv        (pmepr, pslr_db, source in {optimized, random})
-* envelope     -> envelope.csv      (t_s, abs), run 0
-* constrained  -> constrained.csv   (run_id, pmepr, pslr_db, islr_db, compliant)
-
-The aggregate spectrum.csv (synthesize) and illumination.csv (illuminate)
-are not rendered here: the runner copies run 0's spectrum.csv and
-spectra.csv byte for byte.
+stays outside the package.  Each replica hands over its rows for each
+aggregate file of its kind, and an aggregate file is the runs' rows in run
+order: for pareto.csv and constrained.csv every run's, for envelope.csv,
+spectrum.csv and illumination.csv run 0's alone.  convergence.csv is the
+one exception: it is the pointwise mean of the runs' traces.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import os
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..evolve import ConvergenceTrace
 
-PLOT_KINDS = ("convergence", "pareto", "envelope", "constrained")
+TRACE_HEADER = ("generation", "best", "mean")
 
 
 @contextlib.contextmanager
@@ -49,12 +44,12 @@ def write_csv(path: Path | str, header: tuple, rows) -> None:
         writer.writerows(rows)
 
 
+def trace_rows(trace: ConvergenceTrace):
+    return zip(range(len(trace)), trace.best.tolist(), trace.mean.tolist())
+
+
 def write_trace(path: Path | str, trace: ConvergenceTrace) -> None:
-    write_csv(
-        path,
-        ("generation", "best", "mean"),
-        zip(range(len(trace)), trace.best.tolist(), trace.mean.tolist()),
-    )
+    write_csv(path, TRACE_HEADER, trace_rows(trace))
 
 
 def aggregate(traces: list[ConvergenceTrace]) -> ConvergenceTrace:
@@ -70,45 +65,10 @@ def aggregate(traces: list[ConvergenceTrace]) -> ConvergenceTrace:
     )
 
 
-def emit_plot_data(payloads: list[dict], kind: str, out_dir: Path | str) -> list[Path]:
-    """Write the plot CSV(s) for one experiment's collected run payloads."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    if kind == "convergence":
-        path = out / "convergence.csv"
-        write_trace(path, aggregate([p["trace"] for p in payloads]))
-        return [path]
-
-    if kind == "pareto":
-        rows = []
-        for p in payloads:
-            for pm, ps, *_ in p["front"]:
-                rows.append((pm, ps, "optimized"))
-            for pm, ps, *_ in p["random"]:
-                rows.append((pm, ps, "random"))
-        path = out / "pareto.csv"
-        write_csv(path, ("pmepr", "pslr_db", "source"), rows)
-        return [path]
-
-    if kind == "envelope":
-        p = payloads[0]
-        path = out / "envelope.csv"
-        write_csv(
-            path,
-            ("t_s", "abs"),
-            zip(p["times_s"].tolist(), p["envelope"].tolist()),
-        )
-        return [path]
-
-    if kind == "constrained":
-        rows = []
-        for p in payloads:
-            flag = int(bool(p["compliant"]))
-            for pm, ps, il in p["front"]:
-                rows.append((p["run_id"], pm, ps, il, flag))
-        path = out / "constrained.csv"
-        write_csv(path, ("run_id", "pmepr", "pslr_db", "islr_db", "compliant"), rows)
-        return [path]
-
-    raise ConfigError(f"unknown plot kind '{kind}'; expected one of {list(PLOT_KINDS)}")
+def emit_plot_data(runs: list, name: str, header: tuple, out_dir: Path | str) -> None:
+    """Write the aggregate file ``name`` into the existing ``out_dir`` from
+    what the runs handed over for it, in run order: their traces for
+    convergence.csv, their rows for any other file."""
+    if name == "convergence.csv":
+        runs = [trace_rows(aggregate(runs))]
+    write_csv(Path(out_dir) / name, header, itertools.chain.from_iterable(runs))

@@ -37,11 +37,13 @@ from ..waveform import (
     uniform_weights,
 )
 from .config import ExperimentConfig
-from .plotdata import atomic_open, emit_plot_data, write_csv, write_trace
+from .plotdata import TRACE_HEADER, atomic_open, emit_plot_data, write_csv, write_trace
 
 _MASK64 = (1 << 64) - 1
 
 FRONT_HEADER = ("pmepr", "pslr_db", "islr_db", "run_id", "generation")
+SPECTRUM_HEADER = ("f_hz", "magnitude")
+SPECTRA_HEADER = ("n", "reflectivity_norm_abs", "w_opt")
 
 
 def mix64(seed: int, run_id: int) -> int:
@@ -92,7 +94,9 @@ def _baseline_design(config: ExperimentConfig, rng: np.random.Generator):
 
 # --- per-kind replicas ----------------------------------------------------
 # Each writes its run's files except the objectives file and returns
-# (objectives, payload); the payload feeds the kind's plots.
+# (objectives, {aggregate file: this run's rows}), with the run's
+# ConvergenceTrace for convergence.csv.  A file that shows one run (a pulse
+# or a spectrum) gets rows from run 0 only.
 
 
 def _run_dimension(config, run_id, run_dir, rng):
@@ -102,16 +106,22 @@ def _run_dimension(config, run_id, run_dir, rng):
 def _run_synthesize(config, run_id, run_dir, rng):
     codes, mask, evaluator = _baseline_design(config, rng)
     pulse = synthesize(config.pulse, codes, uniform_weights(mask), mask)
-    t = pulse.times_s
+    t = pulse.times_s.tolist()
     write_csv(
         run_dir / "pulse.csv",
         ("t_s", "re", "im"),
-        zip(t.tolist(), pulse.samples.real.tolist(), pulse.samples.imag.tolist()),
+        zip(t, pulse.samples.real.tolist(), pulse.samples.imag.tolist()),
     )
     freqs, mag = pulse_spectrum(pulse)
-    write_csv(run_dir / "spectrum.csv", ("f_hz", "magnitude"), zip(freqs.tolist(), mag.tolist()))
+    spectrum = list(zip(freqs.tolist(), mag.tolist()))
+    write_csv(run_dir / "spectrum.csv", SPECTRUM_HEADER, spectrum)
     objectives = {"pmepr": float(evaluator.pmepr(codes.phases[None])[0])}
-    return objectives, {"envelope": np.abs(pulse.samples), "times_s": t}
+    if run_id != 0:
+        return objectives, {}
+    return objectives, {
+        "envelope.csv": list(zip(t, np.abs(pulse.samples).tolist())),
+        "spectrum.csv": spectrum,
+    }
 
 
 def _run_evaluate(config, run_id, run_dir, rng):
@@ -149,7 +159,7 @@ def _run_optimize_pmepr(config, run_id, run_dir, rng):
             "mask": mask.active.astype(int).tolist(),
         },
     )
-    return {"pmepr": float(trace.best[-1])}, {"trace": trace}
+    return {"pmepr": float(trace.best[-1])}, {"convergence.csv": trace}
 
 
 def _full_band_scores(config: ExperimentConfig):
@@ -201,7 +211,9 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
         "random_mean_pmepr": float(np.mean(random_pts[:, 0])),
         "random_mean_pslr_db": float(np.mean(random_pts[:, 1])),
     }
-    return objectives, {"front": final_objs, "random": random_pts}
+    points = [(pm, ps, "optimized") for pm, ps, *_ in final_objs.tolist()]
+    points += [(pm, ps, "random") for pm, ps, *_ in random_pts.tolist()]
+    return objectives, {"pareto.csv": points}
 
 
 def _random_phase_block(config: ExperimentConfig, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -252,10 +264,11 @@ def _run_optimize_constrained(config, run_id, run_dir, rng):
     )
 
     front_arr = np.column_stack([archive.carried[:, 0], archive.objectives])
+    front = front_arr.tolist()
     write_csv(
         run_dir / "front.csv",
         FRONT_HEADER,
-        ((pm, ps, il, run_id, config.ga.generations) for pm, ps, il in front_arr.tolist()),
+        ((pm, ps, il, run_id, config.ga.generations) for pm, ps, il in front),
     )
 
     final_pmeprs = pop_pmeprs["final"]
@@ -270,7 +283,8 @@ def _run_optimize_constrained(config, run_id, run_dir, rng):
         "islr_min_db": float(front_arr[:, 2].min()),
         "islr_max_db": float(front_arr[:, 2].max()),
     }
-    return objectives, {"front": front_arr, "run_id": run_id, "compliant": objectives["compliant"]}
+    flag = int(objectives["compliant"])
+    return objectives, {"constrained.csv": [(run_id, *row, flag) for row in front]}
 
 
 def _run_illuminate(config, run_id, run_dir, rng):
@@ -301,59 +315,65 @@ def _run_illuminate(config, run_id, run_dir, rng):
         bits_per_var=config.bits_per_var,
     )
 
-    write_csv(
-        run_dir / "spectra.csv",
-        ("n", "reflectivity_norm_abs", "w_opt"),
-        zip(
-            range(spec.n_subcarriers),
-            np.abs(result.reflectivity.values).tolist(),
-            result.w_opt.weights.tolist(),
-        ),
-    )
+    spectra = list(zip(
+        range(spec.n_subcarriers),
+        np.abs(result.reflectivity.values).tolist(),
+        result.w_opt.weights.tolist(),
+    ))
+    write_csv(run_dir / "spectra.csv", SPECTRA_HEADER, spectra)
     write_trace(run_dir / "trace.csv", result.pmepr_trace)
     objectives = {
         "gain_db": result.gain_db,
         "pmepr_initial": result.pmepr_initial,
         "pmepr_final": result.pmepr_final,
     }
-    return objectives, {"trace": result.pmepr_trace}
+    rows = {"convergence.csv": result.pmepr_trace}
+    if run_id == 0:
+        rows["illumination.csv"] = spectra
+    return objectives, rows
 
 
 # --- orchestration ----------------------------------------------------------
 
 
-# kind -> (replica, per-run objectives file or None, plots of the aggregate,
-# (run-0 file, aggregate file) copies)
+# kind -> (replica, per-run objectives file or None, {aggregate file: header})
 _RUNNERS = {
-    "dimension": (_run_dimension, "dimensions.json", (), ()),
-    "synthesize": (_run_synthesize, None, ("envelope",), (("spectrum.csv", "spectrum.csv"),)),
-    "evaluate": (_run_evaluate, "report.json", (), ()),
-    "baseline": (_run_baseline, "summary.json", (), ()),
-    "optimize-pmepr": (_run_optimize_pmepr, "summary.json", ("convergence",), ()),
-    "optimize-moo": (_run_optimize_moo, "summary.json", ("pareto",), ()),
-    "optimize-constrained": (_run_optimize_constrained, "summary.json", ("constrained",), ()),
+    "dimension": (_run_dimension, "dimensions.json", {}),
+    "synthesize": (
+        _run_synthesize, None, {"envelope.csv": ("t_s", "abs"), "spectrum.csv": SPECTRUM_HEADER},
+    ),
+    "evaluate": (_run_evaluate, "report.json", {}),
+    "baseline": (_run_baseline, "summary.json", {}),
+    "optimize-pmepr": (_run_optimize_pmepr, "summary.json", {"convergence.csv": TRACE_HEADER}),
+    "optimize-moo": (
+        _run_optimize_moo, "summary.json", {"pareto.csv": ("pmepr", "pslr_db", "source")},
+    ),
+    "optimize-constrained": (
+        _run_optimize_constrained,
+        "summary.json",
+        {"constrained.csv": ("run_id", "pmepr", "pslr_db", "islr_db", "compliant")},
+    ),
     "illuminate": (
         _run_illuminate,
         "illumination.json",
-        ("convergence",),
-        (("spectra.csv", "illumination.csv"),),
+        {"convergence.csv": TRACE_HEADER, "illumination.csv": SPECTRA_HEADER},
     ),
 }
 
 
 def _execute_run(config: ExperimentConfig, run_id: int) -> tuple[RunResult, dict]:
-    """One replica."""
+    """One replica: its result and its rows for the aggregate files."""
     run_dir = config.out_path() / str(run_id)
     run_dir.mkdir(parents=True, exist_ok=True)
     seed = mix64(config.seed, run_id)
     rng = np.random.default_rng(seed)
-    replica, objectives_file, _, _ = _RUNNERS[config.kind]
+    replica, objectives_file, _ = _RUNNERS[config.kind]
     started = time.perf_counter()
-    objectives, payload = replica(config, run_id, run_dir, rng)
+    objectives, rows = replica(config, run_id, run_dir, rng)
     if objectives_file is not None:
         _write_json(run_dir / objectives_file, objectives)
     wall = time.perf_counter() - started
-    return RunResult(run_id, seed, objectives, wall), payload
+    return RunResult(run_id, seed, objectives, wall), rows
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunResult]:
@@ -377,9 +397,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunResult]:
         outcomes = [_execute_run(config, r) for r in range(config.runs)]
 
     results = [res for res, _ in outcomes]
-    payloads = [pay for _, pay in outcomes]
-
-    _write_aggregate(config, results, payloads, out)
+    _write_aggregate(config, results, [rows for _, rows in outcomes], out)
     return results
 
 
@@ -408,7 +426,7 @@ def _summaries(results: list[RunResult]) -> dict:
     return stats
 
 
-def _write_aggregate(config, results, payloads, out: Path) -> None:
+def _write_aggregate(config, results, handed: list[dict], out: Path) -> None:
     summary = {
         "kind": config.kind,
         "seed": config.seed,
@@ -423,11 +441,6 @@ def _write_aggregate(config, results, payloads, out: Path) -> None:
         summary[f"{key}_runs"] = sum(r.final_objectives[key] for r in results)
     _write_json(out / "summary.json", summary)
 
-    _, _, plots, copies = _RUNNERS[config.kind]
-    for plot in plots:
-        emit_plot_data(payloads, plot, out)
-    # byte copies: newline="" on both sides keeps the csv module's \r\n
-    for run0_name, name in copies:
-        with open(out / "0" / run0_name, newline="") as src:
-            with atomic_open(out / name, newline="") as dst:
-                dst.write(src.read())
+    _, _, files = _RUNNERS[config.kind]
+    for name, header in files.items():
+        emit_plot_data([rows[name] for rows in handed if name in rows], name, header, out)

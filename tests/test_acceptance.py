@@ -8,7 +8,7 @@ across implementations.
 import numpy as np
 import pytest
 
-from conftest import brute_force_fronts, brute_force_rank, direct_acf
+from conftest import brute_force_fronts, brute_force_rank, direct_acf, max_weight_gain
 from ofdmforge import (
     ConstraintSpec,
     GAConfig,
@@ -233,8 +233,12 @@ def test_criterion_09_illumination_gain():
         )
         gains.append(result.gain_db)
     mean_gain = float(np.mean(gains))
+    # the weight step's exact optimum (default box [0.01, 10]), which no run may beat
+    bound = 10.0 * np.log10(max_weight_gain(np.abs(norm.values) ** 2, 0.01, 10.0) / 100)
     ok = abs(flat_gain) < 1e-9 and mean_gain >= 2.3
-    report(9, ok, f"illumination: flat reference {flat_gain:.1e} dB (exact 0), mean gain over 10 runs {mean_gain:.2f} dB >= 2.3")
+    report(9, ok, f"illumination: flat reference {flat_gain:.1e} dB (exact 0), mean gain over 10 runs {mean_gain:.2f} dB >= 2.3; "
+           f"exact optimum {bound:.2f} dB, gap {bound - mean_gain:.2f} dB")
+    assert max(gains) <= bound + 1e-12 * abs(bound), (max(gains), bound)
 
 
 def test_criterion_10_pipeline_decoupling():

@@ -42,6 +42,7 @@ from ofdmforge.harness.plotdata import write_csv
 from ofdmforge.harness.runner import (
     _RUNNERS,
     _derived_pmepr_max,
+    _execute_run,
     _random_phase_block,
     _write_json,
 )
@@ -551,6 +552,10 @@ class TestCliErrors:
         pytest.param("dimension", {"scenario": {
             "target_extent_m": 1e-300, "margin_m": 0.0, "min_range_m": 1e300}},
             id="dimension-scenario-2BR/c-overflows"),
+        # B = c / 2e300 leaves 2*B*R_min/c below one subcarrier
+        pytest.param("dimension", {"scenario": {
+            "target_extent_m": 1e300, "margin_m": 0.0, "min_range_m": 1.0}},
+            id="dimension-scenario-no-subcarriers"),
         # the bandwidth, or the sample period, overflows to inf
         ("evaluate", {"pulse": {**MINI_PULSE, "subcarrier_spacing_hz": 1e308}}),
         ("evaluate", {"pulse": {**MINI_PULSE, "subcarrier_spacing_hz": 5e-324}}),
@@ -744,7 +749,7 @@ RUN_FILES = {
     ),
 }
 
-# kind -> (run-0 file, aggregate file) byte copies
+# kind -> (run-0 file, aggregate file written from run 0's rows)
 RUN0_COPIES = {
     "synthesize": [("spectrum.csv", "spectrum.csv")],
     "illuminate": [("spectra.csv", "illumination.csv")],
@@ -771,7 +776,8 @@ class TestRunResults:
             if objectives_file is not None:
                 written = json.loads((run_dir / objectives_file).read_text())
                 assert written == res.final_objectives
-        # these aggregate files are byte copies of run 0's, \r\n line ends included
+        # these aggregate files hold run 0's rows, so match its file byte for
+        # byte, \r\n line ends included
         for run0_name, name in RUN0_COPIES.get(kind, ()):
             assert (out / name).read_bytes() == (out / "0" / run0_name).read_bytes()
 
@@ -799,38 +805,58 @@ class TestAtomicArtifacts:
 
 
 class TestPlotData:
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_plot_data([], "hologram", tmp_path)
-
-    def test_pareto_schema(self, tmp_path):
-        payloads = [{
-            "front": np.array([[2.0, -15.0, 30.0]]),
-            "random": np.array([[6.0, -13.0, 33.0]]),
-        }]
-        (path,) = emit_plot_data(payloads, "pareto", tmp_path)
-        rows = read_rows(path)
-        assert rows[0] == ["pmepr", "pslr_db", "source"]
-        assert rows[1] == ["2.0", "-15.0", "optimized"]
-        assert rows[2] == ["6.0", "-13.0", "random"]
-
-    def test_envelope_schema(self, tmp_path):
-        payloads = [{
-            "times_s": np.array([0.0, 1.0]),
-            "envelope": np.array([0.5, 0.25]),
-        }]
-        (path,) = emit_plot_data(payloads, "envelope", tmp_path)
-        rows = read_rows(path)
-        assert rows[0] == ["t_s", "abs"]
-        assert len(rows) == 3
-
-    def test_convergence_schema_averages_runs(self, tmp_path):
-        payloads = [
-            {"trace": ConvergenceTrace.from_lists([4.0, 3.0], [4.0, 3.0])},
-            {"trace": ConvergenceTrace.from_lists([2.0, 1.0], [2.0, 1.0])},
+    def test_rows_concatenate_in_run_order(self, tmp_path):
+        runs = [[(0, 2.0, "optimized"), (0, 6.0, "random")], [], [(2, -1.5, "optimized")]]
+        assert emit_plot_data(runs, "pareto.csv", ("run", "pmepr", "source"), tmp_path) is None
+        assert read_rows(tmp_path / "pareto.csv") == [
+            ["run", "pmepr", "source"],
+            ["0", "2.0", "optimized"],
+            ["0", "6.0", "random"],
+            ["2", "-1.5", "optimized"],
         ]
-        (path,) = emit_plot_data(payloads, "convergence", tmp_path)
-        rows = read_rows(path)
-        assert rows[0] == ["generation", "best", "mean"]
-        assert rows[1] == ["0", "3.0", "3.0"]
-        assert rows[2] == ["1", "2.0", "2.0"]
+
+    def test_convergence_averages_the_traces(self, tmp_path):
+        runs = [
+            ConvergenceTrace.from_lists([4.0, 3.0], [5.0, 3.0]),
+            ConvergenceTrace.from_lists([2.0, 1.0], [2.0, 2.0]),
+        ]
+        emit_plot_data(runs, "convergence.csv", ("g", "b", "m"), tmp_path)
+        assert read_rows(tmp_path / "convergence.csv") == [
+            ["g", "b", "m"], ["0", "3.0", "3.5"], ["1", "2.0", "2.5"],
+        ]
+
+
+class TestHandedRows:
+    """What each replica hands the aggregate: one run's pulse or spectrum
+    comes from run 0 alone, so later runs hand over none."""
+
+    def test_only_run_0_hands_over_its_pulse(self, tmp_path):
+        cfg = parse_config({
+            **KIND_CONFIGS["synthesize"], "kind": "synthesize", "runs": 3,
+            "out_dir": str(tmp_path),
+        })
+        _, rows0 = _execute_run(cfg, 0)
+        _, rows1 = _execute_run(cfg, 1)
+        assert rows1 == {}
+        assert set(rows0) == set(_RUNNERS["synthesize"][2]) == {"envelope.csv", "spectrum.csv"}
+        run0 = cfg.out_path() / "0"
+        assert [list(map(float, r)) for r in read_rows(run0 / "spectrum.csv")[1:]] == [
+            list(r) for r in rows0["spectrum.csv"]]
+        pulse = np.array(read_rows(run0 / "pulse.csv")[1:], dtype=float)
+        envelope = np.array(rows0["envelope.csv"])
+        assert np.array_equal(envelope[:, 0], pulse[:, 0])
+        assert np.array_equal(envelope[:, 1], np.abs(pulse[:, 1] + 1j * pulse[:, 2]))
+
+    def test_illuminate_hands_over_traces_and_run_0_spectra(self, tmp_path):
+        cfg = parse_config({
+            **KIND_CONFIGS["illuminate"], "kind": "illuminate", "runs": 2,
+            "out_dir": str(tmp_path),
+        })
+        _, rows0 = _execute_run(cfg, 0)
+        _, rows1 = _execute_run(cfg, 1)
+        assert set(rows0) == {"convergence.csv", "illumination.csv"}
+        assert set(rows1) == {"convergence.csv"}
+        assert isinstance(rows1["convergence.csv"], ConvergenceTrace)
+        spectra = read_rows(cfg.out_path() / "0" / "spectra.csv")[1:]
+        assert [[float(c) for c in r] for r in spectra] == [
+            list(r) for r in rows0["illumination.csv"]]
