@@ -44,7 +44,6 @@ from .metrics import (
 )
 from .pareto import (
     ConstraintSpec,
-    ParetoArchive,
     crowding_distance,
     nondominated_sort,
     nsga2,

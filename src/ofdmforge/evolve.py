@@ -321,7 +321,7 @@ def continuous_minimize(
     pop = config.population_size
 
     init = []
-    for s in seeds or []:
+    for s in [] if seeds is None else seeds:
         s = np.asarray(s, dtype=float)
         if s.shape != (n_vars,):
             raise InvalidSeedError(f"seed shape {s.shape} != ({n_vars},)")

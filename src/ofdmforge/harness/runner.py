@@ -70,18 +70,19 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _run_mask(config: ExperimentConfig, rng: np.random.Generator) -> SparsityMask:
+def _run_band(config: ExperimentConfig, rng: np.random.Generator):
+    """(mask, evaluator) of one replica: the mask is drawn unless the band is
+    full, and the evaluator weights its active subcarriers uniformly."""
     n = config.pulse.n_subcarriers
-    if config.sparsity >= 1.0:
-        return SparsityMask.full(n)
-    return random_mask(n, config.sparsity, rng)
+    mask = SparsityMask.full(n) if config.sparsity >= 1.0 else random_mask(n, config.sparsity, rng)
+    return mask, PhaseEvaluator(config.pulse, uniform_weights(mask))
 
 
 def _baseline_design(config: ExperimentConfig, rng: np.random.Generator):
     """(codes, mask, evaluator) of one replica's baseline pulse: the mask is
     drawn first, then the codes."""
     spec = config.pulse
-    mask = _run_mask(config, rng)
+    mask, evaluator = _run_band(config, rng)
     codes = baseline_phases(
         BaselineKind(config.baseline),
         spec.n_subcarriers,
@@ -89,7 +90,7 @@ def _baseline_design(config: ExperimentConfig, rng: np.random.Generator):
         rng=rng,
         alphabet=config.alphabet,
     )
-    return codes, mask, PhaseEvaluator(spec, uniform_weights(mask), mask)
+    return codes, mask, evaluator
 
 
 # --- per-kind replicas ----------------------------------------------------
@@ -146,8 +147,7 @@ def _run_baseline(config, run_id, run_dir, rng):
 
 
 def _run_optimize_pmepr(config, run_id, run_dir, rng):
-    mask = _run_mask(config, rng)
-    evaluator = PhaseEvaluator(config.pulse, uniform_weights(mask), mask)
+    mask, evaluator = _run_band(config, rng)
     phases, trace = sga_phases(evaluator, config.bits_per_var, config.ga, rng)
 
     write_trace(run_dir / "trace.csv", trace)
@@ -162,12 +162,16 @@ def _run_optimize_pmepr(config, run_id, run_dir, rng):
     return {"pmepr": float(trace.best[-1])}, {"convergence.csv": trace}
 
 
+def _full_band_evaluator(spec) -> PhaseEvaluator:
+    """Uniform weights on every subcarrier, whatever ``sparsity`` holds."""
+    return PhaseEvaluator(spec, uniform_weights(SparsityMask.full(spec.n_subcarriers)))
+
+
 def _full_band_scores(config: ExperimentConfig):
     """(P, n*k) flat phase genomes -> (P, 3) rows (pmepr, pslr_db, islr_db)
     of full-band, uniformly weighted pulses."""
     spec = config.pulse
-    mask = SparsityMask.full(spec.n_subcarriers)
-    evaluator = PhaseEvaluator(spec, uniform_weights(mask), mask)
+    evaluator = _full_band_evaluator(spec)
 
     def scores(genomes: np.ndarray) -> np.ndarray:
         return evaluator.objectives(
@@ -190,22 +194,23 @@ def _run_optimize_moo(config, run_id, run_dir, rng):
             front_rows.extend((*row, run_id, gen) for row in values[rank == 0].tolist())
 
     # objectives (pmepr, pslr_db), then islr_db carried into the fronts
-    archive = nsga2(scores, n_vars, config.ga, rng=rng, generation_hook=snapshot)
+    genomes, values, rank = nsga2(scores, n_vars, config.ga, rng=rng, generation_hook=snapshot)
+    front = rank == 0
+    final_objs = values[front]
     write_csv(run_dir / "front.csv", FRONT_HEADER, front_rows)
     # the last generation's front closes front.csv
-    first = len(front_rows) - len(archive)
+    first = len(front_rows) - len(final_objs)
     genome_map = [
         {"row": first + i, "phases": phases}
-        for i, phases in enumerate(archive.genomes.tolist())
+        for i, phases in enumerate(genomes[front].tolist())
     ]
     _write_json(run_dir / "genome.json", {"rows": genome_map})
 
     n_random = config.ga.population_size if config.n_random is None else config.n_random
     random_pts = scores(_random_phase_block(config, n_random, rng).reshape(n_random, -1))
 
-    final_objs = archive.objectives
     objectives = {
-        "front_size": len(archive),
+        "front_size": len(final_objs),
         "best_pmepr": float(final_objs[:, 0].min()),
         "best_pslr_db": float(final_objs[:, 1].min()),
         "random_mean_pmepr": float(np.mean(random_pts[:, 0])),
@@ -227,9 +232,8 @@ def _derived_pmepr_max(config: ExperimentConfig) -> float:
     """Threshold from the random-code PMEPR distribution (master-seeded)."""
     spec = config.pulse
     rng = np.random.default_rng(mix64(config.seed, 0x7E5D))
-    mask = SparsityMask.full(spec.n_subcarriers)
     phases = _random_phase_block(config, config.threshold_samples, rng)
-    samples = PhaseEvaluator(spec, uniform_weights(mask), mask).pmepr(phases)
+    samples = _full_band_evaluator(spec).pmepr(phases)
     pmepr_max = pmepr_threshold_from_distribution(samples)
     try:
         ConstraintSpec(pmepr_max)
@@ -246,14 +250,14 @@ def _run_optimize_constrained(config, run_id, run_dir, rng):
     n_vars = spec.n_subcarriers * spec.n_symbols
     scores = _full_band_scores(config)
 
-    # compliance is judged on the whole final population, not just the front;
-    # later generations overwrite "final"
-    pop_pmeprs = {}
+    # compliance is judged on the whole population, not just the front
+    initial_pmeprs = []
 
     def observe(gen, genomes, values, rank):
-        pop_pmeprs["final" if gen else "initial"] = values[:, 2]
+        if gen == 0:
+            initial_pmeprs.append(values[:, 2])
 
-    archive = nsga2(
+    _, values, rank = nsga2(
         # objectives (pslr_db, islr_db), then the constrained PMEPR
         lambda genomes: scores(genomes)[:, [1, 2, 0]],
         n_vars,
@@ -263,7 +267,7 @@ def _run_optimize_constrained(config, run_id, run_dir, rng):
         generation_hook=observe,
     )
 
-    front_arr = np.column_stack([archive.carried[:, 0], archive.objectives])
+    front_arr = values[rank == 0][:, [2, 0, 1]]  # (pmepr, pslr_db, islr_db)
     front = front_arr.tolist()
     write_csv(
         run_dir / "front.csv",
@@ -271,15 +275,15 @@ def _run_optimize_constrained(config, run_id, run_dir, rng):
         ((pm, ps, il, run_id, config.ga.generations) for pm, ps, il in front),
     )
 
-    final_pmeprs = pop_pmeprs["final"]
-    violators = int(np.sum(final_pmeprs > pmepr_max))
+    final_over = values[:, 2] > pmepr_max
+    violators = int(np.sum(final_over))
     objectives = {
         "pmepr_max": float(pmepr_max),
-        "front_size": len(archive),
+        "front_size": len(front),
         "population_violators": violators,
         "compliant": bool(violators == 0),
-        "initial_violator_fraction": float(np.mean(pop_pmeprs["initial"] > pmepr_max)),
-        "final_violator_fraction": float(np.mean(final_pmeprs > pmepr_max)),
+        "initial_violator_fraction": float(np.mean(initial_pmeprs[0] > pmepr_max)),
+        "final_violator_fraction": float(np.mean(final_over)),
         "islr_min_db": float(front_arr[:, 2].min()),
         "islr_max_db": float(front_arr[:, 2].max()),
     }
@@ -389,7 +393,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunResult]:
         # run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # a pool forks all its workers at the first submit: no more than runs
+        with ProcessPoolExecutor(max_workers=min(config.workers, config.runs)) as pool:
             outcomes = list(
                 pool.map(functools.partial(_execute_run, config), range(config.runs))
             )

@@ -12,11 +12,12 @@ and crowds every front at once (``_rank_and_crowd``, O(P log P) to sort).
 definitions, kept as the reference that pass must reproduce exactly.
 
 Each genome is scored once, into two ranked objectives followed by carried
-columns that travel with it, unranked, into the hook and the archive.  The
-constrained variant caps column 2, the first carried one, which holds the
-PMEPR: every individual over the cap gets a crowding distance of exactly
-zero - strictly below any feasible interior value - so violators lose
-tournaments and truncations against feasible individuals of equal rank.
+columns that travel with it, unranked, into the hook and the final
+population ``nsga2`` returns as (genomes, values, rank).  The constrained
+variant caps column 2, the first carried one, which holds the PMEPR: every
+individual over the cap gets a crowding distance of exactly zero - strictly
+below any feasible interior value - so violators lose tournaments and
+truncations against feasible individuals of equal rank.
 """
 from __future__ import annotations
 
@@ -49,24 +50,6 @@ class ConstraintSpec:
     def __post_init__(self) -> None:
         if not np.isfinite(self.pmepr_max) or self.pmepr_max <= 1:
             raise ValueError("pmepr_max must be finite and > 1")
-
-
-@dataclass(frozen=True)
-class ParetoArchive:
-    """The rank-0 front of a population, one row per member.
-
-    ``objectives`` holds the two ranked columns and ``carried`` the (n, c)
-    columns scored with them (c may be 0); ``crowding`` is after suppression
-    of violators.
-    """
-
-    genomes: np.ndarray
-    objectives: np.ndarray
-    crowding: np.ndarray
-    carried: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.genomes)
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
@@ -230,8 +213,8 @@ def nsga2(
     rng: np.random.Generator,
     constraint: ConstraintSpec | None = None,
     generation_hook: GenerationHook | None = None,
-) -> ParetoArchive:
-    """Run NSGA-II and return the final population's rank-0 archive.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run NSGA-II and return its final population (genomes, values, rank).
 
     ``objective_fn`` is called once per generation with the (P, n_vars)
     block of phase vectors in [0, 2*pi)^n_vars to be scored and returns a
@@ -243,8 +226,9 @@ def nsga2(
     population after every environmental selection, G + 1 times (gen 0 =
     initial population): ``values`` holds the (P, 2 + c) rows as scored and
     ``rank`` each genome's front index, 0 on the Pareto front.  It is the
-    only per-generation output, e.g. for periodic front records or compliance
-    accounting.
+    only per-generation output, e.g. for periodic front records.  The return
+    is the same three arrays as the last hook call, so the final Pareto
+    front is the rows with ``rank == 0``.
     """
     pop = config.population_size
 
@@ -275,8 +259,7 @@ def nsga2(
         if generation_hook is not None:
             generation_hook(gen, genomes, values, rank)
 
-    front = rank == 0
-    return ParetoArchive(genomes[front], values[front, :2], crowd[front], values[front, 2:])
+    return genomes, values, rank
 
 
 # Fewest random-code PMEPRs the threshold histogram is drawn from.

@@ -84,3 +84,29 @@ def random_pulse(rng: np.random.Generator, n=None, k=None, oversampling=None):
     codes = PhaseCodeMatrix(rng.uniform(0, 2 * np.pi, (n, k)))
     mask = SparsityMask.full(n)
     return synthesize(spec, codes, uniform_weights(mask), mask)
+
+
+# Binary Golay complementary seed pairs of lengths 2, 10 and 26 (Golay 1961, 1962)
+GOLAY_SEEDS = (
+    ([1, 1], [1, -1]),
+    ([1, 1, -1, 1, -1, 1, -1, -1, 1, 1], [1, 1, -1, 1, 1, 1, 1, 1, -1, -1]),
+    (
+        [1, 1, 1, 1, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1, -1, -1, 1, -1, 1, 1, 1, -1, -1, 1, 1, 1],
+        [1, 1, 1, 1, -1, 1, 1, -1, -1, 1, -1, 1, 1, 1, 1, 1, -1, 1, -1, -1, -1, 1, 1, -1, -1, -1],
+    ),
+)
+
+
+def golay_pair(seed: int, doublings: int) -> tuple[np.ndarray, np.ndarray]:
+    """A binary (+-1) Golay complementary pair: ``GOLAY_SEEDS[seed]`` grown
+    ``doublings`` times by (a, b) -> (a|b, a|-b), which keeps the pair
+    complementary, so its length is len(seed) * 2**doublings.
+
+    The aperiodic autocorrelations of a and b sum to 2N at lag 0 and to 0
+    elsewhere, so |A(t)|^2 + |B(t)|^2 = 2N for the two multitone pulses
+    and neither has a PMEPR above 2 at any sampling (Popovic 1991).
+    """
+    a, b = (np.array(x, dtype=float) for x in GOLAY_SEEDS[seed])
+    for _ in range(doublings):
+        a, b = np.concatenate([a, b]), np.concatenate([a, -b])
+    return a, b

@@ -327,6 +327,23 @@ class TestContinuousGA:
         )
         assert trace.best[-1] <= sphere(opt[None])[0] + 1e-15
 
+    @pytest.mark.parametrize("seeds", [
+        np.array([[0.0, -0.2, 0.3], [0.5, 0.0, -0.5]]),  # (S, n) with n > 1
+        np.array([[0.0]]),  # one variable: a one-element array is still a seed
+    ], ids=["two-seeds", "one-variable"])
+    def test_array_seeds_match_list_seeds(self, seeds):
+        n = seeds.shape[1]
+        cfg = GAConfig(population_size=6, generations=8)
+        (best, trace), (list_best, list_trace) = [
+            continuous_minimize(sphere, np.full(n, -1.0), np.full(n, 1.0), cfg,
+                                np.random.default_rng(3), seeds=form)
+            for form in (seeds, list(seeds))
+        ]
+        assert np.array_equal(best, list_best)
+        assert np.array_equal(trace.best, list_trace.best)
+        assert np.array_equal(trace.mean, list_trace.mean)
+        assert trace.best[0] <= sphere(seeds).min()  # the seeds were scored
+
     def test_box_respected(self):
         lower, upper = np.full(4, 0.2), np.full(4, 0.9)
         cfg = GAConfig(population_size=10, generations=50)

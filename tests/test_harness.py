@@ -615,6 +615,32 @@ class TestDeterminism:
         for rel in ("0/trace.csv", "1/trace.csv", "2/trace.csv", "convergence.csv"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
+    @pytest.mark.parametrize("workers, runs", [(8, 2), (2, 3)])
+    def test_pool_has_no_more_workers_than_runs(self, tmp_path, monkeypatch, workers, runs):
+        # the stand-in pool records its size and maps in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = parse_config({"kind": "baseline", "pulse": MINI_PULSE, "runs": runs,
+                            "workers": workers, "out_dir": str(tmp_path)})
+        assert [r.run_id for r in run_experiment(cfg)] == list(range(runs))
+        assert sizes == [min(workers, runs)]
+
     def test_serial_import_leaves_out_the_process_pool(self):
         # the pool is imported only when a run fans out over workers
         code = ("import sys, numpy, ofdmforge.harness; "
@@ -647,7 +673,7 @@ class TestConfigTable:
         ("optimize-pmepr", {"baseline": "newman"}),
         # full-band NSGA-II draws no mask and no baseline codes
         ("optimize-moo", {"sparsity": 0.5, "alphabet": 4, "baseline": "newman"}),
-        # the constrained replica keeps no archive snapshots
+        # the constrained replica keeps no front snapshots
         ("optimize-constrained", {"snapshot_every": 10}),
         ("illuminate", {"sparsity": 0.5}),
     ], ids=lambda v: v if isinstance(v, str) else "+".join(v))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import direct_acf, random_pulse
+from conftest import GOLAY_SEEDS, direct_acf, golay_pair, random_pulse
 from ofdmforge import (
     CorrelationSeries,
     PhaseCodeMatrix,
@@ -209,6 +209,64 @@ class TestPmeprInvariances:
             drifts.append(m20 - m1)
         # mean drift is reported, not asserted
         print(f"mean power drift L=1 -> L=20: {np.mean(drifts):.3e}")
+
+
+def flat_evaluator(n, k, oversampling):
+    """Evaluator of n equally weighted subcarriers over k symbols."""
+    return PhaseEvaluator(PulseSpec(n, k, 1e5, oversampling), WeightVector(np.ones(n)))
+
+
+class TestPmeprTheorems:
+    """Bounds any correct PMEPR must meet, whatever sums compute it."""
+
+    @pytest.mark.parametrize("doublings", range(4))
+    @pytest.mark.parametrize("seed", range(len(GOLAY_SEEDS)))
+    def test_golay_pairs_are_complementary(self, seed, doublings):
+        a, b = golay_pair(seed, doublings)
+        n = len(a)
+        assert n == len(GOLAY_SEEDS[seed][0]) * 2**doublings
+        total = direct_acf(a.astype(complex)) + direct_acf(b.astype(complex))
+        expected = np.zeros(2 * n - 1)
+        expected[n - 1] = 2 * n
+        assert np.array_equal(total, expected)  # integer sums, exact
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, len(GOLAY_SEEDS) - 1),
+        doublings=st.integers(0, 3),
+        member=st.integers(0, 1),
+        oversampling=st.integers(1, 20),
+        offset=st.floats(-10.0, 10.0),
+    )
+    def test_golay_codes_have_pmepr_at_most_two(self, seed, doublings, member, oversampling,
+                                                 offset):
+        code = golay_pair(seed, doublings)[member]
+        phases = np.where(code > 0, 0.0, np.pi) + offset
+        evaluator = flat_evaluator(len(code), 1, oversampling)
+        assert evaluator.pmepr(phases[None, :, None])[0] <= 2.0 * (1 + 1e-12)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([3, 8, 25]),
+        k=st.integers(1, 2),
+        oversampling=st.integers(1, 8),
+        factor=st.integers(2, 5),
+        other=st.integers(1, 40),
+    )
+    def test_sampled_pmepr_brackets_the_envelope_peak(self, seed, n, k, oversampling, factor,
+                                                      other):
+        # every sample grid of L points a chip lies on the one of each
+        # multiple of L, and for L >= 2 no peak between samples exceeds the
+        # largest sample by more than 1/cos(pi/(2L)) (Ehlich & Zeller, 1964)
+        phases = np.random.default_rng(seed).uniform(0, TWO_PI, (20, n, k))
+        coarse = flat_evaluator(n, k, oversampling).pmepr(phases)
+        fine = flat_evaluator(n, k, oversampling * factor).pmepr(phases)
+        assert np.all(coarse <= fine * (1 + 1e-12))
+        if oversampling >= 2:
+            bound = coarse / np.cos(np.pi / (2 * oversampling)) ** 2 * (1 + 1e-12)
+            for ell in (oversampling * factor, other):
+                assert np.all(flat_evaluator(n, k, ell).pmepr(phases) <= bound)
 
 
 def direct_pmepr(spec, phases, weights, mask):

@@ -95,6 +95,11 @@ def analytic_biobjective(g):
     return np.column_stack([v * v, (v - 2.0) ** 2])
 
 
+def with_carried_columns(g):
+    """The analytic objectives, then two unranked columns of the genome."""
+    return np.column_stack([analytic_biobjective(g), g[:, 1], g.sum(axis=1)])
+
+
 def sidelobe_objectives(n, oversampling=8):
     """(P, n) phase block -> (P, 3) columns (pslr, islr, pmepr) of n-carrier
     single-symbol pulses: the sidelobe objectives, then the constrained PMEPR."""
@@ -151,8 +156,8 @@ class TestOffspring:
 class TestNsga2:
     def test_recovers_analytic_convex_front(self):
         cfg = GAConfig(population_size=40, generations=150)
-        archive = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(3))
-        objs = archive.objectives
+        _, values, rank = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(3))
+        objs = values[rank == 0]
         # points on the front satisfy sqrt(f1) + sqrt(f2) = 2 with v in [0, 2]
         dev = np.abs(np.sqrt(objs[:, 0]) + np.sqrt(objs[:, 1]) - 2.0)
         assert np.all(dev <= 1e-2)
@@ -167,7 +172,7 @@ class TestNsga2:
             seen.append((values.copy(), rank.copy()))
 
         cfg = GAConfig(population_size=8, generations=25)
-        archive = nsga2(
+        nsga2(
             lambda g: objectives(g)[:, :2], 6, cfg, np.random.default_rng(7),
             generation_hook=hook,
         )
@@ -178,17 +183,12 @@ class TestNsga2:
             for i in front:
                 for j in front:
                     assert not dominates(objs[i], objs[j])
-        final = archive.objectives
-        assert np.array_equal(final, seen[-1][0][seen[-1][1] == 0])
-        for i in range(len(final)):
-            for j in range(len(final)):
-                assert not dominates(final[i], final[j])
 
     def test_environmental_selection_keeps_small_rank0(self):
         # when the rank-0 front fits in the budget it survives whole
         cfg = GAConfig(population_size=8, generations=10)
-        archive = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(1))
-        assert 1 <= len(archive) <= 8
+        _, _, rank = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(1))
+        assert 1 <= np.count_nonzero(rank == 0) <= 8
 
     def test_per_objective_minima_never_regress(self):
         # front extremes carry the infinite crowding sentinel, so elitist
@@ -209,15 +209,14 @@ class TestNsga2:
 
     def test_determinism(self):
         cfg = GAConfig(population_size=8, generations=15)
-        a1 = nsga2(analytic_biobjective, 2, cfg, np.random.default_rng(11))
-        a2 = nsga2(analytic_biobjective, 2, cfg, np.random.default_rng(11))
-        assert np.array_equal(a1.objectives, a2.objectives)
-        assert np.array_equal(a1.genomes, a2.genomes)
+        first = nsga2(analytic_biobjective, 2, cfg, np.random.default_rng(11))
+        second = nsga2(analytic_biobjective, 2, cfg, np.random.default_rng(11))
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
 
     def test_genomes_stay_wrapped(self):
         cfg = GAConfig(population_size=8, generations=20)
-        archive = nsga2(analytic_biobjective, 3, cfg, np.random.default_rng(2))
-        g = archive.genomes
+        g, _, _ = nsga2(analytic_biobjective, 3, cfg, np.random.default_rng(2))
         assert np.all((g >= 0) & (g < TWO_PI))
 
     def test_constraint_requires_pmepr_column(self):
@@ -233,33 +232,38 @@ class TestNsga2:
             nsga2(lambda g: analytic_biobjective(g)[:, :1], 1, cfg, np.random.default_rng(0))
 
     def test_carried_columns_travel_with_their_genomes(self):
-        # two carried columns, neither ranked: the archive and every hook
-        # call hold the objective's own columns 2...
-        def objective(g):
-            return np.column_stack([analytic_biobjective(g), g[:, 1], g.sum(axis=1)])
-
+        # two carried columns, neither ranked: every hook call holds the
+        # objective's own columns 2...
         hooked = []
 
         def hook(gen, genomes, values, rank):
             hooked.append((genomes, values, rank))
 
         cfg = GAConfig(population_size=10, generations=12)
-        archive = nsga2(objective, 3, cfg, np.random.default_rng(8), generation_hook=hook)
-        assert archive.carried.shape == (len(archive), 2)
-        assert np.array_equal(archive.carried, objective(archive.genomes)[:, 2:])
+        nsga2(with_carried_columns, 3, cfg, np.random.default_rng(8), generation_hook=hook)
         assert len(hooked) == 13
         for genomes, values, _ in hooked:
-            assert np.array_equal(values, objective(genomes))
-        # the archive is the last generation's rank-0 rows
-        genomes, values, rank = hooked[-1]
-        assert np.array_equal(archive.genomes, genomes[rank == 0])
-        assert np.array_equal(np.column_stack([archive.objectives, archive.carried]),
-                              values[rank == 0])
+            assert values.shape == (10, 4)
+            assert np.array_equal(values, with_carried_columns(genomes))
 
-    def test_no_carried_columns_is_an_empty_block(self):
-        cfg = GAConfig(population_size=8, generations=3)
-        archive = nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(1))
-        assert archive.carried.shape == (len(archive), 0)
+    @pytest.mark.parametrize("objective, n_carried", [
+        (analytic_biobjective, 0), (with_carried_columns, 2),
+    ], ids=["two-columns", "two-carried"])
+    def test_returns_the_last_hook_call(self, objective, n_carried):
+        # the result is the final population as the last hook call saw it
+        hooked = []
+
+        def hook(gen, genomes, values, rank):
+            hooked.append((genomes, values, rank))
+
+        cfg = GAConfig(population_size=8, generations=7)
+        final = nsga2(objective, 3, cfg, np.random.default_rng(8), generation_hook=hook)
+        genomes, values, rank = final
+        assert len(final) == 3 and len(hooked) == 8
+        assert genomes.shape == (8, 3) and values.shape == (8, 2 + n_carried)
+        assert rank.shape == (8,) and np.any(rank == 0)
+        for got, seen in zip(final, hooked[-1]):
+            assert np.array_equal(got, seen)
 
     def test_one_objective_call_per_generation(self):
         cfg = GAConfig(population_size=8, generations=6)
@@ -324,14 +328,14 @@ class TestConstrainedVariant:
     def test_suppressed_crowding_loses_truncation(self):
         # all-violating population still works (pure rank selection)
         cfg = GAConfig(population_size=8, generations=10)
-        archive = nsga2(
+        _, values, rank = nsga2(
             sidelobe_objectives(8),
             8,
             cfg,
             np.random.default_rng(0),
             constraint=ConstraintSpec(1.01),  # everything violates
         )
-        assert len(archive) >= 1
+        assert np.all(values[:, 2] > 1.01) and np.any(rank == 0)
 
 
 def _reference_rank_and_crowd(objectives):
@@ -349,10 +353,10 @@ def _reference_nsga2(objective_fn, n_vars, config, rng, constraint=None,
                      generation_hook=None, events=None):
     """NSGA-II as it selected survivors with a front-by-front refill loop.
 
-    Returns the final archive as a (genomes, objectives, crowding, pmeprs)
-    tuple.  ``events`` collects "exact" when whole fronts fill the budget
-    exactly and "tie" when the cut front's truncation meets equal crowding
-    distances.
+    Returns the final population as ``nsga2`` does, (genomes, values, rank)
+    with the PMEPR column last under a constraint.  ``events`` collects
+    "exact" when whole fronts fill the budget exactly and "tie" when the cut
+    front's truncation meets equal crowding distances.
     """
     pop = config.population_size
 
@@ -362,10 +366,12 @@ def _reference_nsga2(objective_fn, n_vars, config, rng, constraint=None,
             return values, None
         return values[:, :-1], values[:, -1]
 
+    def rows():
+        return objs if pmeprs is None else np.column_stack([objs, pmeprs])
+
     def observe(gen):
         if generation_hook is not None:
-            rows = objs if pmeprs is None else np.column_stack([objs, pmeprs])
-            generation_hook(gen, genomes, rows, rank)
+            generation_hook(gen, genomes, rows(), rank)
 
     genomes = rng.uniform(0.0, TWO_PI, size=(pop, n_vars))
     objs, pmeprs = evaluate(genomes, 0)
@@ -408,9 +414,7 @@ def _reference_nsga2(objective_fn, n_vars, config, rng, constraint=None,
             pmeprs = all_pmeprs[sel]
         observe(gen + 1)
 
-    front = rank == 0
-    return (genomes[front], objs[front], crowd[front],
-            None if pmeprs is None else pmeprs[front])
+    return genomes, rows(), rank
 
 
 def coarse_objectives(g):
@@ -462,14 +466,8 @@ class TestSelectionOracle:
             assert np.array_equal(genomes, ref_genomes)
             assert np.array_equal(values, ref_values)
             assert np.array_equal(rank, ref_rank)
-        ref_genomes, ref_objs, ref_crowd, ref_pm = ref_final
-        assert np.array_equal(final.genomes, ref_genomes)
-        assert np.array_equal(final.objectives, ref_objs)
-        assert np.array_equal(final.crowding, ref_crowd)
-        if constrained:
-            assert np.array_equal(final.carried[:, 0], ref_pm)
-        else:
-            assert final.carried.size == 0 and ref_pm is None
+        for got, want in zip(final, ref_final):
+            assert np.array_equal(got, want)
         assert state == ref_state
 
     def test_oracle_cases_meet_ties_and_exact_fills(self):
