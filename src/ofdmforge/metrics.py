@@ -82,9 +82,10 @@ def _twiddle(m: int) -> np.ndarray:
     return np.exp(-1j * np.pi * np.arange(m) / m)
 
 
-def _real_idft(y: np.ndarray) -> np.ndarray:
+def _real_idft(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_k y[k] exp(2j*pi*k*m/M) along the last axis of real y, i.e.
-    M * IFFT_M(y), from the half spectrum rfft(y).
+    M * IFFT_M(y), from the half spectrum rfft(y); written into ``out``
+    (complex, y's shape) when given.
 
     numpy takes a slow path for a real array passed to ``ifft``.  For real y,
     M * IFFT_M(y)[m] = conj(FFT_M(y)[m]), and FFT_M(y)[m] = conj(FFT_M(y)[M-m]),
@@ -93,7 +94,8 @@ def _real_idft(y: np.ndarray) -> np.ndarray:
     m = y.shape[-1]
     half = np.fft.rfft(y, axis=-1)
     h = half.shape[-1]
-    out = np.empty(y.shape, dtype=complex)
+    if out is None:
+        out = np.empty(y.shape, dtype=complex)
     np.conjugate(half, out=out[..., :h])
     out[..., h:] = half[..., m - h:0:-1]
     return out
@@ -205,8 +207,8 @@ class PhaseEvaluator:
     complex row in ``_bins`` (PMEPR's polyphase bins) and one float row of
     K*S values in ``_envelope`` (the power).
     With one symbol the sidelobe kernel reuses both once PMEPR is taken:
-    y and then |r| in ``_envelope``, the half spectrum of y and the upper-lag
-    differences in ``_bins``.  Its only rows of its own are two of 2N points.
+    y and then |r| in ``_envelope``, M * IFFT_M(y) in ``_bins``.  Its only
+    row of its own is one of 2N points.
 
     PMEPR comes from the codes c = w * exp(1j*phi) by the polyphase identity
     of the module docstring: per block one multiply by a precomputed (L, N)
@@ -274,7 +276,6 @@ class PhaseEvaluator:
             self._spectra = np.zeros((rows, k, s), dtype=complex)
             self._twiddle = _twiddle(m)
             return
-        half = m // 2 + 1
         # 2 * g_d at index d mod 2N, so a 2N-point circular convolution with
         # conj(c) is the linear one over 0 < |n - k| < N
         d = np.arange(1, n)
@@ -282,13 +283,9 @@ class PhaseEvaluator:
         g[d] = 2.0 / (1.0 - np.exp(2j * np.pi * d / m))
         g[-d] = g[d].conj()
         self._g_spectrum = np.fft.fft(g)
-        # weights-only term D[m] = (M - m) * sum_n w_n^2 omega^(n*m); with
-        # R = rfft(y, M), |r[m]| = |R[m] + 1j*conj(D[m])| for m < half and
-        # |r[m]| = |R[M-m] - 1j*D[m]| above
-        diagonal = (m - np.arange(m)) * np.fft.ifft(w**2, n=m) * m
-        self._lower = -1j * diagonal[:half].conj()
-        self._upper = 1j * diagonal[half:]
-        self._conj_codes = np.zeros((rows, 2 * n), dtype=complex)
+        # 1j * D[m], D[m] = (M - m) * sum_n w_n^2 omega^(n*m) the weights-only
+        # term: at every lag |r[m]| = |M * IFFT_M(y)[m] - 1j * D[m]|
+        self._diagonal = 1j * ((m - np.arange(m)) * np.fft.ifft(w**2, n=m) * m)
         self._conv = np.empty((rows, 2 * n), dtype=complex)
 
     @property
@@ -329,24 +326,16 @@ class PhaseEvaluator:
         ``_envelope``, and returns a view of the latter."""
         count = len(codes)
         n, m = self.spec.n_subcarriers, self.spec.n_samples
-        half = self._lower.shape[-1]
-        padded = self._conj_codes[:count]
-        np.conjugate(codes, out=padded[:, :n])
-        spectrum = np.fft.fft(padded, axis=-1, out=self._conv[:count])
+        spectrum = np.fft.fft(np.conjugate(codes), n=2 * n, axis=-1, out=self._conv[:count])
         spectrum *= self._g_spectrum
         u = np.fft.ifft(spectrum, axis=-1, out=spectrum)[:, :n]
         u *= codes
         y = self._envelope[:count]
         y[:, :n] = u.imag
         y[:, n:] = 0.0
-        spectra = self._bins[:count].reshape(count, m)
-        r = np.fft.rfft(y, axis=-1, out=spectra[:, :half])
-        upper = np.subtract(r[:, m - half:0:-1], self._upper, out=spectra[:, half:])
-        r -= self._lower
-        mag = y  # the transform has read y
-        np.abs(r, out=mag[:, :half])
-        np.abs(upper, out=mag[:, half:])
-        return mag
+        r = _real_idft(y, out=self._bins[:count].reshape(count, m))
+        r -= self._diagonal
+        return np.abs(r, out=y)  # the transform has read y
 
     def pmepr(self, phases: np.ndarray) -> np.ndarray:
         """PMEPR of every genome, shape (P,)."""

@@ -110,3 +110,17 @@ def golay_pair(seed: int, doublings: int) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(doublings):
         a, b = np.concatenate([a, b]), np.concatenate([a, -b])
     return a, b
+
+
+def turyn_pair(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Turyn's product (J. Comb. Theory A 16, 1974) of the binary Golay pairs
+    (a, b) of length m and (c, d) of length n: with s = (c + d)/2 and
+    t = (c - d)/2, a +-1 complementary pair of length m*n,
+
+        e = a (x) s + rev(b) (x) t,    f = b (x) s - rev(a) (x) t,
+
+    (x) the Kronecker product.  It reaches lengths doubling cannot, such as
+    100 = 10 * 10.
+    """
+    s, t = (c + d) / 2, (c - d) / 2
+    return np.kron(a, s) + np.kron(b[::-1], t), np.kron(b, s) - np.kron(a[::-1], t)

@@ -8,7 +8,14 @@ across implementations.
 import numpy as np
 import pytest
 
-from conftest import brute_force_fronts, brute_force_rank, direct_acf, max_weight_gain
+from conftest import (
+    brute_force_fronts,
+    brute_force_rank,
+    direct_acf,
+    golay_pair,
+    max_weight_gain,
+    turyn_pair,
+)
 from ofdmforge import (
     ConstraintSpec,
     GAConfig,
@@ -101,8 +108,12 @@ def test_criterion_04_sga_pmepr():
             for run in range(20)
         ]
         medians[bits] = float(np.median(finals))
+    # yardstick: a member of a Golay pair of length 100 has PMEPR <= 2
+    golay = turyn_pair(*golay_pair(1, 0), *golay_pair(1, 0))[0]
+    golay_pmepr = evaluator.pmepr(np.where(golay > 0, 0.0, np.pi)[None, :, None])[0]
     ok = medians[18] <= 3.2 and medians[2] <= 3.1
-    report(4, ok, f"SGA 20-run medians: 18-bit {medians[18]:.3f} <= 3.2, QPSK {medians[2]:.3f} <= 3.1")
+    report(4, ok, f"SGA 20-run medians: 18-bit {medians[18]:.3f} <= 3.2, QPSK {medians[2]:.3f} <= 3.1; "
+           f"N=100 Golay code {golay_pmepr:.5f}")
 
 
 def test_criterion_05_sga_beats_newman_under_sparsity():

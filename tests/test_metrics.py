@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GOLAY_SEEDS, direct_acf, golay_pair, random_pulse
+from conftest import GOLAY_SEEDS, direct_acf, golay_pair, random_pulse, turyn_pair
 from ofdmforge import (
     CorrelationSeries,
     PhaseCodeMatrix,
@@ -216,6 +216,23 @@ def flat_evaluator(n, k, oversampling):
     return PhaseEvaluator(PulseSpec(n, k, 1e5, oversampling), WeightVector(np.ones(n)))
 
 
+def assert_complementary(a, b):
+    """The aperiodic ACFs of a and b sum to 2N at lag 0 and to 0 elsewhere."""
+    n = len(a)
+    total = direct_acf(a.astype(complex)) + direct_acf(b.astype(complex))
+    expected = np.zeros(2 * n - 1)
+    expected[n - 1] = 2 * n
+    assert np.array_equal(total, expected)  # integer sums, exact
+
+
+# the pairs the PMEPR bound is checked on: every Golay seed doubled 0-3
+# times, and the Turyn product of the length-10 pair with itself (N = 100)
+TURYN_100 = turyn_pair(*golay_pair(1, 0), *golay_pair(1, 0))
+COMPLEMENTARY_PAIRS = [
+    *(golay_pair(seed, d) for seed in range(len(GOLAY_SEEDS)) for d in range(4)), TURYN_100,
+]
+
+
 class TestPmeprTheorems:
     """Bounds any correct PMEPR must meet, whatever sums compute it."""
 
@@ -223,24 +240,24 @@ class TestPmeprTheorems:
     @pytest.mark.parametrize("seed", range(len(GOLAY_SEEDS)))
     def test_golay_pairs_are_complementary(self, seed, doublings):
         a, b = golay_pair(seed, doublings)
-        n = len(a)
-        assert n == len(GOLAY_SEEDS[seed][0]) * 2**doublings
-        total = direct_acf(a.astype(complex)) + direct_acf(b.astype(complex))
-        expected = np.zeros(2 * n - 1)
-        expected[n - 1] = 2 * n
-        assert np.array_equal(total, expected)  # integer sums, exact
+        assert len(a) == len(GOLAY_SEEDS[seed][0]) * 2**doublings
+        assert_complementary(a, b)
+
+    def test_turyn_product_is_complementary(self):
+        e, f = TURYN_100
+        assert len(e) == len(f) == 100
+        assert np.all(np.abs(np.concatenate(TURYN_100)) == 1.0)
+        assert_complementary(e, f)
 
     @settings(deadline=None, max_examples=80)
     @given(
-        seed=st.integers(0, len(GOLAY_SEEDS) - 1),
-        doublings=st.integers(0, 3),
+        pair=st.sampled_from(COMPLEMENTARY_PAIRS),
         member=st.integers(0, 1),
         oversampling=st.integers(1, 20),
         offset=st.floats(-10.0, 10.0),
     )
-    def test_golay_codes_have_pmepr_at_most_two(self, seed, doublings, member, oversampling,
-                                                 offset):
-        code = golay_pair(seed, doublings)[member]
+    def test_golay_codes_have_pmepr_at_most_two(self, pair, member, oversampling, offset):
+        code = pair[member]
         phases = np.where(code > 0, 0.0, np.pi) + offset
         evaluator = flat_evaluator(len(code), 1, oversampling)
         assert evaluator.pmepr(phases[None, :, None])[0] <= 2.0 * (1 + 1e-12)
@@ -429,9 +446,11 @@ class TestPhaseEvaluator:
         assert blocks > 1
         lengths = {"fft": [], "ifft": [], "rfft": []}
         for name in lengths:
-            def counted(a, *args, _fn=getattr(np.fft, name), _seen=lengths[name], **kwargs):
-                _seen.append(a.shape[-1])
-                return _fn(a, *args, **kwargs)
+            def counted(a, n=None, *args, _fn=getattr(np.fft, name), _seen=lengths[name],
+                        **kwargs):
+                # the transform length: n when the call pads or crops
+                _seen.append(a.shape[-1] if n is None else n)
+                return _fn(a, n, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         evaluator.pmepr(np.zeros((11, 16, k)))
         assert lengths == {"fft": [16] * blocks, "ifft": [], "rfft": []}
@@ -439,8 +458,9 @@ class TestPhaseEvaluator:
             seen.clear()
         evaluator.objectives(np.zeros((11, 16, k)))
         if k == 1:
-            assert m not in lengths["fft"] + lengths["ifft"]
-            assert lengths["rfft"] == [m] * blocks
+            assert lengths == {
+                "fft": [16, 32] * blocks, "ifft": [32] * blocks, "rfft": [m] * blocks,
+            }
         else:
             assert lengths == {
                 "fft": [m] * 2 * blocks, "ifft": [s] * blocks, "rfft": [m] * 2 * blocks,
@@ -531,4 +551,9 @@ class TestPhaseEvaluator:
 def test_real_idft_matches_complex_ifft(m):
     y = np.random.default_rng(m).uniform(0.0, 3.0, (4, m))
     want = np.fft.ifft(y.astype(complex), axis=-1)
-    assert np.allclose(_real_idft(y) / m, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    got = _real_idft(y)
+    assert np.allclose(got / m, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    # a caller's buffer is filled and returned, with the same bits
+    buffer = np.full((4, m), np.nan, dtype=complex)
+    assert _real_idft(y, out=buffer) is buffer
+    assert np.array_equal(buffer, got)

@@ -39,9 +39,10 @@ def test_two_rounds_report_quartiles(report, probe):
     timing = {
         k: v for k, v in report[probe].items() if k not in ("rows_per_generation", "block_rows")
     }
-    assert set(timing) == {"median_us", "q1_us", "q3_us"}
+    assert set(timing) == {"median_us", "q1_us", "q3_us", "minor_faults"}
     assert 0 < timing["median_us"]
     assert timing["q1_us"] <= timing["median_us"] <= timing["q3_us"]
+    assert timing["minor_faults"] >= 0
 
 
 def test_sga_phases_counts_rows_per_generation(report):

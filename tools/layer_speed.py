@@ -29,12 +29,15 @@ The probes:
 Every round runs each probe once per tree, trees in order on even rounds and
 in reverse on odd ones, so drifting machine load and going first hit every
 tree alike.  Prints one JSON object ``{src: {probe: {median_us, q1_us,
-q3_us}}}``: median and quartiles over the rounds.
+q3_us, minor_faults}}}``: median and quartiles over the rounds, and the
+median over the rounds of the minor page faults (``ru_minflt``) each timed
+call took per unit, which counts the fresh pages its temporaries cost.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import time
@@ -156,21 +159,25 @@ def main(argv=None) -> int:
         for run, _, _ in row:
             run()  # warm-up
     times = [[[] for _ in trees] for _ in PROBES]
+    faults = [[[] for _ in trees] for _ in PROBES]
     for r in range(args.rounds):
         order = list(range(len(trees)))[:: 1 if r % 2 == 0 else -1]
-        for row, seen in zip(built, times):
+        for row, seen, faulted in zip(built, times, faults):
             for t in order:
                 run, units, _ = row[t]
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
                 run()
                 seen[t].append((time.perf_counter() - start) / units * 1e6)
+                after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                faulted[t].append((after - before) / units)
     report = {src: {} for src in args.src}
-    for (name, _), row, seen in zip(PROBES, built, times):
-        for src, (_, _, extra), samples in zip(args.src, row, seen):
+    for (name, _), row, seen, faulted in zip(PROBES, built, times, faults):
+        for src, (_, _, extra), samples, minflt in zip(args.src, row, seen, faulted):
             q1, median, q3 = statistics.quantiles(samples, n=4)
             report[src][name] = {
                 "median_us": round(median, 2), "q1_us": round(q1, 2), "q3_us": round(q3, 2),
-                **extra,
+                "minor_faults": round(statistics.median(minflt), 2), **extra,
             }
     print(json.dumps(report, indent=1))
     return 0
