@@ -5,12 +5,13 @@ population, keep the best half, round(P / 2) genomes (half to even, so
 P = 5 keeps 2), as-is, and refill the rest with offspring of rank-ordered
 parent pairs (pair j mates kept parents 2j and 2j + 1, cycling through the
 elite with indices mod n_keep, and has children 2j and 2j + 1).  Each
-minimizer supplies only its variation operator, ``vary(lead, tail) ->
-kids``, which breeds the whole offspring block at once: child i mixes row i
-of ``lead`` (its own-index parent) with row i of ``tail`` (the pair's
-other).  The loop hands ``vary`` fresh copies of the parents, so ``vary``
-may overwrite ``lead`` and ``tail`` and return one of them as the kids;
-no block handed to a fitness is written to afterwards.
+generation gathers the elite, the lead parents and the tail parents into one
+fresh block with a single ``take``.  Each minimizer supplies only its
+variation operator, ``vary(lead, tail)``, which breeds the whole offspring
+block at once and in place: child i overwrites row i of ``lead`` (its
+own-index parent), mixed with row i of ``tail`` (the pair's other).  The
+block's first P rows, elite then kids, are the next population, so no block
+handed to a fitness is written to afterwards.
 
 * ``sga_minimize`` works on bit strings (single-point crossover at a random
   bit boundary, single-bit flip mutation).  ``decode_phases`` turns a block
@@ -34,7 +35,7 @@ naming the generation and genome.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,15 +86,8 @@ class ConvergenceTrace:
     """Per-generation best and mean fitness; entry g is generation g
     (generation 0 = initial pop)."""
 
-    best: np.ndarray = field(default_factory=lambda: np.empty(0))
-    mean: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    @classmethod
-    def from_lists(cls, best: Sequence[float], mean: Sequence[float]) -> "ConvergenceTrace":
-        return cls(
-            best=np.asarray(best, dtype=float),
-            mean=np.asarray(mean, dtype=float),
-        )
+    best: np.ndarray
+    mean: np.ndarray
 
     def __len__(self) -> int:
         return len(self.best)
@@ -153,9 +147,9 @@ def encode_phases(phases: np.ndarray, bits_per_var: int) -> np.ndarray:
     return bits.reshape(-1).astype(bool)
 
 
-# (lead parents, tail parents) -> kids, all (n_offspring, n); both parent
-# blocks are fresh copies that vary may overwrite, and the kids may be one
-Variation = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# (lead parents, tail parents), both (n_offspring, n) and freshly gathered:
+# vary overwrites lead with the kids and may overwrite tail
+Variation = Callable[[np.ndarray, np.ndarray], None]
 
 
 def _elitist_minimize(
@@ -169,25 +163,29 @@ def _elitist_minimize(
     Each generation ranks the population by fitness (stable, so ties keep
     their order), keeps the best ``n_keep`` and refills the other
     ``population_size - n_keep`` slots with ``vary``'s offspring of
-    rank-ordered pairs, scored in one batch.  Returns a copy of the best
-    final genome and the per-generation trace.
+    rank-ordered pairs, scored in one batch.  One ``take`` gathers the
+    generation's (2P - n_keep, n) block: the elite, the lead parents and the
+    tail parents; ``vary`` breeds over the lead rows in place, and the
+    block's first P rows are the next population.  Returns a copy of the
+    best final genome and the per-generation trace.
     """
     pop = config.population_size
     n_keep = config.n_keep()
-    # rank of each child's parents: child i has parent i and its pair's
-    # other parent i ^ 1, both counted mod n_keep
+    # the rank behind each row of a generation's block: the elite, then each
+    # child's own parent i, then its pair's other parent i ^ 1, both mod n_keep
     child = np.arange(pop - n_keep)
-    lead, tail = child % n_keep, (child ^ 1) % n_keep
+    ranks = np.concatenate([np.arange(n_keep), child % n_keep, (child ^ 1) % n_keep])
     fits = np.empty((config.generations + 1, pop))
     fit = fits[0] = score_batch(fitness, genomes, 0)
     for gen in range(config.generations):
         keep = fit.argsort(kind="stable")[:n_keep]
-        elite = genomes.take(keep, axis=0)
-        kids = vary(elite.take(lead, axis=0), elite.take(tail, axis=0))
+        block = genomes.take(keep[ranks], axis=0)
+        genomes, kids = block[:pop], block[n_keep:pop]
+        vary(kids, block[pop:])
         row = fits[gen + 1]
         fit.take(keep, out=row[:n_keep])
         row[n_keep:] = score_batch(fitness, kids, gen + 1)
-        genomes, fit = np.concatenate([elite, kids]), row
+        fit = row
     best = genomes[int(np.argmin(fit))].copy()
     return best, ConvergenceTrace(best=fits.min(axis=1), mean=fits.mean(axis=1))
 
@@ -211,16 +209,14 @@ def sga_minimize(
         # one cut per pair, drawn even when the pair's second child is dropped
         n_pairs = (len(lead) + 1) // 2
         cuts = rng.integers(1, n_bits, size=n_pairs).tolist() if n_bits > 1 else [0] * n_pairs
-        kids = tail
-        for i in range(len(kids)):
+        for i in range(len(lead)):
             cut = cuts[i // 2]
-            kids[i, :cut] = lead[i, :cut]
+            lead[i, cut:] = tail[i, cut:]
         # each child draws a coin, outcome unused, before its one bit flip:
         # the draw keeps every design's generator stream
-        for child in kids:
+        for child in lead:
             rng.random()
             child[rng.integers(n_bits)] ^= True
-        return kids
 
     genomes = rng.integers(0, 2, size=(config.population_size, n_bits)).astype(bool)
     return _elitist_minimize(fitness, genomes, config, vary)
@@ -360,6 +356,5 @@ def continuous_minimize(
             fresh *= span
             fresh += lower
             np.copyto(lead, fresh, where=flip < rate)
-        return lead
 
     return _elitist_minimize(fitness, genomes, config, vary)

@@ -162,29 +162,21 @@ def _run_optimize_pmepr(config, run_id, run_dir, rng):
     return {"pmepr": float(trace.best[-1])}, {"convergence.csv": trace}
 
 
-def _full_band_evaluator(spec) -> PhaseEvaluator:
-    """Uniform weights on every subcarrier, whatever ``sparsity`` holds."""
-    return PhaseEvaluator(spec, uniform_weights(SparsityMask.full(spec.n_subcarriers)))
-
-
-def _full_band_scores(config: ExperimentConfig):
-    """(P, n*k) flat phase genomes -> (P, 3) rows (pmepr, pslr_db, islr_db)
-    of full-band, uniformly weighted pulses."""
+def _flat_scores(config: ExperimentConfig, rng: np.random.Generator):
+    """(P, N*K) flat phase genomes -> (P, 3) rows (pmepr, pslr_db, islr_db),
+    scored by the replica's ``_run_band`` evaluator: full band for the
+    NSGA-II kinds, which take no ``sparsity``."""
     spec = config.pulse
-    evaluator = _full_band_evaluator(spec)
-
-    def scores(genomes: np.ndarray) -> np.ndarray:
-        return evaluator.objectives(
-            genomes.reshape(len(genomes), spec.n_subcarriers, spec.n_symbols)
-        )
-
-    return scores
+    _, evaluator = _run_band(config, rng)
+    return lambda genomes: evaluator.objectives(
+        genomes.reshape(len(genomes), spec.n_subcarriers, spec.n_symbols)
+    )
 
 
 def _run_optimize_moo(config, run_id, run_dir, rng):
     spec = config.pulse
     n_vars = spec.n_subcarriers * spec.n_symbols
-    scores = _full_band_scores(config)
+    scores = _flat_scores(config, rng)
 
     # the rank-0 front of every snapshot_every-th generation, and of the last
     front_rows = []
@@ -230,10 +222,9 @@ def _random_phase_block(config: ExperimentConfig, count: int, rng: np.random.Gen
 
 def _derived_pmepr_max(config: ExperimentConfig) -> float:
     """Threshold from the random-code PMEPR distribution (master-seeded)."""
-    spec = config.pulse
     rng = np.random.default_rng(mix64(config.seed, 0x7E5D))
-    phases = _random_phase_block(config, config.threshold_samples, rng)
-    samples = _full_band_evaluator(spec).pmepr(phases)
+    _, evaluator = _run_band(config, rng)
+    samples = evaluator.pmepr(_random_phase_block(config, config.threshold_samples, rng))
     pmepr_max = pmepr_threshold_from_distribution(samples)
     try:
         ConstraintSpec(pmepr_max)
@@ -248,7 +239,7 @@ def _run_optimize_constrained(config, run_id, run_dir, rng):
     spec = config.pulse
     pmepr_max = config.pmepr_max
     n_vars = spec.n_subcarriers * spec.n_symbols
-    scores = _full_band_scores(config)
+    scores = _flat_scores(config, rng)
 
     # compliance is judged on the whole population, not just the front
     initial_pmeprs = []

@@ -60,17 +60,20 @@ class CorrelationSeries:
     values: np.ndarray
 
 
-def _power(z: np.ndarray) -> np.ndarray:
-    """|z|^2 as re^2 + im^2, accumulated in place: one temporary fewer, which
-    matters for blocks large enough to come back as fresh pages."""
-    power = z.real**2
-    power += z.imag**2
-    return power
+def _power_into(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|z|^2 as re^2 + im^2 of each row of the contiguous block z (B, ...),
+    written into ``out`` (B, z.size // B) with no temporary: squares z's
+    re/im lanes in place, so z is consumed.  Fresh temporaries of a block's
+    size would come back as new pages every block."""
+    lanes = z.reshape(len(z), -1).view(float)
+    np.multiply(lanes, lanes, out=lanes)
+    return np.add(lanes[:, 0::2], lanes[:, 1::2], out=out)
 
 
 def pmepr(pulse: SampledPulse) -> float:
     """max |x|^2 / mean |x|^2 over all samples of the pulse."""
-    power = _power(pulse.samples)
+    x = pulse.samples
+    power = x.real**2 + x.imag**2
     mean = power.mean()
     if not mean > 0:
         raise DegeneratePulseError("zero-energy pulse has no PMEPR")
@@ -82,17 +85,20 @@ def _twiddle(m: int) -> np.ndarray:
     return np.exp(-1j * np.pi * np.arange(m) / m)
 
 
-def _real_idft(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _real_idft(
+    y: np.ndarray, out: np.ndarray | None = None, half: np.ndarray | None = None
+) -> np.ndarray:
     """sum_k y[k] exp(2j*pi*k*m/M) along the last axis of real y, i.e.
     M * IFFT_M(y), from the half spectrum rfft(y); written into ``out``
-    (complex, y's shape) when given.
+    (complex, y's shape) when given, with the half spectrum in ``half``
+    (complex, M // 2 + 1 along the last axis) when given.
 
     numpy takes a slow path for a real array passed to ``ifft``.  For real y,
     M * IFFT_M(y)[m] = conj(FFT_M(y)[m]), and FFT_M(y)[m] = conj(FFT_M(y)[M-m]),
     so the bins above M/2 mirror the half spectrum.
     """
     m = y.shape[-1]
-    half = np.fft.rfft(y, axis=-1)
+    half = np.fft.rfft(y, axis=-1, out=half)
     h = half.shape[-1]
     if out is None:
         out = np.empty(y.shape, dtype=complex)
@@ -101,7 +107,20 @@ def _real_idft(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _acf_half(x: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
+def _acf_buffers(rows: int, m: int) -> tuple[np.ndarray, ...]:
+    """``_acf_half``'s work buffers for up to ``rows`` rows of M samples:
+    (spectrum, power, half spectrum, output)."""
+    return (
+        np.empty((rows, m), dtype=complex),
+        np.empty((rows, m)),
+        np.empty((rows, m // 2 + 1), dtype=complex),
+        np.empty((rows, m), dtype=complex),
+    )
+
+
+def _acf_half(
+    x: np.ndarray, twiddle: np.ndarray, work: tuple[np.ndarray, ...] | None = None
+) -> np.ndarray:
     """Lags 0..M-1 of the aperiodic autocorrelation of every row of x (B, M).
 
     The ACF is the inverse 2M-point DFT of |X|^2, X the spectrum of x
@@ -109,11 +128,19 @@ def _acf_half(x: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
     O = FFT_M(x * twiddle), so
     r[m] = (IFFT_M(|E|^2)[m] + conj(twiddle[m]) * IFFT_M(|O|^2)[m]) / 2.
     Negative lags follow from r[-m] = conj(r[m]).
+
+    Every step writes into ``work`` (``_acf_buffers`` of at least B rows),
+    allocated here when not given; r is a view of its output buffer.
     """
-    r = _real_idft(_power(np.fft.fft(x * twiddle, axis=-1)))
+    b, m = x.shape
+    spectrum, power, half, r = (buf[:b] for buf in work or _acf_buffers(b, m))
+    np.multiply(x, twiddle, out=spectrum)
+    np.fft.fft(spectrum, axis=-1, out=spectrum)
+    _real_idft(_power_into(spectrum, power), out=r, half=half)
     r *= twiddle.conj()
-    r += _real_idft(_power(np.fft.fft(x, axis=-1)))
-    r *= 0.5 / x.shape[-1]
+    np.fft.fft(x, axis=-1, out=spectrum)
+    r += _real_idft(_power_into(spectrum, power), out=spectrum, half=half)
+    r *= 0.5 / m
     return r
 
 
@@ -191,8 +218,8 @@ def islr(acf: CorrelationSeries, spec: PulseSpec) -> float:
 # block holds as many genomes as fit, and at least one.  That is 40 genomes at
 # N = 100, K = 1, L = 20, a whole NSGA-II generation of that shape in one
 # pass, and 8 at N = 125, K = 4, L = 20.  Single-symbol blocks get cheaper per
-# genome the more they hold; the K > 1 ACF's temporaries grow with the block,
-# and there blocks much past 8 genomes are slower.
+# genome the more they hold; the K > 1 ACF's work buffers grow with the block,
+# and there blocks much past 8 genomes were slower.
 _BLOCK_BYTES = 5 * 2**18
 
 
@@ -220,10 +247,11 @@ class PhaseEvaluator:
     ``objectives`` adds PSLR and ISLR, which agree with ``pslr``/``islr`` of
     ``autocorrelation`` to rounding.
 
-    With K > 1 symbols ``objectives`` forms the unscaled samples (one
-    batched S-point IFFT per block, norm="forward") and takes the batched
-    sample-domain ACF (``_acf_half``) and then PMEPR, which squares the
-    samples in place, from them.  Their mean power is
+    With K > 1 symbols ``objectives`` forms the unscaled samples in
+    ``_bins`` (one batched S-point IFFT per block, norm="forward") and takes
+    the batched sample-domain ACF (``_acf_half``, in work buffers allocated
+    once) and then PMEPR, which squares the samples in place, from them, so
+    no transform of a block allocates its output.  Their mean power is
     sum(w^2) by Parseval, so PMEPR is their peak power divided by sum(w^2),
     and the sidelobe ratios do not depend on scale either: no unit-energy pass
     runs.  With one symbol the sidelobes come from the codes alone.  With
@@ -272,9 +300,10 @@ class PhaseEvaluator:
         self._envelope = np.empty((rows, k * s))
         m = spec.n_samples
         if k > 1:
-            # zero-padded spectra, reused by every block
+            # zero-padded spectra and the ACF's work, reused by every block
             self._spectra = np.zeros((rows, k, s), dtype=complex)
             self._twiddle = _twiddle(m)
+            self._acf_work = _acf_buffers(rows, m)
             return
         # 2 * g_d at index d mod 2N, so a 2N-point circular convolution with
         # conj(c) is the linear one over 0 < |n - k| < N
@@ -308,10 +337,7 @@ class PhaseEvaluator:
         """max |z|^2 over each row of the contiguous block z (B, ...) divided
         by sum(w^2), the mean power of every pulse's unscaled samples
         (Parseval).  Squares z's re/im lanes in place, so z is consumed."""
-        lanes = z.reshape(len(z), -1).view(float)
-        np.multiply(lanes, lanes, out=lanes)
-        power = np.add(lanes[:, 0::2], lanes[:, 1::2], out=self._envelope[:len(z)])
-        return power.max(axis=1) / self._energy
+        return _power_into(z, self._envelope[:len(z)]).max(axis=1) / self._energy
 
     def _pmepr_codes(self, codes: np.ndarray) -> np.ndarray:
         """PMEPR of the pulses with codes (B, K, N), by the polyphase split."""
@@ -354,9 +380,12 @@ class PhaseEvaluator:
                 count, _, n = codes.shape
                 spectra = self._spectra[:count]
                 spectra[:, :, :n] = codes
-                x = np.fft.ifft(spectra, axis=-1, norm="forward").reshape(count, -1)
-                # the ACF first: the peak ratio squares x in place
-                mag = np.abs(_acf_half(x, self._twiddle))
+                x = self._bins[:count].reshape(spectra.shape)
+                x = np.fft.ifft(spectra, axis=-1, norm="forward", out=x).reshape(count, -1)
+                # the ACF first: the peak ratio squares x in place; |r| goes
+                # into the ACF's power buffer, free once r is formed
+                r = _acf_half(x, self._twiddle, self._acf_work)
+                mag = np.abs(r, out=self._acf_work[1][:count])
                 pmeprs = self._peak_ratio(x)
             side, peak = _split_sidelobes(mag, self._min_lag)
             rows.append(np.column_stack([

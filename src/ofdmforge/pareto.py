@@ -6,10 +6,10 @@ mutation, then environmental selection of the combined parent+offspring
 population front by front, truncating the last front by crowding distance.
 Phases are circular, so both variation operators wrap results mod 2*pi.
 
-``nsga2`` ranks its two objective columns with one sorted pass per front
-and crowds every front at once (``_rank_and_crowd``, O(P log P) to sort).
+``nsga2`` ranks its two objective columns in one sweep over their sorted
+rows and crowds every front at once (``_rank_and_crowd``, O(P log P)).
 ``nondominated_sort`` and ``crowding_distance`` are the general-m
-definitions, kept as the reference that pass must reproduce exactly.
+definitions, kept as the reference that sweep must reproduce exactly.
 
 Each genome is scored once, into two ranked objectives followed by carried
 columns that travel with it, unranked, into the hook and the final
@@ -21,6 +21,7 @@ truncations against feasible individuals of equal rank.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,7 +63,7 @@ def nondominated_sort(objectives: np.ndarray | Sequence[Sequence[float]]) -> lis
 
     The general reference for any m >= 2 objectives, from the vectorized
     pairwise dominance matrix (O(m P^2) memory and time).  ``nsga2`` does
-    not call it: its two columns go through the sorted pass of
+    not call it: its two columns go through the sorted sweep of
     ``_rank_and_crowd``, which must give the same fronts.
     """
     f = np.asarray(objectives, dtype=float)
@@ -117,31 +118,31 @@ def _rank_and_crowd(
     The same ranks and bit-identical distances as ``nondominated_sort``
     followed by ``crowding_distance`` on each front, without the pairwise
     dominance matrix (Jensen, IEEE TEVC 7(5), 2003).  Among the distinct
-    (f0, f1) rows in lexsorted order, a row is dominated exactly when an
-    earlier remaining row has an f1 <= its own, so each front is the rows
-    whose f1 lies strictly below the running minimum of the rows before
-    them; an exact duplicate shares its row's front.  Crowding sorts every
-    front at once by (rank, f_j), breaking ties by row index as the stable
-    per-front argsort does, and adds objective 0's gaps before objective 1's.
+    (f0, f1) rows in lexsorted order, a row is dominated by an earlier row
+    exactly when that row's f1 is <= its own.  So one sweep in that order
+    puts each row in the first front whose lowest f1 so far lies above the
+    row's own f1 (a binary search, since those minima rise with the front
+    index), or opens a new front; an exact duplicate shares its row's
+    front.  Crowding sorts every front at once by (rank, f_j), breaking ties
+    by row index as the stable per-front argsort does, and adds objective
+    0's gaps before objective 1's.
     """
     f = values[:, :2]
     by_point = np.lexsort((f[:, 1], f[:, 0]))
     rows = f[by_point]
     distinct = np.ones(len(f), dtype=bool)
     distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    f1 = rows[distinct, 1]
-    row_rank = np.empty(len(f1), dtype=int)
-    left = np.arange(len(f1))
-    n_fronts = 0
-    while len(left):
-        y = f1[left]
-        front = np.ones(len(y), dtype=bool)
-        front[1:] = y[1:] < np.minimum.accumulate(y)[:-1]
-        row_rank[left[front]] = n_fronts
-        left = left[~front]
-        n_fronts += 1
+    lows: list[float] = []  # lows[r]: the lowest f1 of front r so far
+    row_rank = []
+    for y in rows[distinct, 1].tolist():
+        r = bisect_right(lows, y)
+        if r == len(lows):
+            lows.append(y)
+        else:
+            lows[r] = y
+        row_rank.append(r)
     rank = np.empty(len(f), dtype=int)
-    rank[by_point] = row_rank[np.cumsum(distinct) - 1]
+    rank[by_point] = np.array(row_rank)[np.cumsum(distinct) - 1]
 
     # sorted by rank, front r fills positions first[r]..last[r]; its two
     # ends get the infinity sentinel and the rest their neighbour gap
@@ -151,7 +152,7 @@ def _rank_and_crowd(
     inner = np.ones(len(f), dtype=bool)
     inner[first] = inner[last] = False
     inner = np.flatnonzero(inner)
-    inner_rank = np.repeat(np.arange(n_fronts), size)[inner]
+    inner_rank = np.repeat(np.arange(len(lows)), size)[inner]
     crowd = np.zeros(len(f))
     for j in range(2):
         order = np.lexsort((f[:, j], rank))

@@ -483,7 +483,7 @@ def _reference_sga_minimize(fitness, n_bits, config, rng):
         mean_hist.append(float(fit.mean()))
 
     best = genomes[int(np.argmin(fit))]
-    return best.copy(), ConvergenceTrace.from_lists(best_hist, mean_hist)
+    return best.copy(), ConvergenceTrace(np.array(best_hist), np.array(mean_hist))
 
 
 def _reference_continuous_minimize(fitness, lower, upper, config, rng, seeds=None):
@@ -524,7 +524,7 @@ def _reference_continuous_minimize(fitness, lower, upper, config, rng, seeds=Non
         mean_hist.append(float(fit.mean()))
 
     best = genomes[int(np.argmin(fit))]
-    return best.copy(), ConvergenceTrace.from_lists(best_hist, mean_hist)
+    return best.copy(), ConvergenceTrace(np.array(best_hist), np.array(mean_hist))
 
 
 def weighted_bits(bits: np.ndarray) -> np.ndarray:
@@ -610,9 +610,9 @@ def keeping(fitness):
 
 
 class TestScoredBlocksStay:
-    """``vary`` may overwrite the parent blocks the elitist loop hands it,
-    and returns one of them as the kids, but no block a fitness has received
-    is written to afterwards."""
+    """``vary`` breeds in place over the block the elitist loop gathers each
+    generation, but no block a fitness has received is written to
+    afterwards."""
 
     @pytest.mark.parametrize("pop", [2, 7, 12])
     def test_sga(self, pop):

@@ -134,20 +134,20 @@ class TestMix64:
 
 class TestAggregate:
     def test_identical_traces(self):
-        t = ConvergenceTrace.from_lists([4.0, 3.0], [5.0, 4.0])
+        t = ConvergenceTrace(np.array([4.0, 3.0]), np.array([5.0, 4.0]))
         agg = aggregate([t, t, t])
         assert np.allclose(agg.best, [4.0, 3.0])
         assert np.allclose(agg.mean, [5.0, 4.0])
 
     def test_pointwise_mean(self):
-        t1 = ConvergenceTrace.from_lists([4.0, 3.0], [4.0, 3.0])
-        t2 = ConvergenceTrace.from_lists([2.0, 1.0], [2.0, 1.0])
+        t1 = ConvergenceTrace(np.array([4.0, 3.0]), np.array([4.0, 3.0]))
+        t2 = ConvergenceTrace(np.array([2.0, 1.0]), np.array([2.0, 1.0]))
         agg = aggregate([t1, t2])
         assert np.allclose(agg.best, [3.0, 2.0])
 
     def test_ragged_rejected(self):
-        t1 = ConvergenceTrace.from_lists([4.0, 3.0], [4.0, 3.0])
-        t2 = ConvergenceTrace.from_lists([2.0], [2.0])
+        t1 = ConvergenceTrace(np.array([4.0, 3.0]), np.array([4.0, 3.0]))
+        t2 = ConvergenceTrace(np.array([2.0]), np.array([2.0]))
         with pytest.raises(ValueError):
             aggregate([t1, t2])
         with pytest.raises(ValueError):
@@ -843,8 +843,8 @@ class TestPlotData:
 
     def test_convergence_averages_the_traces(self, tmp_path):
         runs = [
-            ConvergenceTrace.from_lists([4.0, 3.0], [5.0, 3.0]),
-            ConvergenceTrace.from_lists([2.0, 1.0], [2.0, 2.0]),
+            ConvergenceTrace(np.array([4.0, 3.0]), np.array([5.0, 3.0])),
+            ConvergenceTrace(np.array([2.0, 1.0]), np.array([2.0, 2.0])),
         ]
         emit_plot_data(runs, "convergence.csv", ("g", "b", "m"), tmp_path)
         assert read_rows(tmp_path / "convergence.csv") == [

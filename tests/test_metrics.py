@@ -466,6 +466,30 @@ class TestPhaseEvaluator:
                 "fft": [m] * 2 * blocks, "ifft": [s] * blocks, "rfft": [m] * 2 * blocks,
             }
 
+    def test_multi_symbol_transforms_write_into_block_buffers(self, monkeypatch):
+        # with K > 1 each block's synthesis ifft and the ACF's two M-point
+        # fft + rfft pairs write into buffers the evaluator allocated once,
+        # so no block allocates a transform's output
+        spec = PulseSpec(16, 3, 1e5, 4)
+        budget_rows(monkeypatch, spec, 5)
+        evaluator = PhaseEvaluator(spec, WeightVector(np.ones(16)))
+        blocks = -(-11 // len(evaluator._bins))
+        assert blocks > 1
+        owned = [evaluator._bins, *evaluator._acf_work]
+        outs = []
+        for name in ("fft", "ifft", "rfft"):
+            def counted(a, n=None, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                outs.append((_name, kwargs.get("out")))
+                return _fn(a, n, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        evaluator.objectives(np.zeros((11, 16, 3)))
+        assert sorted(name for name, _ in outs) == sorted(
+            ["ifft", "fft", "fft", "rfft", "rfft"] * blocks
+        )
+        for name, out in outs:
+            assert out is not None, name
+            assert any(np.shares_memory(out, buf) for buf in owned), name
+
     @pytest.mark.parametrize("n, k, oversampling, rows", [(100, 1, 20, 40), (125, 4, 20, 8)])
     def test_blocks_fill_the_byte_budget(self, n, k, oversampling, rows):
         # K*L*N complex values a genome: a P = 40 generation at (100, 1, 20)
@@ -557,3 +581,9 @@ def test_real_idft_matches_complex_ifft(m):
     buffer = np.full((4, m), np.nan, dtype=complex)
     assert _real_idft(y, out=buffer) is buffer
     assert np.array_equal(buffer, got)
+    # and with the half spectrum in a caller's buffer too
+    buffer[:] = np.nan
+    half = np.full((4, m // 2 + 1), np.nan, dtype=complex)
+    assert _real_idft(y, out=buffer, half=half) is buffer
+    assert np.array_equal(buffer, got)
+    assert np.array_equal(half, np.fft.rfft(y, axis=-1))

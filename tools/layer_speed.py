@@ -15,6 +15,11 @@ The probes:
 * ``nsga2``: one capped NSGA-II (P = 40, n = 100) on an objective that costs
   next to nothing, so the time is the optimizer's own: ranking, crowding,
   variation and survivor selection; microseconds per generation.
+* ``rank_and_crowd``: NSGA-II's front ranking and crowding
+  (``pareto._rank_and_crowd``) under a PMEPR cap of 3, alone, on one fixed
+  population of P = 80 rows: two seeded normal objective columns, which
+  fall into 15 fronts, and a uniform PMEPR column on [1, 5];
+  microseconds per call.
 * ``sga_phases``: the binary PMEPR search on the ``pmepr-sga`` benchmark
   shape (N = 100, K = 1, L = 20, 18-bit words, a seeded half mask, P = 12,
   200 generations); microseconds per generation.  ``rows_per_generation``
@@ -46,6 +51,7 @@ import numpy as np
 
 GENOMES, REPS = 40, 10
 GENERATIONS = 50  # nsga2
+RANK_CALLS = 200  # rank_and_crowd
 # the share of offspring that repeat a scored pulse grows as the population
 # converges, so a search shorter than the workload's would understate it
 SGA_GENERATIONS = 200
@@ -102,6 +108,19 @@ def nsga2_probe(forge):
     return run, GENERATIONS, {}
 
 
+def rank_probe(forge):
+    rng = np.random.default_rng(10)
+    values = np.column_stack([rng.normal(size=(80, 2)), rng.uniform(1.0, 5.0, 80)])
+    constraint = forge.ConstraintSpec(3.0)
+    rank_and_crowd = forge.pareto._rank_and_crowd
+
+    def run():
+        for _ in range(RANK_CALLS):
+            rank_and_crowd(values, constraint)
+
+    return run, RANK_CALLS, {}
+
+
 def sga_probe(forge):
     mask = forge.random_mask(100, 0.5, np.random.default_rng(1))
     spec = forge.PulseSpec(100, 1, 1e5, 20)
@@ -140,6 +159,7 @@ PROBES = [
     evaluator_probe("pmepr", 125, 4, 20),
     evaluator_probe("objectives", 125, 4, 20),
     ("nsga2", nsga2_probe),
+    ("rank_and_crowd", rank_probe),
     ("sga_phases", sga_probe),
     ("continuous_minimize", weight_ga_probe),
 ]
