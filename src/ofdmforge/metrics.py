@@ -6,15 +6,32 @@ autocorrelation magnitude, reported as 20*log10 ratios against the zero-lag
 peak.  Lags closer to zero than the Rayleigh resolution 1/B on either side
 belong to the mainlobe and are excluded from both sidelobe metrics.
 
-A single-symbol pulse x[p] = sum_n c_n omega^(n*p), omega = exp(2j*pi/M),
-has the aperiodic autocorrelation (a double sum over carrier pairs, cf.
-Levanon & Mozeson, *Radar Signals*, 2004, multicarrier phase-coded signals)
+A pulse of K symbols of S = N*L samples, symbol j being
+x_j[t] = sum_n c_{n,j} omega^(n*t) with omega = exp(2j*pi/S), has the
+aperiodic autocorrelation (a double sum over carrier pairs, cf. Levanon &
+Mozeson, *Radar Signals*, 2004, multicarrier phase-coded signals)
+
+    r[d*S + tau] = S * T(A_d) - tau * T(A_d - A_{d+1}) + T(Z_d - Z_{d+1})
+
+at the lags d*S + tau, 0 <= d < K, 0 <= tau < S, where
+T(v)[tau] = sum_n v_n omega^(n*tau) is the S-point transform of an N-sparse
+row and A_d and Z_d are the symbol-pair sums, elementwise in n,
+
+    A_d = sum_j c_{j+d} conj(c_j),
+    Z_d = sum_j (c_{j+d} U(c_j) - conj(c_j U(c_{j+d}))),
+    U_n(b) = sum_{k != n} conj(b_k) / (1 - omega^(n-k)),
+
+over j = 0..K-1-d, with A_K = Z_K = 0.  Symbols d apart overlap in their
+partial cross-correlation at tau, symbols d + 1 apart in the rest of their
+periodic one, which is S * T(.) of the diagonal (n = k) terms alone because
+the subcarriers are orthogonal over a symbol.  With one symbol M = S,
+A_0 = |c|^2 and Z_0 = 2j * Im(c U(c)), so
 
     r[m] = (M - m) * sum_n |c_n|^2 omega^(n*m) + 1j * sum_n y_n omega^(n*m),
-    y_n = 2 * Im(c_n * sum_{k != n} conj(c_k) / (1 - omega^(n-k))),
+    y_n = 2 * Im(c_n U_n(c)),
 
-for lags m = 0..M-1, so ``PhaseEvaluator`` scores single-symbol sidelobes
-from the codes c_n without an ACF of the samples.
+for lags m = 0..M-1.  ``PhaseEvaluator`` scores sidelobes from the codes
+c_{n,j} by these identities, without an ACF of the samples.
 
 PMEPR needs no synthesis either.  With S = N*L samples per symbol, sample
 t = p*L + q (p < N, q < L) of a symbol is
@@ -80,83 +97,38 @@ def pmepr(pulse: SampledPulse) -> float:
     return float(power.max() / mean)
 
 
-def _twiddle(m: int) -> np.ndarray:
-    """exp(-1j*pi*p/m), p = 0..m-1: shifts an m-point DFT by half a bin."""
-    return np.exp(-1j * np.pi * np.arange(m) / m)
-
-
-def _real_idft(
-    y: np.ndarray, out: np.ndarray | None = None, half: np.ndarray | None = None
-) -> np.ndarray:
+def _real_idft(y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """sum_k y[k] exp(2j*pi*k*m/M) along the last axis of real y, i.e.
     M * IFFT_M(y), from the half spectrum rfft(y); written into ``out``
-    (complex, y's shape) when given, with the half spectrum in ``half``
-    (complex, M // 2 + 1 along the last axis) when given.
+    (complex, y's shape) and returned.
 
     numpy takes a slow path for a real array passed to ``ifft``.  For real y,
     M * IFFT_M(y)[m] = conj(FFT_M(y)[m]), and FFT_M(y)[m] = conj(FFT_M(y)[M-m]),
     so the bins above M/2 mirror the half spectrum.
     """
     m = y.shape[-1]
-    half = np.fft.rfft(y, axis=-1, out=half)
+    half = np.fft.rfft(y, axis=-1)
     h = half.shape[-1]
-    if out is None:
-        out = np.empty(y.shape, dtype=complex)
     np.conjugate(half, out=out[..., :h])
     out[..., h:] = half[..., m - h:0:-1]
     return out
 
 
-def _acf_buffers(rows: int, m: int) -> tuple[np.ndarray, ...]:
-    """``_acf_half``'s work buffers for up to ``rows`` rows of M samples:
-    (spectrum, power, half spectrum, output)."""
-    return (
-        np.empty((rows, m), dtype=complex),
-        np.empty((rows, m)),
-        np.empty((rows, m // 2 + 1), dtype=complex),
-        np.empty((rows, m), dtype=complex),
-    )
-
-
-def _acf_half(
-    x: np.ndarray, twiddle: np.ndarray, work: tuple[np.ndarray, ...] | None = None
-) -> np.ndarray:
-    """Lags 0..M-1 of the aperiodic autocorrelation of every row of x (B, M).
-
-    The ACF is the inverse 2M-point DFT of |X|^2, X the spectrum of x
-    zero-padded to 2M.  Its even bins are E = FFT_M(x) and its odd bins
-    O = FFT_M(x * twiddle), so
-    r[m] = (IFFT_M(|E|^2)[m] + conj(twiddle[m]) * IFFT_M(|O|^2)[m]) / 2.
-    Negative lags follow from r[-m] = conj(r[m]).
-
-    Every step writes into ``work`` (``_acf_buffers`` of at least B rows),
-    allocated here when not given; r is a view of its output buffer.
-    """
-    b, m = x.shape
-    spectrum, power, half, r = (buf[:b] for buf in work or _acf_buffers(b, m))
-    np.multiply(x, twiddle, out=spectrum)
-    np.fft.fft(spectrum, axis=-1, out=spectrum)
-    _real_idft(_power_into(spectrum, power), out=r, half=half)
-    r *= twiddle.conj()
-    np.fft.fft(x, axis=-1, out=spectrum)
-    r += _real_idft(_power_into(spectrum, power), out=spectrum, half=half)
-    r *= 0.5 / m
-    return r
-
-
 def autocorrelation(pulse: SampledPulse) -> CorrelationSeries:
     """Aperiodic autocorrelation R[m] = sum_p x[p] conj(x[p-m]).
 
-    Out-of-range samples count as zero.  Computed from the 2M-point spectrum
-    of the zero-padded samples, split into its even and odd bins (M-point
-    FFTs); the direct O(M^2) sum is kept as a test oracle only.
+    Out-of-range samples count as zero.  Computed the textbook way, as the
+    inverse DFT of |X|^2 with X the 2M-point DFT of the zero-padded samples,
+    so it shares no kernel with ``PhaseEvaluator``; the direct O(M^2) sum is
+    kept as a test oracle only.
     """
     x = pulse.samples
     m = len(x)
     if m == 0:
         raise DegeneratePulseError("empty pulse")
-    r = _acf_half(x[None, :], _twiddle(m))[0]
-    values = np.concatenate([r[:0:-1].conj(), r])
+    r = np.fft.ifft(np.abs(np.fft.fft(x, 2 * m)) ** 2)
+    # bins m+1..2m-1 of the circular ACF are lags -(m-1)..-1
+    values = np.concatenate([r[m + 1:], r[:m]])
     lags = np.arange(-(m - 1), m)
     return CorrelationSeries(lags=lags, values=values)
 
@@ -218,8 +190,10 @@ def islr(acf: CorrelationSeries, spec: PulseSpec) -> float:
 # block holds as many genomes as fit, and at least one.  That is 40 genomes at
 # N = 100, K = 1, L = 20, a whole NSGA-II generation of that shape in one
 # pass, and 8 at N = 125, K = 4, L = 20.  Single-symbol blocks get cheaper per
-# genome the more they hold; the K > 1 ACF's work buffers grow with the block,
-# and there blocks much past 8 genomes were slower.
+# genome the more they hold.  With K > 1 the sidelobe kernel's padded rows
+# and their transforms take twice ``_bins``'s bytes each, and at N = 125,
+# K = 4, L = 20 blocks of 16 and 40 genomes were about 5% and 10% slower
+# than blocks of 8.
 _BLOCK_BYTES = 5 * 2**18
 
 
@@ -231,11 +205,12 @@ class PhaseEvaluator:
     2*pi-periodic, so no block is wrapped.  A block is as many genomes as
     fit in ``_BLOCK_BYTES`` at K*L*N complex values each (at least one), and
     each block's codes are formed once.  Every genome of a block has one
-    complex row in ``_bins`` (PMEPR's polyphase bins) and one float row of
-    K*S values in ``_envelope`` (the power).
-    With one symbol the sidelobe kernel reuses both once PMEPR is taken:
-    y and then |r| in ``_envelope``, M * IFFT_M(y) in ``_bins``.  Its only
-    row of its own is one of 2N points.
+    complex row in ``_bins`` (PMEPR's polyphase bins), one float row of
+    K*S values in ``_envelope`` (the power, then |r|) and one complex row of
+    2KN points in ``_conv`` (the sidelobe kernel's convolution).  With one
+    symbol the sidelobe kernel reuses ``_bins`` once PMEPR is taken, for
+    M * IFFT_M(y); with K > 1 it has two complex rows of 2KS points, the
+    zero-padded pair sums and their transforms.
 
     PMEPR comes from the codes c = w * exp(1j*phi) by the polyphase identity
     of the module docstring: per block one multiply by a precomputed (L, N)
@@ -244,30 +219,26 @@ class PhaseEvaluator:
     synthesized and none is scaled to unit energy.  ``pmepr`` agrees with
     ``pmepr(synthesize(...))`` and with the direct subcarrier sum to 1e-12
     relative (a different summation order, so not bit for bit).
-    ``objectives`` adds PSLR and ISLR, which agree with ``pslr``/``islr`` of
-    ``autocorrelation`` to rounding.
+    ``objectives`` takes PMEPR from the same kernel for every K, so its
+    column is ``pmepr``'s bit for bit, and adds PSLR and ISLR, which agree
+    with ``pslr``/``islr`` of ``autocorrelation`` to rounding.
 
-    With K > 1 symbols ``objectives`` forms the unscaled samples in
-    ``_bins`` (one batched S-point IFFT per block, norm="forward") and takes
-    the batched sample-domain ACF (``_acf_half``, in work buffers allocated
-    once) and then PMEPR, which squares the samples in place, from them, so
-    no transform of a block allocates its output.  Their mean power is
-    sum(w^2) by Parseval, so PMEPR is their peak power divided by sum(w^2),
-    and the sidelobe ratios do not depend on scale either: no unit-energy pass
-    runs.  With one symbol the sidelobes come from the codes alone.  With
-    omega = exp(2j*pi/M), g_d = 1/(1 - omega^d) for 0 < |d| < N and
-    u_n = sum_{k != n} conj(c_k) g_{n-k}, the unnormalized ACF at lags
-    m = 0..M-1 is
-
-        r[m] = (M - m) * sum_n w_n^2 omega^(n*m) + 1j * sum_n y_n omega^(n*m),
-        y_n = 2 * Im(c_n * u_n),
-
-    the diagonal (n = k) and cross terms of the double sum over carrier pairs
-    (y is real because the two cross sums are conjugates of each other).  The
-    first term and the peak r[0] = M * sum(w^2) depend on the weights only.
-    Per genome this costs a 2N-point FFT convolution for u and one real
-    ``rfft`` of y, so a single-symbol genome runs no complex transform of
-    length M at all.
+    The sidelobes come from the codes alone, by the pair-sum identity of the
+    module docstring, for every K.  Each block starts with one batched
+    2N-point FFT convolution of every symbol's conjugate codes with
+    2 * g_d, g_d = 1/(1 - omega^d) for 0 < |d| < N, which gives 2 * U(c_j).
+    With one symbol, y_n = 2 * Im(c_n U_n) is real (the two cross sums are
+    conjugates of each other), and the first term of r and the peak
+    r[0] = M * sum(w^2) depend on the weights only, so a genome costs the
+    convolution and one real ``rfft`` of y, and no complex transform of
+    length M.  With K > 1 the block forms the sparse rows
+    2 * (S*A_d + Z_d - Z_{d+1}) and 2 * (A_d - A_{d+1}) of every d (the 2 of
+    Z comes with 2 * U, and the constants 2S and 2*tau carry the 2 of A,
+    which is exact) in the first N points of zero-padded rows and runs
+    their 2K S-point transforms (norm="forward"), so
+    2r = first - 2*tau * second.  A scale common to every genome of a spec
+    changes no sidelobe ratio.  Every transform writes into a buffer the
+    evaluator allocated once, so no block allocates a transform's output.
     """
 
     def __init__(
@@ -298,24 +269,26 @@ class PhaseEvaluator:
         rows = max(1, _BLOCK_BYTES // (16 * k * s))
         self._bins = np.empty((rows, k, ell, n), dtype=complex)
         self._envelope = np.empty((rows, k * s))
-        m = spec.n_samples
-        if k > 1:
-            # zero-padded spectra and the ACF's work, reused by every block
-            self._spectra = np.zeros((rows, k, s), dtype=complex)
-            self._twiddle = _twiddle(m)
-            self._acf_work = _acf_buffers(rows, m)
-            return
         # 2 * g_d at index d mod 2N, so a 2N-point circular convolution with
         # conj(c) is the linear one over 0 < |n - k| < N
         d = np.arange(1, n)
         g = np.zeros(2 * n, dtype=complex)
-        g[d] = 2.0 / (1.0 - np.exp(2j * np.pi * d / m))
+        g[d] = 2.0 / (1.0 - np.exp(2j * np.pi * d / s))
         g[-d] = g[d].conj()
         self._g_spectrum = np.fft.fft(g)
+        self._conv = np.empty((rows, k, 2 * n), dtype=complex)
+        if k > 1:
+            # the sparse rows of the pair sums (their zero tails padded once:
+            # numpy's own padding through ``n=`` was about 40% slower), their
+            # S-point transforms, and 2 * tau
+            self._pair_sums = np.zeros((rows, 2, k, s), dtype=complex)
+            self._transforms = np.empty((rows, 2, k, s), dtype=complex)
+            self._lags = 2.0 * np.arange(s)
+            return
+        m = spec.n_samples
         # 1j * D[m], D[m] = (M - m) * sum_n w_n^2 omega^(n*m) the weights-only
         # term: at every lag |r[m]| = |M * IFFT_M(y)[m] - 1j * D[m]|
         self._diagonal = 1j * ((m - np.arange(m)) * np.fft.ifft(w**2, n=m) * m)
-        self._conv = np.empty((rows, 2 * n), dtype=complex)
 
     @property
     def active(self) -> np.ndarray:
@@ -347,21 +320,38 @@ class PhaseEvaluator:
         return self._peak_ratio(bins)
 
     def _code_acf_magnitudes(self, codes: np.ndarray) -> np.ndarray:
-        """|r[m]|, m = 0..M-1, of the single-symbol pulses with codes (B, N);
-        unnormalized (peak M * sum(w^2)).  Overwrites ``_bins`` and
-        ``_envelope``, and returns a view of the latter."""
-        count = len(codes)
-        n, m = self.spec.n_subcarriers, self.spec.n_samples
+        """|r[m]|, m = 0..M-1, of the pulses with codes (B, K, N), up to a
+        scale common to the spec.  Overwrites ``_envelope``, and returns a
+        (B, M) view of it; with one symbol it overwrites ``_bins`` too."""
+        count, k, n = codes.shape
+        s, m = self.spec.samples_per_symbol, self.spec.n_samples
         spectrum = np.fft.fft(np.conjugate(codes), n=2 * n, axis=-1, out=self._conv[:count])
         spectrum *= self._g_spectrum
-        u = np.fft.ifft(spectrum, axis=-1, out=spectrum)[:, :n]
-        u *= codes
+        u = np.fft.ifft(spectrum, axis=-1, out=spectrum)[..., :n]  # 2 * U(c_j)
         y = self._envelope[:count]
-        y[:, :n] = u.imag
-        y[:, n:] = 0.0
-        r = _real_idft(y, out=self._bins[:count].reshape(count, m))
-        r -= self._diagonal
-        return np.abs(r, out=y)  # the transform has read y
+        if k == 1:
+            u *= codes
+            y[:, :n] = u[:, 0].imag
+            y[:, n:] = 0.0
+            r = _real_idft(y, out=self._bins[:count].reshape(count, m))
+            r -= self._diagonal
+            return np.abs(r, out=y)  # the transform has read y
+        # rows 2*(S*A_d + Z_d - Z_{d+1}) and 2*(A_d - A_{d+1}); u carries the
+        # 2 of Z, and the constants 2S and 2*tau carry the 2 of A
+        pairs = self._pair_sums[:count]
+        sums, slopes = pairs[:, 0, :, :n], pairs[:, 1, :, :n]
+        for d in range(k):
+            lead, lag = codes[:, d:], codes[:, :k - d]  # c_{j+d}, c_j
+            np.sum(lead * lag.conj(), axis=1, out=slopes[:, d])
+            np.sum(lead * u[:, :k - d], axis=1, out=sums[:, d])
+            sums[:, d] -= np.sum(lag * u[:, d:], axis=1).conj()
+        sums[:, :-1] -= sums[:, 1:]
+        sums += 2 * s * slopes
+        slopes[:, :-1] -= slopes[:, 1:]
+        t = np.fft.ifft(pairs, axis=-1, norm="forward", out=self._transforms[:count])
+        t[:, 1] *= self._lags
+        t[:, 0] -= t[:, 1]
+        return np.abs(t[:, 0], out=y.reshape(count, k, s)).reshape(count, m)
 
     def pmepr(self, phases: np.ndarray) -> np.ndarray:
         """PMEPR of every genome, shape (P,)."""
@@ -373,21 +363,8 @@ class PhaseEvaluator:
         """Columns (PMEPR, PSLR dB, ISLR dB) of every genome, shape (P, 3)."""
         rows = [np.empty((0, 3))]
         for codes in self._blocks(phases):
-            if self.spec.n_symbols == 1:
-                pmeprs = self._pmepr_codes(codes)
-                mag = self._code_acf_magnitudes(codes[:, 0])
-            else:
-                count, _, n = codes.shape
-                spectra = self._spectra[:count]
-                spectra[:, :, :n] = codes
-                x = self._bins[:count].reshape(spectra.shape)
-                x = np.fft.ifft(spectra, axis=-1, norm="forward", out=x).reshape(count, -1)
-                # the ACF first: the peak ratio squares x in place; |r| goes
-                # into the ACF's power buffer, free once r is formed
-                r = _acf_half(x, self._twiddle, self._acf_work)
-                mag = np.abs(r, out=self._acf_work[1][:count])
-                pmeprs = self._peak_ratio(x)
-            side, peak = _split_sidelobes(mag, self._min_lag)
+            pmeprs = self._pmepr_codes(codes)
+            side, peak = _split_sidelobes(self._code_acf_magnitudes(codes), self._min_lag)
             rows.append(np.column_stack([
                 pmeprs, _pslr_db(side, peak), _islr_db(side, peak, wings=2),
             ]))

@@ -342,9 +342,25 @@ def test_pmepr_matches_direct_sum(monkeypatch, n, k, oversampling):
     evaluator = PhaseEvaluator(spec, weights, mask)
     assert_same_pmepr(evaluator.pmepr(phases), want)
     if n > 1 or k > 1:  # one tone in one symbol has no sidelobes
-        assert_same_pmepr(evaluator.objectives(phases)[:, 0], want)
+        # objectives takes PMEPR from the same kernel as pmepr, for every K
+        assert np.array_equal(evaluator.objectives(phases)[:, 0], evaluator.pmepr(phases))
     per_pulse = [pmepr(synthesize(spec, PhaseCodeMatrix(p), weights, mask)) for p in phases]
     assert_same_pmepr(per_pulse, want)
+
+
+def assert_closed_form(monkeypatch, n, k, oversampling, count, sparse):
+    """``objectives`` of ``count`` random genomes, in blocks of 4, against
+    the direct-sum PMEPR and the O(M^2) ACF of the synthesized samples."""
+    rng = np.random.default_rng(n * oversampling + 1000 * (k - 1))
+    spec = PulseSpec(n, k, 1e5, oversampling)
+    budget_rows(monkeypatch, spec, 4)
+    mask = random_mask(n, 0.5, rng) if sparse else None
+    weights = WeightVector(rng.uniform(0.05, 2.0, n) if sparse else np.ones(n))
+    phases = rng.uniform(0, TWO_PI, (count, n, k))
+    got = PhaseEvaluator(spec, weights, mask).objectives(phases)
+    want = np.array([direct_objectives(spec, p, weights, mask) for p in phases])
+    assert_same_pmepr(got[:, 0], want[:, 0])
+    assert_same_sidelobes(got[:, 1:], want[:, 1:])
 
 
 class TestPhaseEvaluator:
@@ -399,7 +415,7 @@ class TestPhaseEvaluator:
         assert_same_sidelobes(got[:, 1:], want[:, 1:])
 
     def test_multisymbol_odd_symbol_length(self):
-        # K > 1 takes the even-bin transform per block; N*L = 15 is odd
+        # K > 1 transforms its sparse rows at S = N*L = 15 points, an odd length
         rng = np.random.default_rng(15)
         spec = PulseSpec(5, 2, 1e5, 3)
         mask = SparsityMask(np.array([True, True, False, True, True]))
@@ -421,23 +437,25 @@ class TestPhaseEvaluator:
     def test_single_symbol_closed_form(self, monkeypatch, n, oversampling, count, sparse):
         # K = 1 scores the sidelobes from the codes; batches of more than 4
         # genomes span two or more blocks
-        rng = np.random.default_rng(n * oversampling)
-        spec = PulseSpec(n, 1, 1e5, oversampling)
-        budget_rows(monkeypatch, spec, 4)
-        mask = random_mask(n, 0.5, rng) if sparse else None
-        weights = WeightVector(rng.uniform(0.05, 2.0, n) if sparse else np.ones(n))
-        phases = rng.uniform(0, TWO_PI, (count, n, 1))
-        got = PhaseEvaluator(spec, weights, mask).objectives(phases)
-        want = np.array([direct_objectives(spec, p, weights, mask) for p in phases])
-        assert_same_pmepr(got[:, 0], want[:, 0])
-        assert_same_sidelobes(got[:, 1:], want[:, 1:])
+        assert_closed_form(monkeypatch, n, 1, oversampling, count, sparse)
+
+    @pytest.mark.parametrize("n, k, oversampling, count, sparse", [
+        (25, 4, 20, 9, False),  # criterion 06's shape
+        (125, 4, 20, 2, False),
+        (5, 2, 3, 7, False),  # odd S = N*L
+        (9, 3, 1, 8, False),  # L = 1, so S = N
+        (24, 3, 4, 10, True),  # sparse mask, non-uniform weights
+    ])
+    def test_multi_symbol_closed_form(self, monkeypatch, n, k, oversampling, count, sparse):
+        # K > 1 scores the sidelobes from the codes' symbol-pair sums
+        assert_closed_form(monkeypatch, n, k, oversampling, count, sparse)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_single_symbol_runs_no_m_point_complex_transform(self, monkeypatch, k):
-        # pmepr runs only the polyphase kernel's N-point FFTs.  With one
-        # symbol the sidelobe closed form adds 2N-point FFTs and one real rfft
-        # of length M, and nothing synthesizes; with K > 1 every block runs
-        # one S-point synthesis ifft and the ACF's two M-point fft + rfft pairs
+        # pmepr runs only the polyphase kernel's N-point FFTs.  objectives
+        # adds a 2N-point fft/ifft pair (the convolution for every symbol);
+        # then one symbol takes one real rfft of length M, and more symbols
+        # one batch of S-point iffts of sparse rows.  Nothing synthesizes
         spec = PulseSpec(16, k, 1e5, 4)
         s, m = spec.samples_per_symbol, spec.n_samples
         budget_rows(monkeypatch, spec, 5)
@@ -462,20 +480,18 @@ class TestPhaseEvaluator:
                 "fft": [16, 32] * blocks, "ifft": [32] * blocks, "rfft": [m] * blocks,
             }
         else:
-            assert lengths == {
-                "fft": [m] * 2 * blocks, "ifft": [s] * blocks, "rfft": [m] * 2 * blocks,
-            }
+            assert lengths == {"fft": [16, 32] * blocks, "ifft": [32, s] * blocks, "rfft": []}
 
     def test_multi_symbol_transforms_write_into_block_buffers(self, monkeypatch):
-        # with K > 1 each block's synthesis ifft and the ACF's two M-point
-        # fft + rfft pairs write into buffers the evaluator allocated once,
+        # with K > 1 each block's polyphase fft, convolution fft/ifft pair
+        # and S-point iffts write into buffers the evaluator allocated once,
         # so no block allocates a transform's output
         spec = PulseSpec(16, 3, 1e5, 4)
         budget_rows(monkeypatch, spec, 5)
         evaluator = PhaseEvaluator(spec, WeightVector(np.ones(16)))
         blocks = -(-11 // len(evaluator._bins))
         assert blocks > 1
-        owned = [evaluator._bins, *evaluator._acf_work]
+        owned = [evaluator._bins, evaluator._conv, evaluator._transforms]
         outs = []
         for name in ("fft", "ifft", "rfft"):
             def counted(a, n=None, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
@@ -483,9 +499,7 @@ class TestPhaseEvaluator:
                 return _fn(a, n, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         evaluator.objectives(np.zeros((11, 16, 3)))
-        assert sorted(name for name, _ in outs) == sorted(
-            ["ifft", "fft", "fft", "rfft", "rfft"] * blocks
-        )
+        assert sorted(name for name, _ in outs) == sorted(["fft", "fft", "ifft", "ifft"] * blocks)
         for name, out in outs:
             assert out is not None, name
             assert any(np.shares_memory(out, buf) for buf in owned), name
@@ -575,15 +589,7 @@ class TestPhaseEvaluator:
 def test_real_idft_matches_complex_ifft(m):
     y = np.random.default_rng(m).uniform(0.0, 3.0, (4, m))
     want = np.fft.ifft(y.astype(complex), axis=-1)
-    got = _real_idft(y)
-    assert np.allclose(got / m, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
-    # a caller's buffer is filled and returned, with the same bits
+    # the caller's buffer is filled and returned
     buffer = np.full((4, m), np.nan, dtype=complex)
     assert _real_idft(y, out=buffer) is buffer
-    assert np.array_equal(buffer, got)
-    # and with the half spectrum in a caller's buffer too
-    buffer[:] = np.nan
-    half = np.full((4, m // 2 + 1), np.nan, dtype=complex)
-    assert _real_idft(y, out=buffer, half=half) is buffer
-    assert np.array_equal(buffer, got)
-    assert np.array_equal(half, np.fft.rfft(y, axis=-1))
+    assert np.allclose(buffer / m, want, rtol=0.0, atol=1e-12 * np.abs(want).max())

@@ -12,6 +12,7 @@ BLOCK_ROWS = {
     "pmepr N=100 K=1 L=20": 40, "objectives N=100 K=1 L=20": 40,
     "pmepr N=100 K=1 L=20 P=1000": 40,
     "pmepr N=125 K=4 L=20": 8, "objectives N=125 K=4 L=20": 8,
+    "objectives N=25 K=4 L=20": 40,
 }
 PROBES = [*BLOCK_ROWS, "nsga2", "rank_and_crowd", "sga_phases", "continuous_minimize"]
 

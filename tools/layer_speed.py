@@ -10,6 +10,8 @@ The probes:
   uniform-weight pulse, ``REPS`` calls on a batch of ``GENOMES`` random
   genomes; microseconds per genome.  ``block_rows`` is the genomes the
   evaluator scores per block.
+* ``objectives N=25 K=4 L=20`` has criterion 06's shape (NSGA-II on
+  PMEPR/PSLR of four-symbol pulses).
 * ``pmepr N=100 K=1 L=20 P=1000``: the same on one batch of 1000 genomes,
   the random-code sample a derived PMEPR cap is drawn from.
 * ``nsga2``: one capped NSGA-II (P = 40, n = 100) on an objective that costs
@@ -158,6 +160,7 @@ PROBES = [
     evaluator_probe("pmepr", 100, 1, 20, genomes=1000),
     evaluator_probe("pmepr", 125, 4, 20),
     evaluator_probe("objectives", 125, 4, 20),
+    evaluator_probe("objectives", 25, 4, 20),
     ("nsga2", nsga2_probe),
     ("rank_and_crowd", rank_probe),
     ("sga_phases", sga_probe),
