@@ -35,7 +35,6 @@ from .illumination import (
     two_step_pipeline,
 )
 from .metrics import (
-    CorrelationSeries,
     PhaseEvaluator,
     autocorrelation,
     islr,

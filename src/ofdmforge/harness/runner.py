@@ -106,7 +106,7 @@ def _run_dimension(config, run_id, run_dir, rng):
 
 def _run_synthesize(config, run_id, run_dir, rng):
     codes, mask, evaluator = _baseline_design(config, rng)
-    pulse = synthesize(config.pulse, codes, uniform_weights(mask), mask)
+    pulse = synthesize(config.pulse, codes, uniform_weights(mask))
     t = pulse.times_s.tolist()
     write_csv(
         run_dir / "pulse.csv",

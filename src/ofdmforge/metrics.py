@@ -4,7 +4,8 @@ PMEPR is the peak-to-mean envelope power ratio of the complex baseband
 samples (reported linear).  PSLR and ISLR are sidelobe measures of the
 autocorrelation magnitude, reported as 20*log10 ratios against the zero-lag
 peak.  Lags closer to zero than the Rayleigh resolution 1/B on either side
-belong to the mainlobe and are excluded from both sidelobe metrics.
+belong to the mainlobe and are excluded from both sidelobe metrics; on the
+L-times oversampled grid, dt = 1/(B*L), those are the lags |m| < L.
 
 A pulse of K symbols of S = N*L samples, symbol j being
 x_j[t] = sum_n c_{n,j} omega^(n*t) with omega = exp(2j*pi/S), has the
@@ -54,8 +55,6 @@ and serve as the sample-domain oracle for it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegeneratePulseError, UndefinedSidelobesError
@@ -67,24 +66,6 @@ from .waveform import (
     effective_weights,
     subcarrier_codes,
 )
-
-
-@dataclass(frozen=True)
-class CorrelationSeries:
-    """Autocorrelation R[m] on the oversampled lag grid m = -(M-1)..(M-1)."""
-
-    lags: np.ndarray
-    values: np.ndarray
-
-
-def _power_into(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|z|^2 as re^2 + im^2 of each row of the contiguous block z (B, ...),
-    written into ``out`` (B, z.size // B) with no temporary: squares z's
-    re/im lanes in place, so z is consumed.  Fresh temporaries of a block's
-    size would come back as new pages every block."""
-    lanes = z.reshape(len(z), -1).view(float)
-    np.multiply(lanes, lanes, out=lanes)
-    return np.add(lanes[:, 0::2], lanes[:, 1::2], out=out)
 
 
 def pmepr(pulse: SampledPulse) -> float:
@@ -114,8 +95,9 @@ def _real_idft(y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def autocorrelation(pulse: SampledPulse) -> CorrelationSeries:
-    """Aperiodic autocorrelation R[m] = sum_p x[p] conj(x[p-m]).
+def autocorrelation(pulse: SampledPulse) -> np.ndarray:
+    """Aperiodic autocorrelation R[m] = sum_p x[p] conj(x[p-m]) of the M
+    samples, a (2M-1,) array at lags m = -(M-1)..M-1: zero lag is index M-1.
 
     Out-of-range samples count as zero.  Computed the textbook way, as the
     inverse DFT of |X|^2 with X the 2M-point DFT of the zero-padded samples,
@@ -128,38 +110,26 @@ def autocorrelation(pulse: SampledPulse) -> CorrelationSeries:
         raise DegeneratePulseError("empty pulse")
     r = np.fft.ifft(np.abs(np.fft.fft(x, 2 * m)) ** 2)
     # bins m+1..2m-1 of the circular ACF are lags -(m-1)..-1
-    values = np.concatenate([r[m + 1:], r[:m]])
-    lags = np.arange(-(m - 1), m)
-    return CorrelationSeries(lags=lags, values=values)
+    return np.concatenate([r[m + 1:], r[:m]])
 
 
-def _mainlobe_lags(spec: PulseSpec) -> int:
-    """Lags closer to zero than this belong to the mainlobe.
-
-    The mainlobe exclusion covers |tau| < 1/B on each side of zero lag, i.e.
-    twice the Rayleigh resolution in total; with dt = 1/(B*L) that is every
-    lag with |m| < L.
-    """
-    return int(np.ceil((1.0 / spec.bandwidth_hz) / spec.sample_period_s - 1e-9))
-
-
-def _split_sidelobes(mag: np.ndarray, min_lag: int) -> tuple[np.ndarray, np.ndarray]:
+def _split_sidelobes(mag: np.ndarray, spec: PulseSpec) -> tuple[np.ndarray, np.ndarray]:
     """Split ACF magnitudes at lags 0, 1, 2, ... along the last axis into
-    (sidelobe magnitudes, zero-lag peak)."""
+    (sidelobe magnitudes, zero-lag peak); the mainlobe is the lags |m| < L."""
     peak = mag[..., 0]
     if not np.all(peak > 0):
         raise DegeneratePulseError("zero-energy autocorrelation")
-    if min_lag >= mag.shape[-1]:
+    if spec.oversampling >= mag.shape[-1]:
         raise UndefinedSidelobesError(
             "no autocorrelation lag falls outside the mainlobe exclusion zone"
         )
-    return mag[..., min_lag:], peak
+    return mag[..., spec.oversampling:], peak
 
 
-def _sidelobe_magnitudes(acf: CorrelationSeries, spec: PulseSpec) -> tuple[np.ndarray, float]:
-    """Split the ACF into (sidelobe magnitudes of both wings, peak magnitude)."""
-    mag = np.abs(acf.values)
-    right, peak = _split_sidelobes(mag[len(mag) // 2:], _mainlobe_lags(spec))
+def _sidelobe_magnitudes(acf: np.ndarray, spec: PulseSpec) -> tuple[np.ndarray, float]:
+    """(Sidelobe magnitudes of both wings, peak magnitude) of an ACF array."""
+    mag = np.abs(acf)
+    right, peak = _split_sidelobes(mag[len(mag) // 2:], spec)
     return np.concatenate([mag[:len(right)], right]), peak
 
 
@@ -172,13 +142,14 @@ def _islr_db(side: np.ndarray, peak, wings: int = 1) -> np.ndarray:
     return 20.0 * np.log10(wings * side.sum(axis=-1) / peak)
 
 
-def pslr(acf: CorrelationSeries, spec: PulseSpec) -> float:
-    """Peak sidelobe over mainlobe peak, in dB (20*log10)."""
+def pslr(acf: np.ndarray, spec: PulseSpec) -> float:
+    """Peak sidelobe over mainlobe peak of an ``autocorrelation`` array, in dB."""
     return float(_pslr_db(*_sidelobe_magnitudes(acf, spec)))
 
 
-def islr(acf: CorrelationSeries, spec: PulseSpec) -> float:
-    """Summed sidelobe magnitude over mainlobe peak, in dB (20*log10).
+def islr(acf: np.ndarray, spec: PulseSpec) -> float:
+    """Summed sidelobe magnitude over mainlobe peak of an ``autocorrelation``
+    array, in dB.
 
     The sum runs over both sidelobe wings on the oversampled lag grid, so the
     value depends on the oversampling factor; report L next to it.
@@ -259,7 +230,6 @@ class PhaseEvaluator:
         self._active = w != 0
         self._active.flags.writeable = False
         self._energy = energy
-        self._min_lag = _mainlobe_lags(spec)
         n, k, ell = spec.n_subcarriers, spec.n_symbols, spec.oversampling
         s = spec.samples_per_symbol
         # exp(-2j*pi*n*q/S), the exponent reduced mod S in integers
@@ -306,18 +276,19 @@ class PhaseEvaluator:
         for start in range(0, len(phases), rows):
             yield subcarrier_codes(self.spec, self._w, phases[start:start + rows])
 
-    def _peak_ratio(self, z: np.ndarray) -> np.ndarray:
-        """max |z|^2 over each row of the contiguous block z (B, ...) divided
-        by sum(w^2), the mean power of every pulse's unscaled samples
-        (Parseval).  Squares z's re/im lanes in place, so z is consumed."""
-        return _power_into(z, self._envelope[:len(z)]).max(axis=1) / self._energy
-
     def _pmepr_codes(self, codes: np.ndarray) -> np.ndarray:
-        """PMEPR of the pulses with codes (B, K, N), by the polyphase split."""
-        bins = self._bins[:len(codes)]
+        """PMEPR of the pulses with codes (B, K, N), by the polyphase split:
+        each row's max |bins|^2 over sum(w^2) (Parseval).  The bins' re/im
+        lanes are squared in place and summed into ``_envelope``, since fresh
+        temporaries of a block's size come back as new pages every block."""
+        count = len(codes)
+        bins = self._bins[:count]
         np.multiply(codes[:, :, None, :], self._polyphase, out=bins)
         np.fft.fft(bins, axis=-1, out=bins)
-        return self._peak_ratio(bins)
+        lanes = bins.reshape(count, -1).view(float)
+        np.multiply(lanes, lanes, out=lanes)
+        power = np.add(lanes[:, 0::2], lanes[:, 1::2], out=self._envelope[:count])
+        return power.max(axis=1) / self._energy
 
     def _code_acf_magnitudes(self, codes: np.ndarray) -> np.ndarray:
         """|r[m]|, m = 0..M-1, of the pulses with codes (B, K, N), up to a
@@ -364,7 +335,7 @@ class PhaseEvaluator:
         rows = [np.empty((0, 3))]
         for codes in self._blocks(phases):
             pmeprs = self._pmepr_codes(codes)
-            side, peak = _split_sidelobes(self._code_acf_magnitudes(codes), self._min_lag)
+            side, peak = _split_sidelobes(self._code_acf_magnitudes(codes), self.spec)
             rows.append(np.column_stack([
                 pmeprs, _pslr_db(side, peak), _islr_db(side, peak, wings=2),
             ]))

@@ -42,7 +42,9 @@ class PulseSpec:
             raise ValueError("subcarrier_spacing_hz must be > 0")
         if self.oversampling < 1:
             raise ValueError("oversampling must be >= 1")
-        if not (0 < self.bandwidth_hz < np.inf and 0 < self.sample_period_s < np.inf):
+        with np.errstate(over="ignore"):  # numpy scalars warn as they overflow
+            finite = 0 < self.bandwidth_hz < np.inf and 0 < self.sample_period_s < np.inf
+        if not finite:
             raise ValueError(
                 f"subcarrier_spacing_hz {self.subcarrier_spacing_hz} gives a bandwidth or"
                 " sample period that is not finite and > 0"
@@ -212,15 +214,10 @@ def synthesize(
     zero-padded length-N*L inverse DFT per symbol, which is exact for integer
     subcarrier indices.
     """
-    n, k = spec.n_subcarriers, spec.n_symbols
-    if codes.phases.shape != (n, k):
-        raise ValueError(
-            f"phase matrix shape {codes.phases.shape} != ({n}, {k})"
-        )
     w = effective_weights(spec, weights, mask)
     m = spec.samples_per_symbol
-    spectra = np.zeros((k, m), dtype=complex)
-    spectra[:, :n] = w * codes.codes().T
+    spectra = np.zeros((spec.n_symbols, m), dtype=complex)
+    spectra[:, :spec.n_subcarriers] = subcarrier_codes(spec, w, codes.phases[None])[0]
     x = np.fft.ifft(spectra, axis=-1).reshape(-1)
     # in place: a fresh product would be one more temporary of the pulse size
     x *= m

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import GOLAY_SEEDS, direct_acf, golay_pair, random_pulse, turyn_pair
 from ofdmforge import (
-    CorrelationSeries,
     PhaseCodeMatrix,
     PhaseEvaluator,
     PulseSpec,
@@ -62,17 +61,18 @@ class TestAutocorrelation:
         rng = np.random.default_rng(0)
         pulse = random_pulse(rng)
         acf = autocorrelation(pulse)
-        center = len(acf.values) // 2
-        assert acf.lags[center] == 0
+        m = len(pulse.samples)
+        assert len(acf) == 2 * m - 1
+        assert np.argmax(np.abs(acf)) == m - 1
         expected = np.sum(np.abs(pulse.samples) ** 2)
-        assert np.abs(acf.values[center]) == pytest.approx(expected, rel=1e-12)
+        assert np.abs(acf[m - 1]) == pytest.approx(expected, rel=1e-12)
 
     def test_two_sample_pulse_hand_computed(self):
         spec = PulseSpec(1, 2, 1.0, 1)  # dt = 1 so unit energy works out
         pulse = SampledPulse(np.array([1.0, 1.0]) / np.sqrt(2), 1.0, spec)
         acf = autocorrelation(pulse)
-        assert np.allclose(np.abs(acf.values), [0.5, 1.0, 0.5], atol=1e-12)
-        assert list(acf.lags) == [-1, 0, 1]
+        assert np.allclose(np.abs(acf), [0.5, 1.0, 0.5], atol=1e-12)
+        assert len(acf) == 3 and np.argmax(np.abs(acf)) == 1
 
     def test_oversampled_tracks_critical_acf(self):
         # the critical-rate ACF is a coarse Riemann sum of the same
@@ -82,9 +82,9 @@ class TestAutocorrelation:
         phases = PhaseCodeMatrix(rng.uniform(0, TWO_PI, (3, 3)))
         a1 = autocorrelation(full_band(3, 3, 1, phases))
         a20 = autocorrelation(full_band(3, 3, 20, phases))
-        c1, c20 = len(a1.values) // 2, len(a20.values) // 2
-        r1 = np.abs(a1.values) / np.abs(a1.values[c1])
-        r20 = np.abs(a20.values) / np.abs(a20.values[c20])
+        c1, c20 = len(a1) // 2, len(a20) // 2
+        r1 = np.abs(a1) / np.abs(a1[c1])
+        r20 = np.abs(a20) / np.abs(a20[c20])
         for m in range(-8, 9):
             if m % 3 == 0:
                 assert r20[c20 + 20 * m] == pytest.approx(r1[c1 + m], abs=1e-9)
@@ -98,7 +98,7 @@ class TestAutocorrelation:
         pulse = random_pulse(rng, n=int(rng.integers(2, 10)), k=1,
                              oversampling=int(rng.integers(1, 6)))
         assert len(pulse.samples) <= 512
-        got = autocorrelation(pulse).values
+        got = autocorrelation(pulse)
         want = direct_acf(pulse.samples)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
@@ -107,20 +107,19 @@ class TestAutocorrelation:
     def test_magnitude_symmetry(self, seed):
         rng = np.random.default_rng(seed)
         acf = autocorrelation(random_pulse(rng))
-        mags = np.abs(acf.values)
+        mags = np.abs(acf)
         assert np.allclose(mags, mags[::-1], atol=1e-9 * mags.max())
 
 
 def thumbtack_series(side_level: float, n_side: int, min_lag: int):
-    """Synthetic ACF: unit peak plus n_side sidelobes per wing at side_level."""
-    lags = np.arange(-(min_lag + n_side), min_lag + n_side + 1)
-    values = np.zeros(len(lags), dtype=complex)
-    center = len(lags) // 2
+    """Synthetic ACF array: unit peak plus n_side sidelobes per wing at side_level."""
+    center = min_lag + n_side
+    values = np.zeros(2 * center + 1, dtype=complex)
     values[center] = 1.0
     for i in range(n_side):
         values[center + min_lag + i] = side_level
         values[center - min_lag - i] = side_level
-    return CorrelationSeries(lags=lags, values=values)
+    return values
 
 
 class TestSidelobeMetrics:
@@ -302,9 +301,7 @@ def direct_objectives(spec, phases, weights, mask):
     """(pmepr, pslr_db, islr_db) of one pulse: PMEPR from the direct
     subcarrier sum, sidelobes from the O(M^2) ACF of the synthesized samples."""
     pulse = synthesize(spec, PhaseCodeMatrix(phases), weights, mask)
-    values = direct_acf(pulse.samples)
-    m = len(pulse.samples)
-    acf = CorrelationSeries(lags=np.arange(-(m - 1), m), values=values)
+    acf = direct_acf(pulse.samples)
     return direct_pmepr(spec, phases, weights, mask), pslr(acf, spec), islr(acf, spec)
 
 
@@ -413,6 +410,19 @@ class TestPhaseEvaluator:
         want = np.array([direct_objectives(spec, p, weights, None) for p in phases])
         assert_same_pmepr(got[:, 0], want[:, 0])
         assert_same_sidelobes(got[:, 1:], want[:, 1:])
+
+    def test_mainlobe_does_not_depend_on_spacing(self):
+        # the mainlobe is the lags |m| < L at any subcarrier spacing, also
+        # where the sample period 1/(N*L*df) is subnormal (8.9e-312 s here)
+        rng = np.random.default_rng(5000)
+        weights = WeightVector(np.ones(3))
+        phases = rng.uniform(0, TWO_PI, (4, 3, 1))
+        specs = [PulseSpec(3, 1, df, 5000) for df in (1e5, 7.450414773728642e306)]
+        scores = [PhaseEvaluator(spec, weights).objectives(phases) for spec in specs]
+        assert np.array_equal(scores[0], scores[1])
+        acf = autocorrelation(synthesize(specs[0], PhaseCodeMatrix(phases[0]), weights))
+        assert pslr(acf, specs[1]) == pslr(acf, specs[0])
+        assert islr(acf, specs[1]) == islr(acf, specs[0])
 
     def test_multisymbol_odd_symbol_length(self):
         # K > 1 transforms its sparse rows at S = N*L = 15 points, an odd length

@@ -50,6 +50,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="not finite and > 0"):
             PulseSpec(8, 1, spacing, 20)
 
+    @pytest.mark.parametrize("args", [
+        (3, 1, np.float64(1e308), 5),
+        (np.int64(3), 1, 1e308, 5),
+        (3, 1, np.float64(1e-320), 5),
+    ])
+    def test_pulse_spec_rejects_overflowing_numpy_scalars(self, args):
+        # numpy scalars overflow with a RuntimeWarning where floats give inf
+        with pytest.raises(ValueError, match="not finite and > 0"):
+            PulseSpec(*args)
+
     def test_phase_matrix_wraps(self):
         m = PhaseCodeMatrix(np.array([[-np.pi, 3 * np.pi]]))
         assert np.all(m.phases >= 0) and np.all(m.phases < TWO_PI)
