@@ -48,11 +48,10 @@ from .pareto import (
     nsga2,
     pmepr_threshold_from_distribution,
 )
-from .phasing import BaselineKind, newman_phases, noncoded_phases, random_phases
+from .phasing import newman_phases, noncoded_phases, random_phases
 from .waveform import (
     PhaseCodeMatrix,
     PulseSpec,
-    SampledPulse,
     SparsityMask,
     WeightVector,
     random_mask,

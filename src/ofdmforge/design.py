@@ -53,13 +53,6 @@ class PulseDimensions:
     max_pulse_len_s: float
     max_subcarriers: int
 
-    def as_dict(self) -> dict:
-        return {
-            "bandwidth_hz": self.bandwidth_hz,
-            "max_pulse_len_s": self.max_pulse_len_s,
-            "max_subcarriers": self.max_subcarriers,
-        }
-
 
 def bandwidth_for_target(scenario: ScenarioSpec) -> float:
     """Largest bandwidth keeping target-plus-margin inside one range cell.

@@ -12,7 +12,8 @@ from typing import get_args, get_type_hints
 
 from ..errors import ConfigError, ForgeError
 from ..evolve import GASchedule
-from .config import BASELINES, KIND_KEYS, ExperimentConfig, parse_config, read_config
+from ..phasing import BASELINES
+from .config import KIND_KEYS, ExperimentConfig, parse_config, read_config
 from .runner import run_experiment
 
 # the help's "%(key)s" defaults come from the dataclass fields
@@ -77,7 +78,8 @@ _KIND_FIELDS = {
   phase_ga           GA for PMEPR phases (e.g. 12 x 600)
   bits_per_var       phase encoding bits                      (default %(bits_per_var)s)
             writes illumination.json {gain_db, pmepr_initial, pmepr_final},
-            spectra.csv (n, reflectivity_norm_abs, w_opt), trace.csv
+            spectra.csv (n, reflectivity_norm_abs, w_opt), trace.csv and
+            genome.json {bits_per_var, phases}, the designed phases
 """,
 }
 

@@ -21,10 +21,8 @@ from ..design import SPEED_OF_LIGHT, ScenarioSpec, dimension_pulse
 from ..errors import ConfigError, InvalidScenarioError
 from ..evolve import GAConfig, GASchedule
 from ..pareto import MIN_THRESHOLD_SAMPLES, ConstraintSpec
-from ..phasing import BaselineKind
+from ..phasing import BASELINES
 from ..waveform import PulseSpec
-
-BASELINES = tuple(k.value for k in BaselineKind)
 
 
 def _as_int(value: object, name: str) -> int:

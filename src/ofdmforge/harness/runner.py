@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from ..pareto import (
     nsga2,
     pmepr_threshold_from_distribution,
 )
-from ..phasing import BaselineKind, baseline_phases
+from ..phasing import baseline_phases
 from ..waveform import (
     TWO_PI,
     SparsityMask,
@@ -84,7 +84,7 @@ def _baseline_design(config: ExperimentConfig, rng: np.random.Generator):
     spec = config.pulse
     mask, evaluator = _run_band(config, rng)
     codes = baseline_phases(
-        BaselineKind(config.baseline),
+        config.baseline,
         spec.n_subcarriers,
         spec.n_symbols,
         rng=rng,
@@ -101,26 +101,23 @@ def _baseline_design(config: ExperimentConfig, rng: np.random.Generator):
 
 
 def _run_dimension(config, run_id, run_dir, rng):
-    return dimension_pulse(config.scenario).as_dict(), {}
+    return asdict(dimension_pulse(config.scenario)), {}
 
 
 def _run_synthesize(config, run_id, run_dir, rng):
     codes, mask, evaluator = _baseline_design(config, rng)
-    pulse = synthesize(config.pulse, codes, uniform_weights(mask))
-    t = pulse.times_s.tolist()
-    write_csv(
-        run_dir / "pulse.csv",
-        ("t_s", "re", "im"),
-        zip(t, pulse.samples.real.tolist(), pulse.samples.imag.tolist()),
-    )
-    freqs, mag = pulse_spectrum(pulse)
+    spec = config.pulse
+    x = synthesize(spec, codes, uniform_weights(mask))
+    t = (np.arange(len(x)) * spec.sample_period_s).tolist()
+    write_csv(run_dir / "pulse.csv", ("t_s", "re", "im"), zip(t, x.real.tolist(), x.imag.tolist()))
+    freqs, mag = pulse_spectrum(x, spec.sample_period_s)
     spectrum = list(zip(freqs.tolist(), mag.tolist()))
     write_csv(run_dir / "spectrum.csv", SPECTRUM_HEADER, spectrum)
     objectives = {"pmepr": float(evaluator.pmepr(codes.phases[None])[0])}
     if run_id != 0:
         return objectives, {}
     return objectives, {
-        "envelope.csv": list(zip(t, np.abs(pulse.samples).tolist())),
+        "envelope.csv": list(zip(t, np.abs(x).tolist())),
         "spectrum.csv": spectrum,
     }
 
@@ -317,6 +314,8 @@ def _run_illuminate(config, run_id, run_dir, rng):
     ))
     write_csv(run_dir / "spectra.csv", SPECTRA_HEADER, spectra)
     write_trace(run_dir / "trace.csv", result.pmepr_trace)
+    genome = {"bits_per_var": config.bits_per_var, "phases": result.a_opt.tolist()}
+    _write_json(run_dir / "genome.json", genome)
     objectives = {
         "gain_db": result.gain_db,
         "pmepr_initial": result.pmepr_initial,

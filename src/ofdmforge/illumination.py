@@ -16,7 +16,7 @@ from .design import SPEED_OF_LIGHT
 from .errors import ContractViolationError, DegenerateTargetError
 from .evolve import ConvergenceTrace, GAConfig, GASchedule, continuous_minimize, sga_phases
 from .metrics import PhaseEvaluator
-from .waveform import PhaseCodeMatrix, PulseSpec, WeightVector
+from .waveform import PulseSpec, WeightVector
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,12 @@ class TargetModel:
         ranges = center_range_m + rng.uniform(-half, half, size=n_scatterers)
         return cls(np.full(n_scatterers, reflectivity), ranges)
 
-    @property
-    def n_scatterers(self) -> int:
-        return len(self.ranges_m)
-
 
 @dataclass(frozen=True)
 class ReflectivitySpectrum:
     """Target reflectivity sampled at the subcarrier frequencies f_c + n*df."""
 
     values: np.ndarray
-    carrier_hz: float
     normalized: bool = False
 
     def __post_init__(self) -> None:
@@ -77,11 +72,11 @@ class ReflectivitySpectrum:
 
 @dataclass(frozen=True)
 class IlluminationResult:
-    """Output bundle of the two-step pipeline; ``reflectivity`` is the
-    normalized target spectrum the weights were matched to."""
+    """Output bundle of the two-step pipeline: (N, 1) phases ``a_opt``, and
+    ``reflectivity``, the normalized target spectrum w_opt was matched to."""
 
     w_opt: WeightVector
-    a_opt: PhaseCodeMatrix
+    a_opt: np.ndarray
     gain_db: float
     pmepr_trace: ConvergenceTrace = field(repr=False)
     reflectivity: ReflectivitySpectrum = field(repr=False)
@@ -107,7 +102,7 @@ def reflectivity_spectrum(
     amp = np.sqrt(target.reflectivities)
     phase = (-4.0j * np.pi / SPEED_OF_LIGHT) * np.outer(freqs, target.ranges_m)
     values = (np.exp(phase) * amp[None, :]).sum(axis=1)
-    return ReflectivitySpectrum(values=values, carrier_hz=carrier_hz, normalized=False)
+    return ReflectivitySpectrum(values=values, normalized=False)
 
 
 def normalize_reflectivity(spectrum: ReflectivitySpectrum) -> ReflectivitySpectrum:
@@ -125,7 +120,6 @@ def normalize_reflectivity(spectrum: ReflectivitySpectrum) -> ReflectivitySpectr
     n = len(spectrum)
     return ReflectivitySpectrum(
         values=spectrum.values * (n / np.sqrt(power)),
-        carrier_hz=spectrum.carrier_hz,
         normalized=True,
     )
 
@@ -222,7 +216,7 @@ def two_step_pipeline(
     phases, trace = sga_phases(PhaseEvaluator(spec, w_opt), bits_per_var, phase_config, rng)
     return IlluminationResult(
         w_opt=w_opt,
-        a_opt=PhaseCodeMatrix(phases),
+        a_opt=phases,
         gain_db=gain,
         pmepr_trace=trace,
         reflectivity=norm,

@@ -1,4 +1,4 @@
-"""Objective functions on sampled pulses: PMEPR, PSLR and ISLR.
+"""Objective functions of OFDM pulses: PMEPR, PSLR and ISLR.
 
 PMEPR is the peak-to-mean envelope power ratio of the complex baseband
 samples (reported linear).  PSLR and ISLR are sidelobe measures of the
@@ -49,9 +49,9 @@ does not depend on scale, so PMEPR = max |FFT|^2 / sum(w^2), with no
 unit-energy pass.
 
 ``PhaseEvaluator`` is the one path from phases to objectives: the
-optimizers and every CLI kind score through it.  ``pmepr``,
-``autocorrelation``, ``pslr`` and ``islr`` score a sampled pulse directly
-and serve as the sample-domain oracle for it.
+optimizers and every CLI kind score through it.  ``pmepr`` and
+``autocorrelation`` take the (M,) samples that ``synthesize`` returns, and
+``pslr`` and ``islr`` an ``autocorrelation`` array: the sample-domain oracle.
 """
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ import numpy as np
 from .errors import DegeneratePulseError, UndefinedSidelobesError
 from .waveform import (
     PulseSpec,
-    SampledPulse,
     SparsityMask,
     WeightVector,
     effective_weights,
@@ -68,9 +67,8 @@ from .waveform import (
 )
 
 
-def pmepr(pulse: SampledPulse) -> float:
-    """max |x|^2 / mean |x|^2 over all samples of the pulse."""
-    x = pulse.samples
+def pmepr(x: np.ndarray) -> float:
+    """max |x|^2 / mean |x|^2 over the pulse samples ``x``."""
     power = x.real**2 + x.imag**2
     mean = power.mean()
     if not mean > 0:
@@ -95,16 +93,15 @@ def _real_idft(y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def autocorrelation(pulse: SampledPulse) -> np.ndarray:
+def autocorrelation(x: np.ndarray) -> np.ndarray:
     """Aperiodic autocorrelation R[m] = sum_p x[p] conj(x[p-m]) of the M
-    samples, a (2M-1,) array at lags m = -(M-1)..M-1: zero lag is index M-1.
+    samples x, a (2M-1,) array at lags m = -(M-1)..M-1: zero lag is index M-1.
 
     Out-of-range samples count as zero.  Computed the textbook way, as the
     inverse DFT of |X|^2 with X the 2M-point DFT of the zero-padded samples,
     so it shares no kernel with ``PhaseEvaluator``; the direct O(M^2) sum is
     kept as a test oracle only.
     """
-    x = pulse.samples
     m = len(x)
     if m == 0:
         raise DegeneratePulseError("empty pulse")

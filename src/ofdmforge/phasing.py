@@ -1,17 +1,11 @@
 """Deterministic baseline phase-code generators used for comparison."""
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .waveform import TWO_PI, PhaseCodeMatrix
 
-
-class BaselineKind(enum.Enum):
-    NONCODED = "noncoded"
-    RANDOM = "random"
-    NEWMAN = "newman"
+BASELINES = ("noncoded", "random", "newman")
 
 
 def newman_phases(n: int) -> PhaseCodeMatrix:
@@ -58,16 +52,18 @@ def random_phases(
 
 
 def baseline_phases(
-    kind: BaselineKind,
+    kind: str,
     n: int,
     k: int = 1,
     rng: np.random.Generator | None = None,
     alphabet: int | None = None,
 ) -> PhaseCodeMatrix:
-    """Dispatch for the CLI --baseline flag."""
-    if kind is BaselineKind.NONCODED:
+    """Dispatch for the CLI --baseline flag: ``kind`` is one of ``BASELINES``."""
+    if kind not in BASELINES:
+        raise ValueError(f"baseline {kind!r} is not one of {list(BASELINES)}")
+    if kind == "noncoded":
         return noncoded_phases(n, k)
-    if kind is BaselineKind.NEWMAN:
+    if kind == "newman":
         if k != 1:
             raise ValueError("newman baseline is defined for single-symbol pulses")
         return newman_phases(n)

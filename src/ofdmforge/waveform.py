@@ -11,7 +11,7 @@ from 0 to B = N * df.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,18 +88,6 @@ class PhaseCodeMatrix:
             raise ValueError("phases must be finite")
         object.__setattr__(self, "phases", np.mod(p, TWO_PI))
 
-    @property
-    def n_subcarriers(self) -> int:
-        return self.phases.shape[0]
-
-    @property
-    def n_symbols(self) -> int:
-        return self.phases.shape[1]
-
-    def codes(self) -> np.ndarray:
-        """Unit-modulus complex codes exp(1j*phi)."""
-        return np.exp(1j * self.phases)
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -148,26 +136,6 @@ class SparsityMask:
         return len(self.active)
 
 
-@dataclass(frozen=True)
-class SampledPulse:
-    """Oversampled complex baseband pulse with unit discrete energy.
-
-    energy = sum(|x[p]|^2) * sample_period_s == 1 after synthesis.
-    """
-
-    samples: np.ndarray
-    sample_period_s: float
-    spec: PulseSpec = field(repr=False)
-
-    @property
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2) * self.sample_period_s)
-
-    @property
-    def times_s(self) -> np.ndarray:
-        return np.arange(len(self.samples)) * self.sample_period_s
-
-
 def effective_weights(
     spec: PulseSpec,
     weights: WeightVector,
@@ -205,8 +173,9 @@ def synthesize(
     codes: PhaseCodeMatrix,
     weights: WeightVector,
     mask: SparsityMask | None = None,
-) -> SampledPulse:
-    """Sample the pulse on the oversampled grid and normalize to unit energy.
+) -> np.ndarray:
+    """The (M,) complex samples x of the pulse, x[p] at t = p * dt with
+    dt = spec.sample_period_s, scaled to unit energy sum |x|^2 * dt == 1.
 
     Within symbol k, sample p sits at t = p * t_b / (N*L) and equals
     A * sum_n w_n exp(1j*phi[n,k]) exp(2j*pi*n*df*t).  Masked-off subcarriers
@@ -228,7 +197,7 @@ def synthesize(
     # times the reciprocal on the float view: the same bits as x /= root,
     # which numpy runs as a complex division
     x.view(float)[...] *= 1.0 / np.sqrt(energy)
-    return SampledPulse(samples=x, sample_period_s=spec.sample_period_s, spec=spec)
+    return x
 
 
 def uniform_weights(mask: SparsityMask) -> WeightVector:
@@ -260,14 +229,14 @@ def random_mask(n: int, fraction: float, rng: np.random.Generator) -> SparsityMa
     return SparsityMask(active)
 
 
-def pulse_spectrum(pulse: SampledPulse) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitude spectrum of the whole sampled pulse.
+def pulse_spectrum(x: np.ndarray, sample_period_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude spectrum of the pulse samples ``x`` taken every
+    ``sample_period_s`` seconds.
 
     Returns (frequencies_hz, magnitude) over [0, 1/dt), unshifted, for plot
     export; the occupied band sits in [0, B].
     """
-    x = pulse.samples
-    mag = np.abs(np.fft.fft(x)) * pulse.sample_period_s
-    freqs = np.fft.fftfreq(len(x), d=pulse.sample_period_s) % (1.0 / pulse.sample_period_s)
+    mag = np.abs(np.fft.fft(x)) * sample_period_s
+    freqs = np.fft.fftfreq(len(x), d=sample_period_s) % (1.0 / sample_period_s)
     order = np.argsort(freqs, kind="stable")
     return freqs[order], mag[order]

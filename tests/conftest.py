@@ -1,12 +1,15 @@
 """Shared test helpers: independent oracles and small pulse builders."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ofdmforge import (
     PhaseCodeMatrix,
     PulseSpec,
     SparsityMask,
+    pmepr,
     synthesize,
     uniform_weights,
 )
@@ -76,14 +79,38 @@ def max_weight_gain(gains: np.ndarray, v_l: float, v_u: float) -> float:
 
 
 def random_pulse(rng: np.random.Generator, n=None, k=None, oversampling=None):
-    """A random full-band pulse with small random dimensions."""
+    """(spec, samples) of a random full-band pulse with small random dimensions."""
     n = n or int(rng.integers(2, 12))
     k = k or int(rng.integers(1, 4))
     oversampling = oversampling or int(rng.integers(1, 8))
     spec = PulseSpec(n, k, 1e5, oversampling)
     codes = PhaseCodeMatrix(rng.uniform(0, 2 * np.pi, (n, k)))
     mask = SparsityMask.full(n)
-    return synthesize(spec, codes, uniform_weights(mask), mask)
+    return spec, synthesize(spec, codes, uniform_weights(mask), mask)
+
+
+def lattice_pmeprs(n: int, bits: int, oversampling: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """Every code of the 2**bits-PSK lattice with phi_0 = 0 as (P, n, 1)
+    phases, and the PMEPR of each full-band, single-symbol pulse of ``n``
+    equally weighted subcarriers, from ``pmepr(synthesize(...))``.
+
+    PMEPR does not change under a global phase rotation, and the lattice is
+    closed under rotation by its own steps, so phi_0 = 0 loses no PMEPR:
+    P = (2**bits)**(n - 1) pulses.
+    """
+    spec = PulseSpec(n, 1, 1e5, oversampling)
+    mask = SparsityMask.full(n)
+    weights = uniform_weights(mask)
+    words = np.array(list(itertools.product(range(2**bits), repeat=n - 1)))
+    phases = np.column_stack([np.zeros(len(words)), words])[:, :, None] * (2 * np.pi / 2**bits)
+    values = np.array([pmepr(synthesize(spec, PhaseCodeMatrix(p), weights, mask)) for p in phases])
+    return phases, values
+
+
+def lattice_optimum(n: int, bits: int, oversampling: int = 20) -> float:
+    """The exact least PMEPR over ``lattice_pmeprs``: a yardstick no search
+    on that lattice may beat."""
+    return float(lattice_pmeprs(n, bits, oversampling)[1].min())
 
 
 # Binary Golay complementary seed pairs of lengths 2, 10 and 26 (Golay 1961, 1962)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -130,6 +131,6 @@ def test_dimension_pulse_bundle():
     assert dims.max_subcarriers == 500
     assert dims.bandwidth_hz == pytest.approx(50e6, rel=TABLE_TOL)
     assert dims.max_pulse_len_s == pytest.approx(10e-6, rel=TABLE_TOL)
-    d = dims.as_dict()
+    d = dataclasses.asdict(dims)
     assert set(d) == {"bandwidth_hz", "max_pulse_len_s", "max_subcarriers"}
     assert math.isfinite(d["bandwidth_hz"])

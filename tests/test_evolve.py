@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import lattice_optimum, lattice_pmeprs
 from ofdmforge import (
     GAConfig,
     GASchedule,
@@ -247,6 +248,24 @@ class TestSgaPhases:
         assert np.array_equal(trace.mean, ref_trace.mean)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert evaluator.pmepr(phases[None])[0] == trace.best[-1]
+
+    def test_never_beats_the_exact_lattice_optimum(self):
+        # every QPSK code of N = 6 is enumerated: a search that reports a
+        # PMEPR below the optimum scores pulses wrongly.  The evaluator sums
+        # in another order than synthesis, so a tie may land 1 ulp under.
+        n, b = 6, 2
+        optimum = lattice_optimum(n, b)
+        assert optimum == pytest.approx(1.731656447, abs=1e-9)
+        evaluator = PhaseEvaluator(PulseSpec(n, 1, 1e5, 20), uniform_weights(SparsityMask.full(n)))
+        # each optimal code peaks at two sampling phases, so only the whole
+        # lattice pins a kernel that loses one of them
+        phases, values = lattice_pmeprs(n, b)
+        assert np.allclose(evaluator.pmepr(phases), values, rtol=1e-12, atol=0.0)
+        cfg = GAConfig(population_size=12, generations=200)
+        for seed in range(6):
+            phases, trace = sga_phases(evaluator, b, cfg, np.random.default_rng(seed))
+            assert trace.best[-1] >= optimum * (1 - 1e-12), seed
+            assert trace.best[-1] == evaluator.pmepr(phases[None])[0]
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_scores_each_distinct_pulse_once_per_call(self, sparse):

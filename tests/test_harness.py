@@ -13,9 +13,11 @@ import pytest
 from ofdmforge import (
     GAConfig,
     GASchedule,
+    PhaseCodeMatrix,
     PhaseEvaluator,
     PulseSpec,
     SparsityMask,
+    WeightVector,
     autocorrelation,
     islr,
     newman_phases,
@@ -432,9 +434,10 @@ class TestCliRuns:
         assert set(_RUNNERS) == set(KINDS)
 
     def test_illuminate(self, tmp_path):
+        pulse = {"n_subcarriers": 12, "n_symbols": 1,
+                 "subcarrier_spacing_hz": 2e7, "oversampling": 4}
         out = self.run_cli(tmp_path, "illuminate", {
-            "pulse": {"n_subcarriers": 12, "n_symbols": 1,
-                      "subcarrier_spacing_hz": 2e7, "oversampling": 4},
+            "pulse": pulse,
             "carrier_hz": 9e9,
             "target": {"n_scatterers": 6, "center_range_m": 10000.0,
                        "extent_m": 8.0, "seed": 4},
@@ -449,6 +452,15 @@ class TestCliRuns:
         assert len(rows) - 1 == 12
         rows = read_rows(out / "illumination.csv")
         assert rows[0] == ["n", "reflectivity_norm_abs", "w_opt"]
+        # genome.json's phases with spectra.csv's weights are the designed
+        # pulse: it re-synthesizes to the reported final PMEPR
+        genome = json.loads((out / "0" / "genome.json").read_text())
+        assert set(genome) == {"bits_per_var", "phases"} and genome["bits_per_var"] == 4
+        phases = PhaseCodeMatrix(np.array(genome["phases"]))
+        with open(out / "0" / "spectra.csv", newline="") as fh:
+            w = np.array([float(row["w_opt"]) for row in csv.DictReader(fh)])
+        x = synthesize(PulseSpec(**pulse), phases, WeightVector(w), SparsityMask.full(12))
+        assert pmepr(x) == pytest.approx(report["pmepr_final"], rel=0.0, abs=1e-9)
 
 
 class TestCliErrors:
@@ -770,7 +782,7 @@ RUN_FILES = {
     "optimize-moo": ({"front.csv", "genome.json", "summary.json"}, "summary.json", {"pareto.csv"}),
     "optimize-constrained": ({"front.csv", "summary.json"}, "summary.json", {"constrained.csv"}),
     "illuminate": (
-        {"spectra.csv", "trace.csv", "illumination.json"}, "illumination.json",
+        {"spectra.csv", "trace.csv", "genome.json", "illumination.json"}, "illumination.json",
         {"convergence.csv", "illumination.csv"},
     ),
 }

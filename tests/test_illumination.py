@@ -45,7 +45,7 @@ class TestTargetModel:
     def test_random_box_spread(self):
         rng = np.random.default_rng(0)
         t = TargetModel.random_box(50, 10_000.0, 10.0, rng)
-        assert t.n_scatterers == 50
+        assert t.ranges_m.shape == t.reflectivities.shape == (50,)
         assert np.all(np.abs(t.ranges_m - 10_000.0) <= 5.0)
         assert np.all(t.reflectivities == 1.0)
 
@@ -161,7 +161,7 @@ class TestSnrGain:
 
     def test_contract_violations(self):
         norm = self._norm_spectrum()
-        unnormalized = ReflectivitySpectrum(norm.values, norm.carrier_hz, normalized=False)
+        unnormalized = ReflectivitySpectrum(norm.values, normalized=False)
         with pytest.raises(ContractViolationError):
             snr_gain_db(flat_weights(100), unnormalized)
         with pytest.raises(ContractViolationError):
@@ -185,7 +185,7 @@ class TestOptimizeWeights:
     def test_concentrates_on_dominant_bin(self):
         values = np.full(20, 0.5, dtype=complex)
         values[7] = 12.0
-        norm = normalize_reflectivity(ReflectivitySpectrum(values, 0.0))
+        norm = normalize_reflectivity(ReflectivitySpectrum(values))
         cfg = GAConfig(population_size=10, generations=300)
         w = optimize_weights(norm, 0.01, 10.0, cfg, rng=np.random.default_rng(0))
         assert np.argmax(w.weights) == 7
@@ -210,7 +210,7 @@ class TestOptimizeWeights:
         assert snr_gain_db(w, norm) >= snr_gain_db(seed_w, norm) - 1e-12
 
     def test_invalid_bounds(self):
-        norm = normalize_reflectivity(ReflectivitySpectrum(np.ones(4, dtype=complex), 0.0))
+        norm = normalize_reflectivity(ReflectivitySpectrum(np.ones(4, dtype=complex)))
         cfg = GAConfig(population_size=10, generations=5)
         with pytest.raises(ValueError):
             optimize_weights(norm, 0.0, 10.0, cfg, np.random.default_rng(0))
@@ -298,12 +298,13 @@ class TestTwoStepPipeline:
         rng = np.random.default_rng(9)
         target = TargetModel.random_box(6, 10_000.0, 8.0, rng)
         spec, result = self._small_pipeline(target, seed=2)
-        pulse = synthesize(spec, result.a_opt, result.w_opt, SparsityMask.full(16))
-        bins = np.abs(np.fft.fft(pulse.samples))[:16]
+        assert result.a_opt.shape == (16, 1)
+        x = synthesize(spec, PhaseCodeMatrix(result.a_opt), result.w_opt, SparsityMask.full(16))
+        bins = np.abs(np.fft.fft(x))[:16]
         expected = result.w_opt.weights
         assert np.allclose(bins / np.linalg.norm(bins),
                            expected / np.linalg.norm(expected), atol=1e-9)
-        assert pmepr(pulse) == pytest.approx(result.pmepr_final, rel=1e-9)
+        assert pmepr(x) == pytest.approx(result.pmepr_final, rel=1e-9)
 
     def test_point_target_reduces_to_pmepr_only(self):
         target = TargetModel(np.array([1.0]), np.array([9_000.0]))

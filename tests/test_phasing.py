@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ofdmforge import (
-    BaselineKind,
     PulseSpec,
     SparsityMask,
     newman_phases,
@@ -13,14 +12,14 @@ from ofdmforge import (
     synthesize,
     uniform_weights,
 )
-from ofdmforge.phasing import baseline_phases
+from ofdmforge.phasing import BASELINES, baseline_phases
 
 TWO_PI = 2 * np.pi
 
 
 def band_pmepr(codes, mask=None):
-    n = codes.n_subcarriers
-    spec = PulseSpec(n, codes.n_symbols, 1e5, 20)
+    n, k = codes.phases.shape
+    spec = PulseSpec(n, k, 1e5, 20)
     mask = mask or SparsityMask.full(n)
     return pmepr(synthesize(spec, codes, uniform_weights(mask), mask))
 
@@ -109,14 +108,21 @@ class TestRandom:
 class TestBaselineDispatch:
     def test_kinds(self):
         rng = np.random.default_rng(0)
-        assert np.all(baseline_phases(BaselineKind.NONCODED, 4, 2).phases == 0)
-        assert baseline_phases(BaselineKind.NEWMAN, 4).phases.shape == (4, 1)
-        assert baseline_phases(BaselineKind.RANDOM, 4, 2, rng).phases.shape == (4, 2)
+        assert BASELINES == ("noncoded", "random", "newman")
+        assert np.all(baseline_phases("noncoded", 4, 2).phases == 0)
+        assert baseline_phases("newman", 4).phases.shape == (4, 1)
+        assert baseline_phases("random", 4, 2, rng).phases.shape == (4, 2)
+
+    @pytest.mark.parametrize("kind", ["golay", "Random", "", None])
+    def test_unknown_kind_rejected(self, kind):
+        # a kind outside BASELINES must not fall through to random phases
+        with pytest.raises(ValueError, match="not one of"):
+            baseline_phases(kind, 4, 1, np.random.default_rng(0))
 
     def test_random_needs_rng(self):
         with pytest.raises(ValueError):
-            baseline_phases(BaselineKind.RANDOM, 4, 1)
+            baseline_phases("random", 4, 1)
 
     def test_newman_single_symbol_only(self):
         with pytest.raises(ValueError):
-            baseline_phases(BaselineKind.NEWMAN, 4, k=2)
+            baseline_phases("newman", 4, k=2)
