@@ -37,7 +37,7 @@ _KIND_FIELDS = {
     "synthesize": """\
   pulse     {n_subcarriers, n_symbols, subcarrier_spacing_hz, oversampling}
   baseline  noncoded | random | newman                        (default %(baseline)s)
-  alphabet  M-ary PSK lattice for random phases (e.g. 4)      (default continuous)
+  alphabet  M-ary PSK lattice of baseline random (e.g. 4)     (default continuous)
   sparsity  fraction of active subcarriers                    (default %(sparsity)s)
             writes pulse.csv (t_s, re, im) and spectrum.csv (f_hz, magnitude)
 """,

@@ -273,6 +273,8 @@ def parse_config(data: dict, kind_override: str | None = None) -> ExperimentConf
         raise ConfigError(
             f"sparsity {cfg.sparsity} keeps fewer than 2 of {cfg.pulse.n_subcarriers} subcarriers"
         )
+    if cfg.alphabet is not None and cfg.baseline != "random":
+        raise ConfigError(f"alphabet sets random phases only; baseline {cfg.baseline!r} has none")
     if cfg.baseline == "newman" and cfg.pulse.n_symbols > 1:
         raise ConfigError("baseline 'newman' is defined for single-symbol pulses (n_symbols 1)")
     if cfg.pmepr_max is None and cfg.threshold_samples < MIN_THRESHOLD_SAMPLES:

@@ -55,6 +55,10 @@ optimizers and every CLI kind score through it.  ``pmepr`` and
 """
 from __future__ import annotations
 
+import functools
+import os
+import threading
+
 import numpy as np
 
 from .errors import DegeneratePulseError, UndefinedSidelobesError
@@ -164,6 +168,72 @@ def islr(acf: np.ndarray, spec: PulseSpec) -> float:
 # than blocks of 8.
 _BLOCK_BYTES = 5 * 2**18
 
+# One worker thread per process scores the upper half of a large block (see
+# ``PhaseEvaluator``), fed through two queues: (pid, jobs, results).  It is
+# shared by every evaluator, since a thread of its own would outlive each
+# one, and it is started on the first split; the pid is checked because a
+# forked child inherits the queues but not the thread.  A caller holds
+# ``_WORKER_BUSY`` while the worker runs its half, so a second thread that
+# finds it busy scores its block alone and never reads another's result.
+_worker: tuple | None = None
+_WORKER_BUSY = threading.Lock()
+
+
+def _outcome(job) -> tuple:
+    """(job(), None), or (None, the exception it raised)."""
+    try:
+        return job(), None
+    except BaseException as error:  # handed to the caller, which re-raises it
+        return None, error
+
+
+def _serve(jobs, results) -> None:
+    # the job is released as ``_outcome`` returns, before its result is
+    # handed over: a job held past that would keep its evaluator alive
+    while True:
+        results.put(_outcome(jobs.get()))
+
+
+def _on_both_threads(low, high) -> tuple:
+    """(low(), high()), with high() on the worker thread; high's exception
+    is raised only once low has returned, and low's once high is done."""
+    global _worker
+    if not _WORKER_BUSY.acquire(blocking=False):
+        return low(), high()
+    try:
+        if _worker is None or _worker[0] != os.getpid():
+            import queue  # here: a process that never splits a block never needs it
+
+            jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs, results), daemon=True).start()
+            _worker = (os.getpid(), jobs, results)
+        pid, jobs, results = _worker
+        # dropped until high's outcome is read, so that a wait cut short (by
+        # KeyboardInterrupt) leaves no stale outcome for the next split
+        _worker = None
+        jobs.put(high)
+        try:
+            first = low()
+        finally:
+            second, error = results.get()
+            _worker = pid, jobs, results
+    finally:
+        _WORKER_BUSY.release()
+    if error is not None:
+        try:
+            raise error
+        finally:
+            del error  # a frame that holds its own exception is a reference cycle
+    return first, second
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform
+    has no affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 class PhaseEvaluator:
     """Scores blocks of phase genomes on one pulse spec, weights and mask.
@@ -207,6 +277,17 @@ class PhaseEvaluator:
     2r = first - 2*tau * second.  A scale common to every genome of a spec
     changes no sidelobe ratio.  Every transform writes into a buffer the
     evaluator allocated once, so no block allocates a transform's output.
+
+    A block whose ``_bins`` rows hold at least half of ``_BLOCK_BYTES`` is
+    scored on two threads when the process may run on more than one CPU:
+    the caller scores its lower half of the rows and one worker thread,
+    started on the first such block and shared by every evaluator of the
+    process, the upper half, each in its own rows of the block buffers.
+    numpy releases the interpreter lock inside its transforms and array
+    loops, so the halves overlap; every row is scored by the same kernel
+    either way, so the scores are the serial ones bit for bit.  Smaller
+    blocks (a 12-genome generation at N = 100, L = 20) stay on the caller's
+    thread, where a split cost more than it saved.
     """
 
     def __init__(
@@ -265,48 +346,52 @@ class PhaseEvaluator:
         return self._active
 
     def _blocks(self, phases: np.ndarray):
-        """Codes (B, K, N) of each block of at most len(_bins) genomes."""
+        """Phases (B, N, K) of each block of at most len(_bins) genomes."""
         phases = np.asarray(phases, dtype=float)
         if not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite")
         rows = len(self._bins)
         for start in range(0, len(phases), rows):
-            yield subcarrier_codes(self.spec, self._w, phases[start:start + rows])
+            yield phases[start:start + rows]
 
-    def _pmepr_codes(self, codes: np.ndarray) -> np.ndarray:
+    def _pmepr_codes(self, codes: np.ndarray, start: int) -> np.ndarray:
         """PMEPR of the pulses with codes (B, K, N), by the polyphase split:
         each row's max |bins|^2 over sum(w^2) (Parseval).  The bins' re/im
         lanes are squared in place and summed into ``_envelope``, since fresh
-        temporaries of a block's size come back as new pages every block."""
+        temporaries of a block's size come back as new pages every block.
+        Uses the buffer rows ``start`` to ``start + B``."""
         count = len(codes)
-        bins = self._bins[:count]
+        rows = slice(start, start + count)
+        bins = self._bins[rows]
         np.multiply(codes[:, :, None, :], self._polyphase, out=bins)
         np.fft.fft(bins, axis=-1, out=bins)
         lanes = bins.reshape(count, -1).view(float)
         np.multiply(lanes, lanes, out=lanes)
-        power = np.add(lanes[:, 0::2], lanes[:, 1::2], out=self._envelope[:count])
+        power = np.add(lanes[:, 0::2], lanes[:, 1::2], out=self._envelope[rows])
         return power.max(axis=1) / self._energy
 
-    def _code_acf_magnitudes(self, codes: np.ndarray) -> np.ndarray:
+    def _code_acf_magnitudes(self, codes: np.ndarray, start: int) -> np.ndarray:
         """|r[m]|, m = 0..M-1, of the pulses with codes (B, K, N), up to a
-        scale common to the spec.  Overwrites ``_envelope``, and returns a
-        (B, M) view of it; with one symbol it overwrites ``_bins`` too."""
+        scale common to the spec.  Overwrites the buffer rows ``start`` to
+        ``start + B`` of ``_envelope``, and returns a (B, M) view of them;
+        with one symbol it overwrites those of ``_bins`` too."""
         count, k, n = codes.shape
         s, m = self.spec.samples_per_symbol, self.spec.n_samples
-        spectrum = np.fft.fft(np.conjugate(codes), n=2 * n, axis=-1, out=self._conv[:count])
+        rows = slice(start, start + count)
+        spectrum = np.fft.fft(np.conjugate(codes), n=2 * n, axis=-1, out=self._conv[rows])
         spectrum *= self._g_spectrum
         u = np.fft.ifft(spectrum, axis=-1, out=spectrum)[..., :n]  # 2 * U(c_j)
-        y = self._envelope[:count]
+        y = self._envelope[rows]
         if k == 1:
             u *= codes
             y[:, :n] = u[:, 0].imag
             y[:, n:] = 0.0
-            r = _real_idft(y, out=self._bins[:count].reshape(count, m))
+            r = _real_idft(y, out=self._bins[rows].reshape(count, m))
             r -= self._diagonal
             return np.abs(r, out=y)  # the transform has read y
         # rows 2*(S*A_d + Z_d - Z_{d+1}) and 2*(A_d - A_{d+1}); u carries the
         # 2 of Z, and the constants 2S and 2*tau carry the 2 of A
-        pairs = self._pair_sums[:count]
+        pairs = self._pair_sums[rows]
         sums, slopes = pairs[:, 0, :, :n], pairs[:, 1, :, :n]
         for d in range(k):
             lead, lag = codes[:, d:], codes[:, :k - d]  # c_{j+d}, c_j
@@ -316,24 +401,43 @@ class PhaseEvaluator:
         sums[:, :-1] -= sums[:, 1:]
         sums += 2 * s * slopes
         slopes[:, :-1] -= slopes[:, 1:]
-        t = np.fft.ifft(pairs, axis=-1, norm="forward", out=self._transforms[:count])
+        t = np.fft.ifft(pairs, axis=-1, norm="forward", out=self._transforms[rows])
         t[:, 1] *= self._lags
         t[:, 0] -= t[:, 1]
         return np.abs(t[:, 0], out=y.reshape(count, k, s)).reshape(count, m)
 
+    def _objective_rows(self, codes: np.ndarray, start: int) -> np.ndarray:
+        """(PMEPR, PSLR dB, ISLR dB) rows of the pulses with codes (B, K, N),
+        in the buffer rows ``start`` to ``start + B``."""
+        pmeprs = self._pmepr_codes(codes, start)
+        side, peak = _split_sidelobes(self._code_acf_magnitudes(codes, start), self.spec)
+        return np.column_stack([pmeprs, _pslr_db(side, peak), _islr_db(side, peak, wings=2)])
+
+    def _split(self, kernel, phases: np.ndarray) -> np.ndarray:
+        """kernel(codes, 0) of one block's phases (B, N, K); the lower and
+        upper half of a large block's rows on two threads when more than one
+        CPU is available, each half forming its own codes."""
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            return kernel(subcarrier_codes(self.spec, self._w, phases[start:stop]), start)
+
+        count = len(phases)
+        if count < 2 or count * self._bins.strides[0] < _BLOCK_BYTES / 2 or _cpus() < 2:
+            return rows(0, count)
+        half = count // 2
+        return np.concatenate(_on_both_threads(
+            functools.partial(rows, 0, half), functools.partial(rows, half, count),
+        ))
+
     def pmepr(self, phases: np.ndarray) -> np.ndarray:
         """PMEPR of every genome, shape (P,)."""
         return np.concatenate(
-            [np.empty(0)] + [self._pmepr_codes(codes) for codes in self._blocks(phases)]
+            [np.empty(0)] + [self._split(self._pmepr_codes, block) for block in self._blocks(phases)]
         )
 
     def objectives(self, phases: np.ndarray) -> np.ndarray:
         """Columns (PMEPR, PSLR dB, ISLR dB) of every genome, shape (P, 3)."""
-        rows = [np.empty((0, 3))]
-        for codes in self._blocks(phases):
-            pmeprs = self._pmepr_codes(codes)
-            side, peak = _split_sidelobes(self._code_acf_magnitudes(codes), self.spec)
-            rows.append(np.column_stack([
-                pmeprs, _pslr_db(side, peak), _islr_db(side, peak, wings=2),
-            ]))
-        return np.concatenate(rows)
+        return np.concatenate(
+            [np.empty((0, 3))]
+            + [self._split(self._objective_rows, block) for block in self._blocks(phases)]
+        )

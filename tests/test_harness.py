@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -80,7 +81,7 @@ VALID_VALUES = {
     "weight_ga": MINI_GA,
     "phase_ga": MINI_GA,
     "target": {"seed": 4},
-    "baseline": "newman",
+    "baseline": "random",
     "alphabet": 4,
     "sparsity": 0.5,
     "bits_per_var": 4,
@@ -588,6 +589,13 @@ class TestCliErrors:
                      id="optimize-moo-n_subcarriers=1"),
         pytest.param("evaluate", {"baseline": "newman", "pulse": {**MINI_PULSE, "n_symbols": 3}},
                      id="evaluate-newman-n_symbols=3"),
+        # only the random baseline draws from an alphabet
+        pytest.param("synthesize", {"baseline": "newman", "alphabet": 4},
+                     id="synthesize-newman-alphabet=4"),
+        pytest.param("evaluate", {"baseline": "noncoded", "alphabet": 4},
+                     id="evaluate-noncoded-alphabet=4"),
+        pytest.param("baseline", {"baseline": "newman", "alphabet": 2},
+                     id="baseline-newman-alphabet=2"),
     ], ids=lambda v: v if isinstance(v, str) else next(iter(v)) + "=" + json.dumps(
         next(iter(v.values())))[:14])
     def test_nonsense_values_exit_2(self, tmp_path, capsys, kind, fields):
@@ -626,6 +634,41 @@ class TestDeterminism:
             outs.append(tmp_path / sub / "optimize-pmepr")
         for rel in ("0/trace.csv", "1/trace.csv", "2/trace.csv", "convergence.csv"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+    def test_forked_replicas_after_a_split_cap_sample(self, tmp_path):
+        # the derived cap's 100 samples at N = 100, L = 20 are blocks of 40,
+        # 40 and 20 genomes, so the parent scores two of them on the
+        # evaluator's worker thread before the replica pool forks; each
+        # replica's 40-genome generations split again in a child that
+        # inherits no thread.  Both runs finish and write the same CSVs
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        code = "import sys; from ofdmforge.harness.cli import main; sys.exit(main(sys.argv[1:]))"
+        config = {
+            "pulse": {**MINI_PULSE, "n_subcarriers": 100, "oversampling": 20},
+            "ga": {"population_size": 40, "generations": 3},
+            "threshold_samples": 100, "runs": 2, "seed": 3,
+        }
+        outs = []
+        for workers in (1, 2):
+            path = write_config(tmp_path, {**config, "workers": workers}, name=f"w{workers}.json")
+            out = tmp_path / f"w{workers}"
+            # a session of its own, so that a hung run's pool goes down with it
+            run = subprocess.Popen(
+                [sys.executable, "-c", code, "optimize-constrained", "--config", path,
+                 "--out", str(out)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                start_new_session=True,
+            )
+            try:
+                _, stderr = run.communicate(timeout=120)
+            except subprocess.TimeoutExpired:
+                os.killpg(run.pid, signal.SIGKILL)
+                run.communicate()
+                pytest.fail(f"a workers: {workers} run did not finish in 120 s")
+            assert run.returncode == 0, stderr
+            outs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))})
+        assert len(outs[0]) == 3  # constrained.csv and each replica's front.csv
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("workers, runs", [(8, 2), (2, 3)])
     def test_pool_has_no_more_workers_than_runs(self, tmp_path, monkeypatch, workers, runs):

@@ -1,9 +1,15 @@
+import os
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GOLAY_SEEDS, direct_acf, golay_pair, random_pulse, turyn_pair
 from ofdmforge import (
+    GAConfig,
     PhaseCodeMatrix,
     PhaseEvaluator,
     PulseSpec,
@@ -17,6 +23,7 @@ from ofdmforge import (
     pslr,
     random_mask,
     random_phases,
+    sga_phases,
     synthesize,
     uniform_weights,
 )
@@ -305,6 +312,20 @@ def budget_rows(monkeypatch, spec, rows):
     monkeypatch.setattr(metrics, "_BLOCK_BYTES", rows * genome_bytes)
 
 
+def use_cpus(monkeypatch, cpus):
+    """Make the evaluator see ``cpus`` CPUs in the process's affinity set."""
+    # raising=False: a platform without affinity masks has no such function
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def count_splits(monkeypatch) -> list:
+    """Record each block the evaluator hands to its worker thread."""
+    splits, both = [], metrics._on_both_threads
+    monkeypatch.setattr(metrics, "_on_both_threads",
+                        lambda low, high: splits.append(1) or both(low, high))
+    return splits
+
+
 def assert_same_pmepr(got, want):
     """PMEPRs agree with the direct-sum oracle to 1e-12 relative."""
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -458,13 +479,14 @@ class TestPhaseEvaluator:
         # pmepr runs only the polyphase kernel's N-point FFTs.  objectives
         # adds a 2N-point fft/ifft pair (the convolution for every symbol);
         # then one symbol takes one real rfft of length M, and more symbols
-        # one batch of S-point iffts of sparse rows.  Nothing synthesizes
+        # one batch of S-point iffts of sparse rows.  Nothing synthesizes.
+        # 11 genomes are blocks of 5, 5 and 1: three kernel runs on one CPU,
+        # and five on two, where each full block runs once per half
         spec = PulseSpec(16, k, 1e5, 4)
         s, m = spec.samples_per_symbol, spec.n_samples
         budget_rows(monkeypatch, spec, 5)
         evaluator = PhaseEvaluator(spec, WeightVector(np.ones(16)))
-        blocks = -(-11 // len(evaluator._bins))
-        assert blocks > 1
+        assert len(evaluator._bins) == 5
         lengths = {"fft": [], "ifft": [], "rfft": []}
         for name in lengths:
             def counted(a, n=None, *args, _fn=getattr(np.fft, name), _seen=lengths[name],
@@ -473,27 +495,34 @@ class TestPhaseEvaluator:
                 _seen.append(a.shape[-1] if n is None else n)
                 return _fn(a, n, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
-        evaluator.pmepr(np.zeros((11, 16, k)))
-        assert lengths == {"fft": [16] * blocks, "ifft": [], "rfft": []}
-        for seen in lengths.values():
-            seen.clear()
-        evaluator.objectives(np.zeros((11, 16, k)))
-        if k == 1:
-            assert lengths == {
-                "fft": [16, 32] * blocks, "ifft": [32] * blocks, "rfft": [m] * blocks,
-            }
-        else:
-            assert lengths == {"fft": [16, 32] * blocks, "ifft": [32, s] * blocks, "rfft": []}
+        for cpus, runs in ((1, 3), (2, 5)):
+            use_cpus(monkeypatch, cpus)
+            for seen in lengths.values():
+                seen.clear()
+            evaluator.pmepr(np.zeros((11, 16, k)))
+            assert lengths == {"fft": [16] * runs, "ifft": [], "rfft": []}
+            for seen in lengths.values():
+                seen.clear()
+            evaluator.objectives(np.zeros((11, 16, k)))
+            # the two threads' calls interleave in no fixed order
+            got = {name: sorted(seen) for name, seen in lengths.items()}
+            if k == 1:
+                assert got == {
+                    "fft": sorted([16, 32] * runs), "ifft": [32] * runs, "rfft": [m] * runs,
+                }
+            else:
+                assert got == {"fft": sorted([16, 32] * runs), "ifft": sorted([32, s] * runs),
+                               "rfft": []}
 
     def test_multi_symbol_transforms_write_into_block_buffers(self, monkeypatch):
         # with K > 1 each block's polyphase fft, convolution fft/ifft pair
         # and S-point iffts write into buffers the evaluator allocated once,
-        # so no block allocates a transform's output
+        # so no block allocates a transform's output, also when a block's
+        # halves are scored on two threads (blocks of 5, 5 and 1 genomes)
         spec = PulseSpec(16, 3, 1e5, 4)
         budget_rows(monkeypatch, spec, 5)
         evaluator = PhaseEvaluator(spec, WeightVector(np.ones(16)))
-        blocks = -(-11 // len(evaluator._bins))
-        assert blocks > 1
+        assert len(evaluator._bins) == 5
         owned = [evaluator._bins, evaluator._conv, evaluator._transforms]
         outs = []
         for name in ("fft", "ifft", "rfft"):
@@ -501,11 +530,14 @@ class TestPhaseEvaluator:
                 outs.append((_name, kwargs.get("out")))
                 return _fn(a, n, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
-        evaluator.objectives(np.zeros((11, 16, 3)))
-        assert sorted(name for name, _ in outs) == sorted(["fft", "fft", "ifft", "ifft"] * blocks)
-        for name, out in outs:
-            assert out is not None, name
-            assert any(np.shares_memory(out, buf) for buf in owned), name
+        for cpus, runs in ((1, 3), (2, 5)):
+            use_cpus(monkeypatch, cpus)
+            outs.clear()
+            evaluator.objectives(np.zeros((11, 16, 3)))
+            assert sorted(name for name, _ in outs) == sorted(["fft", "fft", "ifft", "ifft"] * runs)
+            for name, out in outs:
+                assert out is not None, name
+                assert any(np.shares_memory(out, buf) for buf in owned), name
 
     @pytest.mark.parametrize("n, k, oversampling, rows", [(100, 1, 20, 40), (125, 4, 20, 8)])
     def test_blocks_fill_the_byte_budget(self, n, k, oversampling, rows):
@@ -586,6 +618,160 @@ class TestPhaseEvaluator:
         with pytest.raises(ValueError):
             PhaseEvaluator(spec, WeightVector(np.ones(3)))
         assert evaluator.objectives(np.zeros((0, 4, 2))).shape == (0, 3)
+
+
+def full_band_evaluator(n, k, oversampling):
+    mask = SparsityMask.full(n)
+    return PhaseEvaluator(PulseSpec(n, k, 1e5, oversampling), uniform_weights(mask), mask)
+
+
+class TestTwoThreadBlocks:
+    """A block whose rows hold at least half of ``_BLOCK_BYTES`` is scored
+    in two halves, the upper one on a worker thread, when the process may
+    run on more than one CPU; the scores are the serial ones bit for bit."""
+
+    @pytest.mark.parametrize("method", ["pmepr", "objectives"])
+    @pytest.mark.parametrize("n, k", [(100, 1), (25, 4)])
+    @pytest.mark.parametrize("count", [41, 1000])
+    def test_split_scores_are_the_serial_ones(self, monkeypatch, method, n, k, count):
+        # blocks of 40 genomes: each full one splits, and 41 ends in a block of 1
+        evaluator = full_band_evaluator(n, k, 20)
+        assert len(evaluator._bins) == 40
+        phases = np.random.default_rng(count + k).uniform(0, TWO_PI, (count, n, k))
+        splits = count_splits(monkeypatch)
+        use_cpus(monkeypatch, 1)
+        serial = getattr(evaluator, method)(phases)
+        assert splits == []
+        use_cpus(monkeypatch, 2)
+        assert np.array_equal(getattr(evaluator, method)(phases), serial)
+        assert len(splits) == count // 40
+
+    @pytest.mark.parametrize("n, k, count, split", [
+        (100, 1, 6, False),  # pmepr-sga's offspring
+        (100, 1, 12, False),  # pmepr-sga's and illuminate's generations
+        (100, 1, 20, False),  # 640 000 bytes of _bins rows: under half the budget
+        (100, 1, 21, True),
+        (100, 1, 40, True),  # a constrained NSGA-II generation
+        (125, 4, 8, True),  # a full K = 4 block
+        (125, 4, 1, False),  # one row has no halves
+    ])
+    def test_which_blocks_split(self, monkeypatch, n, k, count, split):
+        evaluator = full_band_evaluator(n, k, 20)
+        splits = count_splits(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        evaluator.objectives(np.zeros((count, n, k)))
+        assert splits == [1] * split
+
+    def test_one_cpu_stays_serial(self, monkeypatch):
+        evaluator = full_band_evaluator(100, 1, 20)
+        phases = np.random.default_rng(1).uniform(0, TWO_PI, (40, 100, 1))
+        splits = count_splits(monkeypatch)
+        use_cpus(monkeypatch, 1)
+        evaluator.pmepr(phases)
+        evaluator.objectives(phases)
+        assert splits == []
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failing_half_raises_and_the_next_call_scores(self, monkeypatch, failing):
+        # the lower half (rows from 0) is the caller's, the upper the worker's
+        evaluator = full_band_evaluator(100, 1, 20)
+        phases = np.random.default_rng(2).uniform(0, TWO_PI, (40, 100, 1))
+        use_cpus(monkeypatch, 2)
+        want = evaluator.pmepr(phases)
+        kernel, finished = evaluator._pmepr_codes, []
+
+        def failing_half(codes, start):
+            if (start > 0) == (failing == "worker"):
+                raise RuntimeError(f"{failing} half")
+            scores = kernel(codes, start)
+            finished.append(start)
+            return scores
+
+        monkeypatch.setattr(evaluator, "_pmepr_codes", failing_half)
+        with pytest.raises(RuntimeError, match=f"{failing} half"):
+            evaluator.pmepr(phases)
+        # the other half was done before the error was raised
+        assert len(finished) == 1
+        monkeypatch.undo()
+        use_cpus(monkeypatch, 2)
+        splits = count_splits(monkeypatch)
+        assert np.array_equal(evaluator.pmepr(phases), want)
+        assert np.array_equal(evaluator.pmepr(phases[::-1]), want[::-1])
+        assert len(splits) == 2
+
+    def test_an_interrupted_wait_leaves_no_stale_outcome(self, monkeypatch):
+        # a KeyboardInterrupt that cuts the caller's wait short drops the
+        # worker, whose late outcome no later split reads
+        evaluator = full_band_evaluator(100, 1, 20)
+        phases = np.random.default_rng(3).uniform(0, TWO_PI, (40, 100, 1))
+        use_cpus(monkeypatch, 2)
+        want = evaluator.pmepr(phases)
+        pid, jobs, results = metrics._worker
+
+        class Interrupted:
+            def get(self):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(metrics, "_worker", (pid, jobs, Interrupted()))
+        with pytest.raises(KeyboardInterrupt):
+            evaluator.pmepr(phases)
+        assert metrics._worker is None
+        results.get(timeout=60)  # the dropped worker's late outcome
+        assert np.array_equal(evaluator.pmepr(phases), want)
+        assert metrics._worker[0] == pid and metrics._worker[1] is not jobs
+
+    def test_a_split_evaluator_is_freed(self, monkeypatch):
+        # the worker keeps no reference to the last half it scored
+        evaluator = full_band_evaluator(100, 1, 20)
+        splits = count_splits(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        evaluator.objectives(np.zeros((40, 100, 1)))
+        assert len(splits) == 1
+        freed = weakref.ref(evaluator)
+        del evaluator
+        assert freed() is None
+
+    def test_small_blocks_start_no_thread(self, monkeypatch):
+        # the pmepr-sga and illuminate shapes score 12-genome generations and
+        # offspring of at most 6 on the caller's thread alone
+        monkeypatch.setattr(metrics, "_worker", None)
+        use_cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        mask = random_mask(100, 0.5, np.random.default_rng(1))
+        evaluator = PhaseEvaluator(PulseSpec(100, 1, 2e7, 20), uniform_weights(mask), mask)
+        sga_phases(evaluator, 18, GAConfig(population_size=12, generations=20),
+                   np.random.default_rng(1))
+        evaluator.objectives(np.zeros((12, 100, 1)))
+        assert threading.active_count() == threads
+        assert metrics._worker is None
+
+    def test_concurrent_callers_get_their_own_scores(self, monkeypatch):
+        # a caller that finds the worker busy scores its block alone
+        evaluators = [full_band_evaluator(100, 1, 20) for _ in range(3)]
+        phases = [np.random.default_rng(r).uniform(0, TWO_PI, (80, 100, 1)) for r in range(3)]
+        use_cpus(monkeypatch, 1)
+        want = [e.objectives(p) for e, p in zip(evaluators, phases)]
+        use_cpus(monkeypatch, 2)
+        got = [[] for _ in evaluators]
+
+        def score(i):
+            for _ in range(5):
+                got[i].append(evaluators[i].objectives(phases[i]))
+
+        threads = [threading.Thread(target=score, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more switches inside a split
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for scores, expected in zip(got, want):
+            assert len(scores) == 5
+            assert all(np.array_equal(s, expected) for s in scores)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 2000, 2001])

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # evaluator probes and the genomes per block each reports
 BLOCK_ROWS = {
     "pmepr N=100 K=1 L=20": 40, "objectives N=100 K=1 L=20": 40,
-    "pmepr N=100 K=1 L=20 P=1000": 40,
+    "pmepr N=100 K=1 L=20 P=1000": 40, "pmepr N=100 K=1 L=20 P=6": 40,
     "pmepr N=125 K=4 L=20": 8, "objectives N=125 K=4 L=20": 8,
     "objectives N=25 K=4 L=20": 40,
 }

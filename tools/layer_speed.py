@@ -14,6 +14,11 @@ The probes:
   PMEPR/PSLR of four-symbol pulses).
 * ``pmepr N=100 K=1 L=20 P=1000``: the same on one batch of 1000 genomes,
   the random-code sample a derived PMEPR cap is drawn from.
+* ``pmepr N=100 K=1 L=20 P=6``: a batch of 6, the offspring of one
+  ``pmepr-sga`` generation.  Blocks this small stay on the caller's
+  thread, so this probe reads the serial path; the 40-genome and
+  1000-genome probes and the K = 4 ones are scored on two threads
+  wherever the process may use two CPUs.
 * ``nsga2``: one capped NSGA-II (P = 40, n = 100) on an objective that costs
   next to nothing, so the time is the optimizer's own: ranking, crowding,
   variation and survivor selection; microseconds per generation.
@@ -158,6 +163,7 @@ PROBES = [
     evaluator_probe("pmepr", 100, 1, 20),
     evaluator_probe("objectives", 100, 1, 20),
     evaluator_probe("pmepr", 100, 1, 20, genomes=1000),
+    evaluator_probe("pmepr", 100, 1, 20, genomes=6),
     evaluator_probe("pmepr", 125, 4, 20),
     evaluator_probe("objectives", 125, 4, 20),
     evaluator_probe("objectives", 25, 4, 20),
