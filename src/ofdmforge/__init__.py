@@ -20,7 +20,6 @@ from .evolve import (
     GASchedule,
     continuous_minimize,
     decode_phases,
-    encode_phases,
     sga_minimize,
     sga_phases,
 )

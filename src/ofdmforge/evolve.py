@@ -132,21 +132,6 @@ def score_batch(fitness: Fitness, genomes: np.ndarray, generation: int, ndim: in
     return values
 
 
-def encode_phases(phases: np.ndarray, bits_per_var: int) -> np.ndarray:
-    """Inverse of decode_phases on the quantized phase lattice: an (n, k)
-    phase array in, its (n*k*bits_per_var,) bit string out.
-
-    Phases are snapped to the nearest lattice point 2*pi*v/2**b before
-    encoding, so encode(decode(g)) == g for every genome g.
-    """
-    b = bits_per_var
-    levels = 1 << b
-    values = np.rint(np.reshape(phases, -1) * levels / TWO_PI).astype(np.int64) % levels
-    shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
-    bits = (values[:, None] >> shifts[None, :]) & 1
-    return bits.reshape(-1).astype(bool)
-
-
 # (lead parents, tail parents), both (n_offspring, n) and freshly gathered:
 # vary overwrites lead with the kids and may overwrite tail
 Variation = Callable[[np.ndarray, np.ndarray], None]

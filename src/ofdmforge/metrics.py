@@ -168,57 +168,42 @@ def islr(acf: np.ndarray, spec: PulseSpec) -> float:
 # than blocks of 8.
 _BLOCK_BYTES = 5 * 2**18
 
-# One worker thread per process scores the upper half of a large block (see
-# ``PhaseEvaluator``), fed through two queues: (pid, jobs, results).  It is
-# shared by every evaluator, since a thread of its own would outlive each
-# one, and it is started on the first split; the pid is checked because a
-# forked child inherits the queues but not the thread.  A caller holds
-# ``_WORKER_BUSY`` while the worker runs its half, so a second thread that
-# finds it busy scores its block alone and never reads another's result.
+# The worker thread that scores the upper half of a large block (see
+# ``PhaseEvaluator``): (pid, its jobs queue).  One per process, shared by
+# every evaluator, since a thread of its own would outlive each one; the pid
+# is checked because a forked child inherits the queue but not the thread.
 _worker: tuple | None = None
-_WORKER_BUSY = threading.Lock()
 
 
-def _outcome(job) -> tuple:
-    """(job(), None), or (None, the exception it raised)."""
-    try:
-        return job(), None
-    except BaseException as error:  # handed to the caller, which re-raises it
-        return None, error
-
-
-def _serve(jobs, results) -> None:
-    # the job is released as ``_outcome`` returns, before its result is
-    # handed over: a job held past that would keep its evaluator alive
+def _serve(jobs) -> None:
     while True:
-        results.put(_outcome(jobs.get()))
+        job, reply = jobs.get()
+        try:
+            outcome = job(), None
+        except BaseException as error:  # handed to the caller, which re-raises it
+            outcome = None, error
+        # the job is released before its outcome is handed over, and neither
+        # is held while the worker waits: either would keep its evaluator alive
+        del job
+        reply.put(outcome)
+        del outcome, reply
 
 
 def _on_both_threads(low, high) -> tuple:
     """(low(), high()), with high() on the worker thread; high's exception
     is raised only once low has returned, and low's once high is done."""
     global _worker
-    if not _WORKER_BUSY.acquire(blocking=False):
-        return low(), high()
-    try:
-        if _worker is None or _worker[0] != os.getpid():
-            import queue  # here: a process that never splits a block never needs it
+    import queue  # here: a process that never splits a block never needs it
 
-            jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(jobs, results), daemon=True).start()
-            _worker = (os.getpid(), jobs, results)
-        pid, jobs, results = _worker
-        # dropped until high's outcome is read, so that a wait cut short (by
-        # KeyboardInterrupt) leaves no stale outcome for the next split
-        _worker = None
-        jobs.put(high)
-        try:
-            first = low()
-        finally:
-            second, error = results.get()
-            _worker = pid, jobs, results
+    if _worker is None or _worker[0] != os.getpid():
+        _worker = os.getpid(), queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_worker[1],), daemon=True).start()
+    reply = queue.SimpleQueue()
+    _worker[1].put((high, reply))
+    try:
+        first = low()
     finally:
-        _WORKER_BUSY.release()
+        second, error = reply.get()
     if error is not None:
         try:
             raise error
@@ -283,6 +268,9 @@ class PhaseEvaluator:
     the caller scores its lower half of the rows and one worker thread,
     started on the first such block and shared by every evaluator of the
     process, the upper half, each in its own rows of the block buffers.
+    Each split hands its upper half to the worker with a reply queue of its
+    own and waits on that reply once its lower half is done, so concurrent
+    callers queue on the one worker and read only their own outcomes.
     numpy releases the interpreter lock inside its transforms and array
     loops, so the halves overlap; every row is scored by the same kernel
     either way, so the scores are the serial ones bit for bit.  Smaller

@@ -53,11 +53,6 @@ class ConstraintSpec:
             raise ValueError("pmepr_max must be finite and > 1")
 
 
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """Minimization-sense Pareto dominance."""
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
 def nondominated_sort(objectives: np.ndarray | Sequence[Sequence[float]]) -> list[list[int]]:
     """Partition a population into non-domination fronts (front 0 first).
 

@@ -29,6 +29,21 @@ def direct_acf(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def encode_phases(phases: np.ndarray, bits_per_var: int) -> np.ndarray:
+    """Inverse of ``decode_phases`` on the quantized phase lattice: an (n, k)
+    phase array in, its (n*k*bits_per_var,) bit string out.
+
+    Phases are snapped to the nearest lattice point 2*pi*v/2**b before
+    encoding, so encode(decode(g)) == g for every genome g.
+    """
+    b = bits_per_var
+    levels = 1 << b
+    values = np.rint(np.reshape(phases, -1) * levels / (2 * np.pi)).astype(np.int64) % levels
+    shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
+    bits = (values[:, None] >> shifts[None, :]) & 1
+    return bits.reshape(-1).astype(bool)
+
+
 def brute_force_fronts(objectives: np.ndarray) -> list[list[int]]:
     """Non-domination fronts by repeated O(n^2) scans; oracle for the sort."""
     objectives = np.asarray(objectives, dtype=float)

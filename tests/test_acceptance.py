@@ -12,6 +12,7 @@ from conftest import (
     brute_force_fronts,
     brute_force_rank,
     direct_acf,
+    encode_phases,
     golay_pair,
     max_weight_gain,
     turyn_pair,
@@ -27,7 +28,6 @@ from ofdmforge import (
     WeightVector,
     autocorrelation,
     decode_phases,
-    encode_phases,
     newman_phases,
     noncoded_phases,
     nondominated_sort,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lattice_optimum, lattice_pmeprs
+from conftest import encode_phases, lattice_optimum, lattice_pmeprs
 from ofdmforge import (
     GAConfig,
     GASchedule,
@@ -11,7 +11,6 @@ from ofdmforge import (
     SparsityMask,
     continuous_minimize,
     decode_phases,
-    encode_phases,
     nsga2,
     random_mask,
     sga_minimize,

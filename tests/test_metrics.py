@@ -1,6 +1,8 @@
 import os
+import queue
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -628,7 +630,9 @@ def full_band_evaluator(n, k, oversampling):
 class TestTwoThreadBlocks:
     """A block whose rows hold at least half of ``_BLOCK_BYTES`` is scored
     in two halves, the upper one on a worker thread, when the process may
-    run on more than one CPU; the scores are the serial ones bit for bit."""
+    run on more than one CPU; the scores are the serial ones bit for bit.
+    Every split waits on a reply queue of its own, so callers that split at
+    once queue on the one worker."""
 
     @pytest.mark.parametrize("method", ["pmepr", "objectives"])
     @pytest.mark.parametrize("n, k", [(100, 1), (25, 4)])
@@ -700,25 +704,31 @@ class TestTwoThreadBlocks:
         assert len(splits) == 2
 
     def test_an_interrupted_wait_leaves_no_stale_outcome(self, monkeypatch):
-        # a KeyboardInterrupt that cuts the caller's wait short drops the
-        # worker, whose late outcome no later split reads
+        # a KeyboardInterrupt that cuts the caller's wait short strands that
+        # split's reply queue, and the worker's late outcome lands there: the
+        # next split, on other phases, reads only its own
         evaluator = full_band_evaluator(100, 1, 20)
         phases = np.random.default_rng(3).uniform(0, TWO_PI, (40, 100, 1))
         use_cpus(monkeypatch, 2)
-        want = evaluator.pmepr(phases)
-        pid, jobs, results = metrics._worker
+        want = evaluator.pmepr(phases)  # the worker and its jobs queue exist
+        threads, replies = threading.active_count(), []
 
-        class Interrupted:
-            def get(self):
+        class Interrupted(queue.SimpleQueue):
+            def get(self, *args, **kwargs):
+                replies.append(self)
                 raise KeyboardInterrupt
 
-        monkeypatch.setattr(metrics, "_worker", (pid, jobs, Interrupted()))
-        with pytest.raises(KeyboardInterrupt):
-            evaluator.pmepr(phases)
-        assert metrics._worker is None
-        results.get(timeout=60)  # the dropped worker's late outcome
-        assert np.array_equal(evaluator.pmepr(phases), want)
-        assert metrics._worker[0] == pid and metrics._worker[1] is not jobs
+        with monkeypatch.context() as patch:
+            patch.setattr(queue, "SimpleQueue", Interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                evaluator.pmepr(phases)
+        assert len(replies) == 1
+        deadline = time.monotonic() + 60
+        while replies[0].empty():  # the late outcome, left unread
+            assert time.monotonic() < deadline
+            time.sleep(1e-3)
+        assert np.array_equal(evaluator.pmepr(phases[::-1]), want[::-1])
+        assert threading.active_count() == threads
 
     def test_a_split_evaluator_is_freed(self, monkeypatch):
         # the worker keeps no reference to the last half it scored
@@ -746,7 +756,8 @@ class TestTwoThreadBlocks:
         assert metrics._worker is None
 
     def test_concurrent_callers_get_their_own_scores(self, monkeypatch):
-        # a caller that finds the worker busy scores its block alone
+        # three threads split blocks at once: their upper halves queue on the
+        # one worker, and each caller reads the reply of its own split
         evaluators = [full_band_evaluator(100, 1, 20) for _ in range(3)]
         phases = [np.random.default_rng(r).uniform(0, TWO_PI, (80, 100, 1)) for r in range(3)]
         use_cpus(monkeypatch, 1)

@@ -17,9 +17,14 @@ from ofdmforge import (
 )
 from ofdmforge.errors import InsufficientDataError, NonFiniteFitnessError
 from ofdmforge.evolve import score_batch
-from ofdmforge.pareto import _offspring, _rank_and_crowd, dominates
+from ofdmforge.pareto import _offspring, _rank_and_crowd
 
 TWO_PI = 2 * np.pi
+
+
+def dominates(a: np.ndarray, b: np.ndarray) -> bool:
+    """Minimization-sense Pareto dominance."""
+    return bool(np.all(a <= b) and np.any(a < b))
 
 
 class TestNondominatedSort:
