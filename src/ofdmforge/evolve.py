@@ -35,6 +35,7 @@ naming the generation and genome.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,6 +47,9 @@ from .waveform import TWO_PI
 
 # (P, n) block of genomes -> (P,) fitness values (NSGA-II: (P, m) objectives)
 Fitness = Callable[[np.ndarray], np.ndarray]
+
+# Generations whose variation draws ``continuous_minimize`` takes at once
+_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,14 @@ class ConvergenceTrace:
         return len(self.best)
 
 
+@functools.cache
+def _place_values(bits_per_var: int) -> np.ndarray:
+    """The read-only float place values 2**(b-1), ..., 2, 1 of a b-bit word."""
+    values = 2.0 ** np.arange(bits_per_var - 1, -1, -1)
+    values.flags.writeable = False
+    return values
+
+
 def decode_phases(bits: np.ndarray, bits_per_var: int, n: int, k: int) -> np.ndarray:
     """Decode a (P, n*k*bits_per_var) block of bit strings into (P, n, k) phases.
 
@@ -108,7 +120,7 @@ def decode_phases(bits: np.ndarray, bits_per_var: int, n: int, k: int) -> np.nda
     words = bits.reshape(len(bits), n * k, b)
     # float place values: every partial sum is an integer below 2**53, so
     # exact, and the float matmul is faster than the int64 one
-    values = words @ 2.0 ** np.arange(b - 1, -1, -1)
+    values = words @ _place_values(b)
     phases = values * (TWO_PI / (1 << b))
     return phases.reshape(len(bits), n, k)
 
@@ -194,14 +206,14 @@ def sga_minimize(
         # one cut per pair, drawn even when the pair's second child is dropped
         n_pairs = (len(lead) + 1) // 2
         cuts = rng.integers(1, n_bits, size=n_pairs).tolist() if n_bits > 1 else [0] * n_pairs
-        for i in range(len(lead)):
+        for i, (child, other) in enumerate(zip(lead, tail)):
             cut = cuts[i // 2]
-            lead[i, cut:] = tail[i, cut:]
-        # each child draws a coin, outcome unused, before its one bit flip:
-        # the draw keeps every design's generator stream
-        for child in lead:
+            child[cut:] = other[cut:]
+            # a coin, outcome unused, before the one bit flip: the draw keeps
+            # every design's generator stream
             rng.random()
-            child[rng.integers(n_bits)] ^= True
+            bit = rng.integers(n_bits)
+            child[bit] = not child[bit]
 
     genomes = rng.integers(0, 2, size=(config.population_size, n_bits)).astype(bool)
     return _elitist_minimize(fitness, genomes, config, vary)
@@ -222,9 +234,13 @@ def _live_bit_memo(score: Fitness, live: np.ndarray, capacity: int) -> Fitness:
     def fitness(bits: np.ndarray) -> np.ndarray:
         values = np.empty(len(bits))
         unseen: dict[bytes, list[int]] = {}
-        # packing the masked block is several times cheaper than bits[:, live]
-        for i, row in enumerate(np.packbits(bits & live, axis=1)):
-            key = row.tobytes()
+        # packing the masked block is several times cheaper than bits[:, live];
+        # row i's key is bytes i*width..(i+1)*width of the packed block
+        packed = np.packbits(bits & live, axis=1)
+        width = packed.shape[1]
+        raw = packed.tobytes()
+        for i in range(len(bits)):
+            key = raw[i * width:(i + 1) * width]
             value = memo.pop(key, None)
             if value is None:
                 unseen.setdefault(key, []).append(i)
@@ -232,8 +248,10 @@ def _live_bit_memo(score: Fitness, live: np.ndarray, capacity: int) -> Fitness:
                 memo[key] = values[i] = value
         if unseen:
             firsts = [rows[0] for rows in unseen.values()]
-            for (key, rows), value in zip(unseen.items(), score(bits[firsts])):
-                memo[key] = values[rows] = value
+            for (key, rows), value in zip(unseen.items(), score(bits[firsts]).tolist()):
+                memo[key] = value
+                for i in rows:
+                    values[i] = value
             while len(memo) > capacity:
                 del memo[next(iter(memo))]
         return values
@@ -290,6 +308,15 @@ def continuous_minimize(
     population is ``seeds`` (validated against the bounds) topped up with
     uniform random vectors.  ``fitness`` maps a (P, n_vars) array to P
     finite scores.
+
+    The variation numbers of eight generations (``_CHUNK``) at a time come
+    from one ``rng.random`` call into a buffer allocated once, and each
+    chunk's blend factors, mutation masks and replacement genes are formed
+    together, so a generation runs only the blend, clamp and mutation of
+    its own parents and its fitness call.  The draws are those of one call
+    a generation, in the same order, and ``rng`` ends in the same state, as
+    long as ``fitness`` draws nothing from ``rng``: a chunk's numbers are
+    drawn before its generations are scored.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -316,30 +343,48 @@ def continuous_minimize(
     genomes = np.concatenate([np.reshape(init, (len(init), n_vars)), fill])
 
     rate = config.mutation_rate
+    n_kids = pop - config.n_keep()
+    n_beta = 2 * ((n_kids + 1) // 2)
+    n_genes = n_kids * n_vars
+    # a generation's draws: one beta per child, drawn pair by pair (a dropped
+    # second child's beta is drawn all the same), then, with mutation, the
+    # flip draw of every gene, then its replacement draw; one buffer row per
+    # generation of a chunk, and the last chunk draws only the rows it needs
+    width = n_beta + 2 * n_genes if rate > 0 else n_beta
+    draws = np.empty((min(_CHUNK, config.generations), width))
+
+    def chunks():
+        """Each generation's (beta, 1 - beta, flip mask, replacement genes),
+        formed a chunk of generations at a time from one draw."""
+        left = config.generations
+        while left:
+            u = draws[:min(left, len(draws))]
+            left -= len(u)
+            rng.random(out=u)
+            # the bits of rng.uniform(-0.1, 1.1)
+            beta = u[:, :n_kids, None] * (1.1 - -0.1) + -0.1
+            flip = fresh = [None] * len(u)
+            if rate > 0:
+                genes = (len(u), n_kids, n_vars)
+                flip = u[:, n_beta:n_beta + n_genes].reshape(genes) < rate
+                fresh = u[:, n_beta + n_genes:].reshape(genes)
+                # lower + span * fresh, the bits of rng.uniform(lower, upper)
+                fresh *= span
+                fresh += lower
+            yield from zip(beta, 1 - beta, flip, fresh)
+
+    factors = chunks()
 
     def vary(lead, tail):
-        # one draw a generation: one beta per child, drawn pair by pair (a
-        # dropped second child's beta is drawn all the same), then, with
-        # mutation, the flip draw of every gene, then its replacement draw
-        n_kids = len(lead)
-        n_beta = 2 * ((n_kids + 1) // 2)
-        n_genes = n_kids * n_vars
-        u = rng.random(n_beta + 2 * n_genes if rate > 0 else n_beta)
-        # the bits of rng.uniform(-0.1, 1.1)
-        beta = u[:n_kids, None] * (1.1 - -0.1) + -0.1
+        beta, rest, flip, fresh = next(factors)
         # beta * lead + (1 - beta) * tail, in place on the parents
         lead *= beta
-        tail *= 1 - beta
+        tail *= rest
         lead += tail
         # same bits as np.clip(kids, lower, upper), at a fraction of its cost
         np.maximum(lead, lower, out=lead)
         np.minimum(lead, upper, out=lead)
-        if rate > 0:
-            flip = u[n_beta:n_beta + n_genes].reshape(lead.shape)
-            fresh = u[n_beta + n_genes:].reshape(lead.shape)
-            # lower + span * fresh, the bits of rng.uniform(lower, upper)
-            fresh *= span
-            fresh += lower
-            np.copyto(lead, fresh, where=flip < rate)
+        if flip is not None:
+            np.copyto(lead, fresh, where=flip)
 
     return _elitist_minimize(fitness, genomes, config, vary)

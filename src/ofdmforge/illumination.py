@@ -167,16 +167,17 @@ def optimize_weights(
     if not 0 < v_l < v_u:
         raise ValueError("need 0 < v_l < v_u")
     n = len(spectrum)
-    gains = np.abs(spectrum.values) ** 2
+    neg_gains = -np.abs(spectrum.values) ** 2
 
     def neg_gain(raw: np.ndarray) -> np.ndarray:
-        # sum w^2 * g with w = raw / |raw|, without forming w; np.add.reduce
-        # is np.sum's reduction, and -(a / b) has the bits of (-a) / b
+        # -sum w^2 * g with w = raw / |raw|, without forming w; np.add.reduce
+        # is np.sum's reduction, and negation is exact, so a sum of negated
+        # terms and (-a) / b have the bits of -sum and -(a / b)
         sq = raw * raw
         energy = np.add.reduce(sq, axis=1)
-        gain = np.add.reduce(np.multiply(sq, gains, out=sq), axis=1)
+        gain = np.add.reduce(np.multiply(sq, neg_gains, out=sq), axis=1)
         gain /= energy
-        return np.negative(gain, out=gain)
+        return gain
 
     seed = np.clip(np.abs(spectrum.values), v_l, v_u)
     best, _ = continuous_minimize(

@@ -227,13 +227,16 @@ class PhaseEvaluator:
     ``PhaseCodeMatrix``.  They may be any finite values: exp(1j*phi) is
     2*pi-periodic, so no block is wrapped.  A block is as many genomes as
     fit in ``_BLOCK_BYTES`` at K*L*N complex values each (at least one), and
-    each block's codes are formed once.  Every genome of a block has one
-    complex row in ``_bins`` (PMEPR's polyphase bins), one float row of
-    K*S values in ``_envelope`` (the power, then |r|) and one complex row of
-    2KN points in ``_conv`` (the sidelobe kernel's convolution).  With one
-    symbol the sidelobe kernel reuses ``_bins`` once PMEPR is taken, for
-    M * IFFT_M(y); with K > 1 it has two complex rows of 2KS points, the
-    zero-padded pair sums and their transforms.
+    each block's codes are formed once.  A call that fits one block, an
+    empty one included, is scored as that block and returns its kernel's
+    result as is; a larger call concatenates its blocks' results.  Every
+    genome of a block has one complex row in ``_bins`` (PMEPR's polyphase
+    bins), one float row of K*S values in ``_envelope`` (the power, then
+    |r|) and one complex row of 2KN points in ``_conv`` (the sidelobe
+    kernel's convolution).  With one symbol the sidelobe kernel reuses
+    ``_bins`` once PMEPR is taken, for M * IFFT_M(y); with K > 1 it has two
+    complex rows of 2KS points, the zero-padded pair sums and their
+    transforms.
 
     PMEPR comes from the codes c = w * exp(1j*phi) by the polyphase identity
     of the module docstring: per block one multiply by a precomputed (L, N)
@@ -260,8 +263,9 @@ class PhaseEvaluator:
     which is exact) in the first N points of zero-padded rows and runs
     their 2K S-point transforms (norm="forward"), so
     2r = first - 2*tau * second.  A scale common to every genome of a spec
-    changes no sidelobe ratio.  Every transform writes into a buffer the
-    evaluator allocated once, so no block allocates a transform's output.
+    changes no sidelobe ratio.  Every transform but one writes into a buffer
+    the evaluator allocated once: with one symbol, ``_real_idft``'s ``rfft``
+    allocates y's (B, M/2 + 1) half spectrum every block.
 
     A block whose ``_bins`` rows hold at least half of ``_BLOCK_BYTES`` is
     scored on two threads when the process may run on more than one CPU:
@@ -333,15 +337,6 @@ class PhaseEvaluator:
         phase, so its phases never change a score, bit for bit."""
         return self._active
 
-    def _blocks(self, phases: np.ndarray):
-        """Phases (B, N, K) of each block of at most len(_bins) genomes."""
-        phases = np.asarray(phases, dtype=float)
-        if not np.all(np.isfinite(phases)):
-            raise ValueError("phases must be finite")
-        rows = len(self._bins)
-        for start in range(0, len(phases), rows):
-            yield phases[start:start + rows]
-
     def _pmepr_codes(self, codes: np.ndarray, start: int) -> np.ndarray:
         """PMEPR of the pulses with codes (B, K, N), by the polyphase split:
         each row's max |bins|^2 over sum(w^2) (Parseval).  The bins' re/im
@@ -353,7 +348,8 @@ class PhaseEvaluator:
         bins = self._bins[rows]
         np.multiply(codes[:, :, None, :], self._polyphase, out=bins)
         np.fft.fft(bins, axis=-1, out=bins)
-        lanes = bins.reshape(count, -1).view(float)
+        # K*S bins a row, spelled out: an empty block cannot infer it
+        lanes = bins.reshape(count, self._envelope.shape[1]).view(float)
         np.multiply(lanes, lanes, out=lanes)
         power = np.add(lanes[:, 0::2], lanes[:, 1::2], out=self._envelope[rows])
         return power.max(axis=1) / self._energy
@@ -405,27 +401,36 @@ class PhaseEvaluator:
         """kernel(codes, 0) of one block's phases (B, N, K); the lower and
         upper half of a large block's rows on two threads when more than one
         CPU is available, each half forming its own codes."""
+        count = len(phases)
+        if count < 2 or count * self._bins.strides[0] < _BLOCK_BYTES / 2 or _cpus() < 2:
+            return kernel(subcarrier_codes(self.spec, self._w, phases), 0)
 
         def rows(start: int, stop: int) -> np.ndarray:
             return kernel(subcarrier_codes(self.spec, self._w, phases[start:stop]), start)
 
-        count = len(phases)
-        if count < 2 or count * self._bins.strides[0] < _BLOCK_BYTES / 2 or _cpus() < 2:
-            return rows(0, count)
         half = count // 2
         return np.concatenate(_on_both_threads(
             functools.partial(rows, 0, half), functools.partial(rows, half, count),
         ))
 
+    def _score(self, kernel, phases: np.ndarray) -> np.ndarray:
+        """kernel's rows for every genome of ``phases`` (P, N, K), a block of
+        at most len(_bins) genomes at a time; a call that fits one block,
+        P = 0 included, is scored as that block."""
+        phases = np.asarray(phases, dtype=float)
+        if not np.isfinite(phases).all():
+            raise ValueError("phases must be finite")
+        rows = len(self._bins)
+        if len(phases) <= rows:
+            return self._split(kernel, phases)
+        return np.concatenate([
+            self._split(kernel, phases[start:start + rows]) for start in range(0, len(phases), rows)
+        ])
+
     def pmepr(self, phases: np.ndarray) -> np.ndarray:
         """PMEPR of every genome, shape (P,)."""
-        return np.concatenate(
-            [np.empty(0)] + [self._split(self._pmepr_codes, block) for block in self._blocks(phases)]
-        )
+        return self._score(self._pmepr_codes, phases)
 
     def objectives(self, phases: np.ndarray) -> np.ndarray:
         """Columns (PMEPR, PSLR dB, ISLR dB) of every genome, shape (P, 3)."""
-        return np.concatenate(
-            [np.empty((0, 3))]
-            + [self._split(self._objective_rows, block) for block in self._blocks(phases)]
-        )
+        return self._score(self._objective_rows, phases)

@@ -17,6 +17,7 @@ from ofdmforge import (
     sga_phases,
     uniform_weights,
 )
+from ofdmforge import evolve
 from ofdmforge.errors import CodecError, InvalidSeedError, NonFiniteFitnessError
 from ofdmforge.evolve import ConvergenceTrace, score_batch
 
@@ -593,11 +594,15 @@ class TestStreamIdentity:
         assert np.array_equal(trace.mean, ref_trace.mean)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    # continuous_minimize draws its variation numbers a chunk of
+    # evolve._CHUNK generations at a time: runs shorter than, exactly, just
+    # over and several times one chunk check every chunk edge
+    @pytest.mark.parametrize("generations", [1, evolve._CHUNK, evolve._CHUNK + 1, 30])
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     @pytest.mark.parametrize("case", sorted(STREAM_CONFIGS))
     @pytest.mark.parametrize("seeded", [False, True], ids=["random-init", "seeded"])
-    def test_continuous_matches_per_pair_loop(self, seed, case, seeded):
-        cfg = GAConfig(generations=30, **STREAM_CONFIGS[case])
+    def test_continuous_matches_per_pair_loop(self, seed, case, seeded, generations):
+        cfg = GAConfig(generations=generations, **STREAM_CONFIGS[case])
         lower = -1.0 - 0.25 * np.arange(9)
         upper = 0.5 + np.arange(9) / 3
         seeds = [np.zeros(9), 0.5 * (lower + upper)] if seeded else None

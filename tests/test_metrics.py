@@ -619,7 +619,14 @@ class TestPhaseEvaluator:
             evaluator.pmepr(np.full((1, 4, 2), np.nan))
         with pytest.raises(ValueError):
             PhaseEvaluator(spec, WeightVector(np.ones(3)))
+        # a call that fits one block is scored as that block, an empty one too
+        assert evaluator.pmepr(np.zeros((0, 4, 2))).shape == (0,)
         assert evaluator.objectives(np.zeros((0, 4, 2))).shape == (0, 3)
+        one = np.zeros((1, 4, 2))
+        one[0, 1, 1] = np.inf
+        for score in (evaluator.pmepr, evaluator.objectives):
+            with pytest.raises(ValueError, match="finite"):
+                score(one)
 
 
 def full_band_evaluator(n, k, oversampling):

@@ -14,7 +14,10 @@ BLOCK_ROWS = {
     "pmepr N=125 K=4 L=20": 8, "objectives N=125 K=4 L=20": 8,
     "objectives N=25 K=4 L=20": 40,
 }
-PROBES = [*BLOCK_ROWS, "nsga2", "rank_and_crowd", "sga_phases", "continuous_minimize"]
+PROBES = [
+    *BLOCK_ROWS, "nsga2", "rank_and_crowd", "sga_phases", "sga_phases full band",
+    "continuous_minimize",
+]
 
 
 def run_tool(*args: str) -> subprocess.CompletedProcess:

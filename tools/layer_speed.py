@@ -32,6 +32,12 @@ The probes:
   200 generations); microseconds per generation.  ``rows_per_generation``
   is the offspring rows that reached ``PhaseEvaluator.pmepr`` per
   generation, counted on an untimed run.
+* ``sga_phases full band``: the same search on the ``illuminate``
+  benchmark's phase-GA shape: N = 100, K = 1, L = 20, subcarrier spacing
+  20 MHz, full band, the non-uniform weights ``optimize_weights`` designs
+  for that benchmark's target (the ``continuous_minimize`` probe's run),
+  18-bit words, P = 12, 60 generations; no memo, so every offspring row is
+  scored.  Microseconds per generation.
 * ``continuous_minimize``: the real-coded weight GA of the ``illuminate``
   benchmark shape (N = 100, P = 20, 500 generations) through
   ``optimize_weights`` on one fixed normalized target spectrum; its fitness
@@ -62,6 +68,7 @@ RANK_CALLS = 200  # rank_and_crowd
 # the share of offspring that repeat a scored pulse grows as the population
 # converges, so a search shorter than the workload's would understate it
 SGA_GENERATIONS = 200
+ILLUMINATE_SGA_GENERATIONS = 60  # sga_phases full band
 WEIGHT_GENERATIONS = 500  # continuous_minimize
 
 
@@ -146,15 +153,35 @@ def sga_probe(forge):
     return run, SGA_GENERATIONS, {"rows_per_generation": rows}
 
 
-def weight_ga_probe(forge):
-    # the illuminate workload's pulse and target: a 50-scatterer box at 10 km
+def illuminate_target(forge):
+    """The illuminate workload's pulse and normalized target spectrum: a
+    50-scatterer box at 10 km."""
     spec = forge.PulseSpec(100, 1, 2e7, 20)
     target = forge.TargetModel.random_box(50, 10_000.0, 10.0, np.random.default_rng(77))
-    spectrum = forge.normalize_reflectivity(forge.reflectivity_spectrum(target, spec, 9e9))
+    return spec, forge.normalize_reflectivity(forge.reflectivity_spectrum(target, spec, 9e9))
+
+
+def design_weights(forge, spectrum):
     config = forge.GAConfig(population_size=20, generations=WEIGHT_GENERATIONS)
+    return forge.optimize_weights(spectrum, 0.01, 10.0, config, np.random.default_rng(1))
+
+
+def full_band_sga_probe(forge):
+    spec, spectrum = illuminate_target(forge)
+    evaluator = forge.PhaseEvaluator(spec, design_weights(forge, spectrum))
+    config = forge.GAConfig(population_size=12, generations=ILLUMINATE_SGA_GENERATIONS)
 
     def run():
-        forge.optimize_weights(spectrum, 0.01, 10.0, config, np.random.default_rng(1))
+        forge.sga_phases(evaluator, 18, config, np.random.default_rng(1))
+
+    return run, ILLUMINATE_SGA_GENERATIONS, {}
+
+
+def weight_ga_probe(forge):
+    _, spectrum = illuminate_target(forge)
+
+    def run():
+        design_weights(forge, spectrum)
 
     return run, WEIGHT_GENERATIONS, {}
 
@@ -170,6 +197,7 @@ PROBES = [
     ("nsga2", nsga2_probe),
     ("rank_and_crowd", rank_probe),
     ("sga_phases", sga_probe),
+    ("sga_phases full band", full_band_sga_probe),
     ("continuous_minimize", weight_ga_probe),
 ]
 
