@@ -24,7 +24,6 @@ from .evolve import (
     sga_phases,
 )
 from .illumination import (
-    IlluminationResult,
     ReflectivitySpectrum,
     TargetModel,
     normalize_reflectivity,

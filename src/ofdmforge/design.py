@@ -59,10 +59,7 @@ def bandwidth_for_target(scenario: ScenarioSpec) -> float:
 
     B = c / (2 (extent + margin)).
     """
-    denom = scenario.target_extent_m + scenario.margin_m
-    if denom <= 0:
-        raise InvalidScenarioError("target extent plus margin must be positive")
-    return SPEED_OF_LIGHT / (2.0 * denom)
+    return SPEED_OF_LIGHT / (2.0 * (scenario.target_extent_m + scenario.margin_m))
 
 
 def max_pulse_length(min_range_m: float) -> float:

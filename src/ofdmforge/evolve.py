@@ -320,8 +320,8 @@ def continuous_minimize(
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if lower.shape != upper.shape or lower.ndim != 1:
-        raise ValueError("lower and upper must be 1-D arrays of equal length")
+    if lower.shape != upper.shape or lower.ndim != 1 or len(lower) < 1:
+        raise ValueError("lower and upper must be nonempty 1-D arrays of equal length")
     if not np.all(lower < upper):
         raise ValueError("need lower < upper in every coordinate")
     n_vars = len(lower)

@@ -20,7 +20,9 @@ import numpy as np
 from ..design import dimension_pulse
 from ..evolve import sga_phases
 from ..errors import ConfigError
-from ..illumination import TargetModel, two_step_pipeline
+from ..illumination import (
+    TargetModel, normalize_reflectivity, reflectivity_spectrum, snr_gain_db, two_step_pipeline,
+)
 from ..metrics import PhaseEvaluator
 from ..pareto import (
     ConstraintSpec,
@@ -294,34 +296,27 @@ def _run_illuminate(config, run_id, run_dir, rng):
         target = TargetModel.random_box(
             t.n_scatterers, t.center_range_m, t.extent_m, target_rng, t.reflectivity
         )
+    norm = normalize_reflectivity(reflectivity_spectrum(target, spec, config.carrier_hz))
     v_l, v_u = config.weight_bounds
-    result = two_step_pipeline(
-        target,
-        spec,
-        config.carrier_hz,
-        config.weight_ga,
-        config.phase_ga,
-        rng,
-        v_l=v_l,
-        v_u=v_u,
-        bits_per_var=config.bits_per_var,
+    w_opt, phases, trace = two_step_pipeline(
+        norm, spec, config.weight_ga, config.phase_ga, rng, v_l, v_u, config.bits_per_var
     )
 
     spectra = list(zip(
         range(spec.n_subcarriers),
-        np.abs(result.reflectivity.values).tolist(),
-        result.w_opt.weights.tolist(),
+        np.abs(norm.values).tolist(),
+        w_opt.weights.tolist(),
     ))
     write_csv(run_dir / "spectra.csv", SPECTRA_HEADER, spectra)
-    write_trace(run_dir / "trace.csv", result.pmepr_trace)
-    genome = {"bits_per_var": config.bits_per_var, "phases": result.a_opt.tolist()}
+    write_trace(run_dir / "trace.csv", trace)
+    genome = {"bits_per_var": config.bits_per_var, "phases": phases.tolist()}
     _write_json(run_dir / "genome.json", genome)
     objectives = {
-        "gain_db": result.gain_db,
-        "pmepr_initial": result.pmepr_initial,
-        "pmepr_final": result.pmepr_final,
+        "gain_db": snr_gain_db(w_opt, norm),
+        "pmepr_initial": float(trace.best[0]),
+        "pmepr_final": float(trace.best[-1]),
     }
-    rows = {"convergence.csv": result.pmepr_trace}
+    rows = {"convergence.csv": trace}
     if run_id == 0:
         rows["illumination.csv"] = spectra
     return objectives, rows

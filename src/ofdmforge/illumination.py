@@ -4,11 +4,13 @@ The received-energy objective separates cleanly from envelope control: the
 SNR-style gain depends only on the spectral weights (phase codes are unit
 modulus), so the pipeline first finds weights matched to the target
 reflectivity spectrum with a continuous GA, then fixes those weights and
-optimizes phase codes for PMEPR with the binary GA.
+optimizes phase codes for PMEPR with the binary GA.  ``two_step_pipeline``
+takes the normalized target spectrum and returns the weights, the phases
+and the PMEPR trace; the design's gain is ``snr_gain_db(w_opt, spectrum)``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,26 +70,6 @@ class ReflectivitySpectrum:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class IlluminationResult:
-    """Output bundle of the two-step pipeline: (N, 1) phases ``a_opt``, and
-    ``reflectivity``, the normalized target spectrum w_opt was matched to."""
-
-    w_opt: WeightVector
-    a_opt: np.ndarray
-    gain_db: float
-    pmepr_trace: ConvergenceTrace = field(repr=False)
-    reflectivity: ReflectivitySpectrum = field(repr=False)
-
-    @property
-    def pmepr_initial(self) -> float:
-        return float(self.pmepr_trace.best[0])
-
-    @property
-    def pmepr_final(self) -> float:
-        return float(self.pmepr_trace.best[-1])
 
 
 def reflectivity_spectrum(
@@ -192,33 +174,28 @@ def optimize_weights(
 
 
 def two_step_pipeline(
-    target: TargetModel,
+    spectrum: ReflectivitySpectrum,
     spec: PulseSpec,
-    carrier_hz: float,
     weight_config: GAConfig,
     phase_config: GASchedule,
     rng: np.random.Generator,
-    v_l: float = 0.01,
-    v_u: float = 10.0,
-    bits_per_var: int = 18,
-) -> IlluminationResult:
+    v_l: float,
+    v_u: float,
+    bits_per_var: int,
+) -> tuple[WeightVector, np.ndarray, ConvergenceTrace]:
     """Weights first (detection gain), then phase codes (PMEPR).
 
-    Step 2 cannot disturb step 1: the gain depends only on |w|, and phase
-    codes are unit modulus.  The optimal pulse spectrum is the elementwise
-    product of the returned weights and codes.
+    ``spectrum`` is ``normalize_reflectivity(reflectivity_spectrum(target,
+    spec, carrier_hz))`` of a single-symbol ``spec``.  Returns ``(w_opt,
+    phases, trace)``: the unit-energy weights ``optimize_weights`` finds in
+    raw bounds [v_l, v_u], then the (N, 1) phases and the PMEPR trace of
+    the binary GA, ``bits_per_var`` bits a phase, on those weights.  Step 2
+    cannot disturb step 1: the gain depends only on |w|, and phase codes are
+    unit modulus.  The pulse spectrum is the elementwise product of the
+    weights and the codes.
     """
-    if spec.n_symbols != 1:
-        raise ValueError("the illumination pipeline designs single-symbol pulses")
-    norm = normalize_reflectivity(reflectivity_spectrum(target, spec, carrier_hz))
-    w_opt = optimize_weights(norm, v_l, v_u, weight_config, rng=rng)
-    gain = snr_gain_db(w_opt, norm)
-
+    if spec.n_symbols != 1 or len(spectrum) != spec.n_subcarriers:
+        raise ValueError("the pipeline designs single-symbol pulses, one spectrum bin a carrier")
+    w_opt = optimize_weights(spectrum, v_l, v_u, weight_config, rng=rng)
     phases, trace = sga_phases(PhaseEvaluator(spec, w_opt), bits_per_var, phase_config, rng)
-    return IlluminationResult(
-        w_opt=w_opt,
-        a_opt=phases,
-        gain_db=gain,
-        pmepr_trace=trace,
-        reflectivity=norm,
-    )
+    return w_opt, phases, trace

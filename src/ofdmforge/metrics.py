@@ -64,7 +64,6 @@ import numpy as np
 from .errors import DegeneratePulseError, UndefinedSidelobesError
 from .waveform import (
     PulseSpec,
-    SparsityMask,
     WeightVector,
     effective_weights,
     subcarrier_codes,
@@ -221,7 +220,8 @@ def _cpus() -> int:
 
 
 class PhaseEvaluator:
-    """Scores blocks of phase genomes on one pulse spec, weights and mask.
+    """Scores blocks of phase genomes on one pulse spec and its weights; a
+    zero weight switches its subcarrier off (see ``uniform_weights``).
 
     Phases come as a (P, N, K) array, genome p holding the phase matrix of
     ``PhaseCodeMatrix``.  They may be any finite values: exp(1j*phi) is
@@ -282,13 +282,8 @@ class PhaseEvaluator:
     thread, where a split cost more than it saved.
     """
 
-    def __init__(
-        self,
-        spec: PulseSpec,
-        weights: WeightVector,
-        mask: SparsityMask | None = None,
-    ) -> None:
-        w = effective_weights(spec, weights, mask)
+    def __init__(self, spec: PulseSpec, weights: WeightVector) -> None:
+        w = effective_weights(spec, weights)
         # mean power of every pulse (Parseval); w^2 can underflow to 0 or
         # overflow to inf, and either is rejected below
         with np.errstate(over="ignore"):

@@ -226,6 +226,8 @@ def nsga2(
     is the same three arrays as the last hook call, so the final Pareto
     front is the rows with ``rank == 0``.
     """
+    if n_vars < 1:
+        raise ValueError("n_vars must be >= 1")
     pop = config.population_size
 
     genomes = rng.uniform(0.0, TWO_PI, size=(pop, n_vars))

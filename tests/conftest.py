@@ -9,6 +9,7 @@ from ofdmforge import (
     PhaseCodeMatrix,
     PulseSpec,
     SparsityMask,
+    WeightVector,
     pmepr,
     synthesize,
     uniform_weights,
@@ -91,6 +92,15 @@ def max_weight_gain(gains: np.ndarray, v_l: float, v_u: float) -> float:
     top = np.concatenate([[0.0], np.cumsum(g)])  # the sum of the k largest gains
     rest = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])  # the others' sum
     return float(np.max((hi * top + lo * rest) / (hi * k + lo * (len(g) - k))))
+
+
+def masked_weights(weights: WeightVector, mask: SparsityMask | None) -> WeightVector:
+    """``weights`` with the subcarriers ``mask`` switches off set to zero: the
+    effective weights of ``synthesize(spec, codes, weights, mask)``, as one
+    ``WeightVector`` for ``PhaseEvaluator``.  No mask keeps every weight."""
+    if mask is None:
+        return weights
+    return WeightVector(np.where(mask.active, weights.weights, 0.0))
 
 
 def random_pulse(rng: np.random.Generator, n=None, k=None, oversampling=None):

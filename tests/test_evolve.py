@@ -186,7 +186,7 @@ class TestSGA:
 
     def test_reduces_pmepr_on_small_pulse(self):
         mask = SparsityMask.full(8)
-        evaluator = PhaseEvaluator(PulseSpec(8, 1, 1e5, 8), uniform_weights(mask), mask)
+        evaluator = PhaseEvaluator(PulseSpec(8, 1, 1e5, 8), uniform_weights(mask))
 
         def fitness(bits):
             return evaluator.pmepr(decode_phases(bits, 4, 8, 1))
@@ -206,7 +206,7 @@ class TestSGA:
 def phase_evaluator(n: int, k: int, sparse: bool) -> PhaseEvaluator:
     """A uniform-weight evaluator, full band or on a seeded half mask."""
     mask = random_mask(n, 0.5, np.random.default_rng(n)) if sparse else SparsityMask.full(n)
-    return PhaseEvaluator(PulseSpec(n, k, 1e5, 4), uniform_weights(mask), mask)
+    return PhaseEvaluator(PulseSpec(n, k, 1e5, 4), uniform_weights(mask))
 
 
 def spy_on_pmepr(evaluator: PhaseEvaluator) -> list[np.ndarray]:
@@ -409,6 +409,15 @@ class TestContinuousGA:
         with pytest.raises(ValueError):
             continuous_minimize(sphere, np.full(3, 1.0), np.full(3, -1.0), cfg,
                                 np.random.default_rng(0))
+
+    def test_rejects_empty_genome(self):
+        # zero-length bounds fail before any draw, as sga_minimize's n_bits < 1
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="nonempty"):
+            continuous_minimize(sphere, np.zeros(0), np.zeros(0),
+                                GAConfig(population_size=10, generations=5), rng)
+        assert rng.bit_generator.state == state
 
     def test_determinism(self):
         cfg = GAConfig(population_size=10, generations=30)

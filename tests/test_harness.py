@@ -18,14 +18,18 @@ from ofdmforge import (
     PhaseEvaluator,
     PulseSpec,
     SparsityMask,
+    TargetModel,
     WeightVector,
     autocorrelation,
     islr,
     newman_phases,
+    normalize_reflectivity,
     pmepr,
     pmepr_threshold_from_distribution,
     pslr,
     random_phases,
+    reflectivity_spectrum,
+    snr_gain_db,
     synthesize,
     uniform_weights,
 )
@@ -297,7 +301,7 @@ class TestCliRuns:
         spec = PulseSpec(**MINI_PULSE)
         mask = SparsityMask.full(8)
         phases = newman_phases(8).phases[None]
-        evaluator = PhaseEvaluator(spec, uniform_weights(mask), mask)
+        evaluator = PhaseEvaluator(spec, uniform_weights(mask))
         want = evaluator.objectives(phases)[0].tolist()
         want_pmepr = evaluator.pmepr(phases)[0]
         for kind in ("evaluate", "baseline", "synthesize"):
@@ -359,7 +363,7 @@ class TestCliRuns:
         genome = json.loads((out / "0" / "genome.json").read_text())["rows"]
         phases = np.array([g["phases"] for g in genome]).reshape(len(genome), 8, 1)
         want = scored(PhaseEvaluator(PulseSpec(**MINI_PULSE), uniform_weights(
-            SparsityMask.full(8)), SparsityMask.full(8)), phases)
+            SparsityMask.full(8))), phases)
         final = np.array([front[1 + g["row"]][:3] for g in genome], dtype=float)
         assert all(front[1 + g["row"]][4] == "20" for g in genome)
         assert np.array_equal(final, want)
@@ -462,6 +466,14 @@ class TestCliRuns:
             w = np.array([float(row["w_opt"]) for row in csv.DictReader(fh)])
         x = synthesize(PulseSpec(**pulse), phases, WeightVector(w), SparsityMask.full(12))
         assert pmepr(x) == pytest.approx(report["pmepr_final"], rel=0.0, abs=1e-9)
+        # the reported gain is that of spectra.csv's weights on the config's
+        # seeded target, and the PMEPRs are the trace's first and last best
+        target = TargetModel.random_box(6, 10000.0, 8.0, np.random.default_rng(4), 1.0)
+        norm = normalize_reflectivity(reflectivity_spectrum(target, PulseSpec(**pulse), 9e9))
+        assert abs(report["gain_db"] - snr_gain_db(WeightVector(w), norm)) <= 1e-12
+        with open(out / "0" / "trace.csv", newline="") as fh:
+            best = [float(row["best"]) for row in csv.DictReader(fh)]
+        assert (report["pmepr_initial"], report["pmepr_final"]) == (best[0], best[-1])
 
 
 class TestCliErrors:

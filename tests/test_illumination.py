@@ -270,53 +270,72 @@ class TestWeightGainBound:
 
 
 class TestTwoStepPipeline:
+    WEIGHT_CONFIG = GAConfig(population_size=10, generations=120)
+
     def _small_pipeline(self, target, seed=0):
+        """(spec, normalized spectrum, (w_opt, phases, trace)) of a 16-carrier design."""
         spec = PulseSpec(16, 1, 2e7, 8)
-        wcfg = GAConfig(population_size=10, generations=120)
+        norm = normalize_reflectivity(reflectivity_spectrum(target, spec, CASE_CARRIER))
         pcfg = GAConfig(population_size=8, generations=80)
         rng = np.random.default_rng(seed)
-        return spec, two_step_pipeline(target, spec, CASE_CARRIER, wcfg, pcfg, rng,
-                                       bits_per_var=8)
+        return spec, norm, two_step_pipeline(norm, spec, self.WEIGHT_CONFIG, pcfg, rng,
+                                             0.01, 10.0, 8)
 
     def test_gain_decoupled_from_phase_step(self):
         rng = np.random.default_rng(7)
         target = TargetModel.random_box(12, 10_000.0, 8.0, rng)
-        spec, result = self._small_pipeline(target)
-        norm = normalize_reflectivity(reflectivity_spectrum(target, spec, CASE_CARRIER))
+        spec, norm, (w_opt, phases, _) = self._small_pipeline(target)
+        # the weights are the weight step's alone, bit for bit
+        alone = optimize_weights(norm, 0.01, 10.0, self.WEIGHT_CONFIG, np.random.default_rng(0))
+        assert np.array_equal(w_opt.weights, alone.weights)
         # identical gain whether or not the optimized codes are applied
-        assert snr_gain_db(result.w_opt, norm) == result.gain_db
-        assert abs(snr_gain_db(result.w_opt, norm) - result.gain_db) <= 1e-12
+        x = synthesize(spec, PhaseCodeMatrix(phases), w_opt, SparsityMask.full(16))
+        recovered = np.abs(np.fft.fft(x))[:16]
+        gain = snr_gain_db(WeightVector(recovered / np.linalg.norm(recovered)), norm)
+        assert abs(gain - snr_gain_db(w_opt, norm)) <= 1e-12
 
     def test_pmepr_trace_improves(self):
         rng = np.random.default_rng(8)
         target = TargetModel.random_box(12, 10_000.0, 8.0, rng)
-        _, result = self._small_pipeline(target, seed=1)
-        assert result.pmepr_final <= result.pmepr_initial
-        assert np.sum(result.w_opt.weights**2) == pytest.approx(1.0, abs=1e-9)
+        _, _, (w_opt, _, trace) = self._small_pipeline(target, seed=1)
+        assert trace.best[-1] <= trace.best[0]
+        assert np.sum(w_opt.weights**2) == pytest.approx(1.0, abs=1e-9)
 
     def test_spectrum_is_elementwise_product(self):
         rng = np.random.default_rng(9)
         target = TargetModel.random_box(6, 10_000.0, 8.0, rng)
-        spec, result = self._small_pipeline(target, seed=2)
-        assert result.a_opt.shape == (16, 1)
-        x = synthesize(spec, PhaseCodeMatrix(result.a_opt), result.w_opt, SparsityMask.full(16))
+        spec, _, (w_opt, phases, trace) = self._small_pipeline(target, seed=2)
+        assert phases.shape == (16, 1)
+        x = synthesize(spec, PhaseCodeMatrix(phases), w_opt, SparsityMask.full(16))
         bins = np.abs(np.fft.fft(x))[:16]
-        expected = result.w_opt.weights
+        expected = w_opt.weights
         assert np.allclose(bins / np.linalg.norm(bins),
                            expected / np.linalg.norm(expected), atol=1e-9)
-        assert pmepr(x) == pytest.approx(result.pmepr_final, rel=1e-9)
+        assert pmepr(x) == pytest.approx(trace.best[-1], rel=1e-9)
 
     def test_point_target_reduces_to_pmepr_only(self):
         target = TargetModel(np.array([1.0]), np.array([9_000.0]))
-        _, result = self._small_pipeline(target, seed=3)
-        assert result.gain_db == pytest.approx(0.0, abs=1e-9)
+        _, norm, (w_opt, _, _) = self._small_pipeline(target, seed=3)
+        assert snr_gain_db(w_opt, norm) == pytest.approx(0.0, abs=1e-9)
 
     def test_multi_symbol_rejected(self):
         target = TargetModel(np.array([1.0]), np.array([9_000.0]))
         spec = PulseSpec(8, 2, 2e7, 4)
+        norm = normalize_reflectivity(reflectivity_spectrum(target, spec, CASE_CARRIER))
         cfg = GAConfig(population_size=8, generations=5)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="single-symbol"):
-            two_step_pipeline(target, spec, CASE_CARRIER, cfg, cfg, rng)
+            two_step_pipeline(norm, spec, cfg, cfg, rng, 0.01, 10.0, 18)
         assert rng.bit_generator.state == state  # rejected before the weight GA draws
+
+    def test_spectrum_of_another_band_rejected(self):
+        target = TargetModel(np.array([1.0, 1.0]), np.array([9_000.0, 9_001.0]))
+        norm = normalize_reflectivity(reflectivity_spectrum(target, PulseSpec(20, 1, 2e7, 4),
+                                                            CASE_CARRIER))
+        cfg = GAConfig(population_size=8, generations=5)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="one spectrum bin a carrier"):
+            two_step_pipeline(norm, PulseSpec(16, 1, 2e7, 4), cfg, cfg, rng, 0.01, 10.0, 18)
+        assert rng.bit_generator.state == state

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GOLAY_SEEDS, direct_acf, golay_pair, random_pulse, turyn_pair
+from conftest import (
+    GOLAY_SEEDS, direct_acf, golay_pair, masked_weights, random_pulse, turyn_pair,
+)
 from ofdmforge import (
     GAConfig,
     PhaseCodeMatrix,
@@ -352,7 +354,7 @@ def test_pmepr_matches_direct_sum(monkeypatch, n, k, oversampling):
     weights = WeightVector(rng.uniform(0.05, 2.0, n))
     phases = rng.uniform(-TWO_PI, 2 * TWO_PI, (10, n, k))
     want = [direct_pmepr(spec, np.mod(p, TWO_PI), weights, mask) for p in phases]
-    evaluator = PhaseEvaluator(spec, weights, mask)
+    evaluator = PhaseEvaluator(spec, masked_weights(weights, mask))
     assert_same_pmepr(evaluator.pmepr(phases), want)
     if n > 1 or k > 1:  # one tone in one symbol has no sidelobes
         # objectives takes PMEPR from the same kernel as pmepr, for every K
@@ -370,7 +372,7 @@ def assert_closed_form(monkeypatch, n, k, oversampling, count, sparse):
     mask = random_mask(n, 0.5, rng) if sparse else None
     weights = WeightVector(rng.uniform(0.05, 2.0, n) if sparse else np.ones(n))
     phases = rng.uniform(0, TWO_PI, (count, n, k))
-    got = PhaseEvaluator(spec, weights, mask).objectives(phases)
+    got = PhaseEvaluator(spec, masked_weights(weights, mask)).objectives(phases)
     want = np.array([direct_objectives(spec, p, weights, mask) for p in phases])
     assert_same_pmepr(got[:, 0], want[:, 0])
     assert_same_sidelobes(got[:, 1:], want[:, 1:])
@@ -390,7 +392,7 @@ class TestPhaseEvaluator:
         weights = WeightVector(rng.uniform(0.05, 2.0, n))
         phases = rng.uniform(-TWO_PI, 2 * TWO_PI, (int(rng.integers(1, 20)), n, k))
 
-        evaluator = PhaseEvaluator(spec, weights, mask)
+        evaluator = PhaseEvaluator(spec, masked_weights(weights, mask))
         got = evaluator.objectives(phases)
         want = np.array([direct_objectives(spec, p, weights, mask) for p in phases])
         assert got.shape == (len(phases), 3)
@@ -406,7 +408,8 @@ class TestPhaseEvaluator:
         rng = np.random.default_rng(k)
         spec = PulseSpec(12, k, 1e5, 4)
         mask = random_mask(12, 0.5, rng)
-        evaluator = PhaseEvaluator(spec, WeightVector(rng.uniform(0.05, 2.0, 12)), mask)
+        weights = masked_weights(WeightVector(rng.uniform(0.05, 2.0, 12)), mask)
+        evaluator = PhaseEvaluator(spec, weights)
         assert np.array_equal(evaluator.active, mask.active)
         assert not evaluator.active.flags.writeable
         phases = rng.uniform(0, TWO_PI, (10, 12, k))
@@ -447,7 +450,7 @@ class TestPhaseEvaluator:
         mask = SparsityMask(np.array([True, True, False, True, True]))
         weights = WeightVector(rng.uniform(0.1, 1.0, 5))
         phases = rng.uniform(0, TWO_PI, (11, 5, 2))
-        got = PhaseEvaluator(spec, weights, mask).objectives(phases)
+        got = PhaseEvaluator(spec, masked_weights(weights, mask)).objectives(phases)
         want = np.array([direct_objectives(spec, p, weights, mask) for p in phases])
         assert_same_pmepr(got[:, 0], want[:, 0])
         assert_same_sidelobes(got[:, 1:], want[:, 1:])
@@ -564,9 +567,10 @@ class TestPhaseEvaluator:
         spec = PulseSpec(20, k, 1e5, 4)
         mask = random_mask(20, 0.5, rng) if sparse else None
         weights = WeightVector(rng.uniform(0.05, 2.0, 20))
-        whole = PhaseEvaluator(spec, weights, mask)
+        weights = masked_weights(weights, mask)
+        whole = PhaseEvaluator(spec, weights)
         budget_rows(monkeypatch, spec, 4)
-        evaluator = PhaseEvaluator(spec, weights, mask)
+        evaluator = PhaseEvaluator(spec, weights)
         rows = len(evaluator._bins)
         assert rows == 4 and len(whole._bins) > 2 * rows + 3
         for count in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
@@ -598,8 +602,9 @@ class TestPhaseEvaluator:
         mask = SparsityMask(np.array([True, False, False, True]))
         with pytest.raises(DegeneratePulseError):
             synthesize(spec, PhaseCodeMatrix(np.zeros((4, 1))), weights, mask)
-        with pytest.raises(DegeneratePulseError):
-            PhaseEvaluator(spec, weights, mask)
+        # the evaluator takes weights alone, and no WeightVector is all zero
+        with pytest.raises(ValueError, match="positive"):
+            PhaseEvaluator(spec, masked_weights(weights, mask))
 
     @pytest.mark.parametrize("level", [1e-200, 1e200])
     def test_weights_without_finite_energy_rejected(self, level):
@@ -631,7 +636,7 @@ class TestPhaseEvaluator:
 
 def full_band_evaluator(n, k, oversampling):
     mask = SparsityMask.full(n)
-    return PhaseEvaluator(PulseSpec(n, k, 1e5, oversampling), uniform_weights(mask), mask)
+    return PhaseEvaluator(PulseSpec(n, k, 1e5, oversampling), uniform_weights(mask))
 
 
 class TestTwoThreadBlocks:
@@ -755,7 +760,7 @@ class TestTwoThreadBlocks:
         use_cpus(monkeypatch, 2)
         threads = threading.active_count()
         mask = random_mask(100, 0.5, np.random.default_rng(1))
-        evaluator = PhaseEvaluator(PulseSpec(100, 1, 2e7, 20), uniform_weights(mask), mask)
+        evaluator = PhaseEvaluator(PulseSpec(100, 1, 2e7, 20), uniform_weights(mask))
         sga_phases(evaluator, 18, GAConfig(population_size=12, generations=20),
                    np.random.default_rng(1))
         evaluator.objectives(np.zeros((12, 100, 1)))

@@ -109,7 +109,7 @@ def sidelobe_objectives(n, oversampling=8):
     """(P, n) phase block -> (P, 3) columns (pslr, islr, pmepr) of n-carrier
     single-symbol pulses: the sidelobe objectives, then the constrained PMEPR."""
     mask = SparsityMask.full(n)
-    evaluator = PhaseEvaluator(PulseSpec(n, 1, 1e5, oversampling), uniform_weights(mask), mask)
+    evaluator = PhaseEvaluator(PulseSpec(n, 1, 1e5, oversampling), uniform_weights(mask))
     return lambda g: evaluator.objectives(g.reshape(len(g), n, 1))[:, [1, 2, 0]]
 
 
@@ -230,6 +230,14 @@ class TestNsga2:
         with pytest.raises(ValueError, match="PMEPR column"):
             nsga2(analytic_biobjective, 1, cfg, np.random.default_rng(0),
                   constraint=ConstraintSpec(5.0))
+
+    def test_rejects_empty_genome(self):
+        # no phase to vary: fails before any draw, as sga_minimize's n_bits < 1
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n_vars"):
+            nsga2(analytic_biobjective, 0, GAConfig(population_size=8, generations=5), rng)
+        assert rng.bit_generator.state == state
 
     def test_needs_two_objective_columns(self):
         cfg = GAConfig(population_size=8, generations=5)

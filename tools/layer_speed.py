@@ -90,7 +90,7 @@ def evaluator_probe(method: str, n: int, k: int, ell: int, genomes: int = GENOME
     def build(forge):
         mask = forge.SparsityMask.full(n)
         spec = forge.PulseSpec(n, k, 1e5, ell)
-        evaluator = forge.PhaseEvaluator(spec, forge.uniform_weights(mask), mask)
+        evaluator = forge.PhaseEvaluator(spec, forge.uniform_weights(mask))
         call = getattr(evaluator, method)
         phases = np.random.default_rng(0).uniform(0, 2 * np.pi, (genomes, n, k))
 
@@ -138,7 +138,7 @@ def rank_probe(forge):
 def sga_probe(forge):
     mask = forge.random_mask(100, 0.5, np.random.default_rng(1))
     spec = forge.PulseSpec(100, 1, 1e5, 20)
-    evaluator = forge.PhaseEvaluator(spec, forge.uniform_weights(mask), mask)
+    evaluator = forge.PhaseEvaluator(spec, forge.uniform_weights(mask))
     config = forge.GAConfig(population_size=12, generations=SGA_GENERATIONS)
 
     def run():
